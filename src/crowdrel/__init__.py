@@ -38,9 +38,9 @@ from .model import (
     TrainResult,
     ce_losses,
     e_step,
-    emission_prob,
     load_model,
     posterior_from_priors,
+    posterior_table,
     predict_labels,
     pretrain,
     q_objective,

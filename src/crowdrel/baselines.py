@@ -115,13 +115,3 @@ def dawid_skene(annotations: AnnotationSet, n_labels: int,
     return DsResult(model=model, soft_labels=soft, hard_labels=hard,
                     log_likelihood=trace, n_iterations=iterations)
 
-
-def ds_annotation_scores(result: DsResult, annotations: AnnotationSet) -> np.ndarray:
-    """Per-category reliability per annotation: p(annotator correct | inferred truth).
-
-    The diagonal confusion entry at the instance's inferred class. A
-    coarse (annotator, category)-level reliability, mainly useful as a
-    baseline input to the denoising experiment.
-    """
-    truth = result.hard_labels[annotations.instance_idx]
-    return result.model.confusion[annotations.annotator_idx, truth, truth]

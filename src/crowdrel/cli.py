@@ -81,6 +81,20 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict[str, str], files: lis
     (out_dir / f"manifest_{command}.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
+              gold: data.GoldLabels | None) -> None:
+    problems = data.validate(instances, annotations, gold)
+    if problems:
+        raise data.DataError("; ".join(problems))
+
+
 def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
     if value == "default":
         return simulate.default_panel(n_labels)
@@ -138,6 +152,7 @@ def _load_dataset(cfg: dict[str, str], out_dir: Path):
     gold_path = (out_dir / "gold.csv") if base else cfg.get("gold")
     if gold_path and Path(gold_path).exists():
         gold = data.load_gold(gold_path, label_set, instance_ids=ids)
+    _validate(instances, annotations, gold)
     return instances, annotations, gold, label_set
 
 
@@ -190,13 +205,8 @@ def _fail(exc: Exception) -> None:
 
 
 @click.group()
-@click.option("--threads", type=int, default=None,
-              help="Best-effort cap on BLAS/OpenMP threads (set before heavy work).")
-def main(threads: int | None) -> None:
+def main() -> None:
     """Infer true labels and per-instance annotator reliability from noisy annotations."""
-    if threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(threads)
 
 
 @main.command("simulate")
@@ -228,9 +238,7 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
             instance_ids=[inst.id for inst in instances],
             keep_prob=_get(cfg, "keep_prob", 1.0, float),
         )
-        problems = data.validate(instances, annotations, gold)
-        if problems:
-            raise ConfigError("; ".join(problems))
+        _validate(instances, annotations, gold)
         data.write_instances(out / "instances.csv", instances)
         data.write_gold(out / "gold.csv", gold, label_set, [i.id for i in instances])
         data.write_annotations(out / "annotations.csv", annotations, label_set)
@@ -261,25 +269,16 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         result = model.train(features, annotations, train_cfg, gold=gold_arr)
 
         model.save_model(out / "model.json", result.state, label_set, train_cfg)
-        with open(out / "trace.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outer", "objective_start", "objective_end", "f1"])
-            for row in result.trace:
-                writer.writerow([row.outer, repr(row.objective_start), repr(row.objective_end),
-                                 "" if row.f1 is None else repr(row.f1)])
-        pred, _ = model.predict_labels(result.state, features, annotations)
-        with open(out / "predictions.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance_id", "label"])
-            for pos, inst in enumerate(instances):
-                writer.writerow([inst.id, label_set.labels[pred[pos]]])
-        scores = model.reliability_scores(result.state, features, annotations)
-        with open(out / "reliability.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instance_id", "annotator_id", "score"])
-            for pos, (i, j, _) in enumerate(annotations.triples()):
-                writer.writerow([annotations.instance_ids[i], annotations.annotator_ids[j],
-                                 repr(float(scores.posterior[pos]))])
+        _write_csv(out / "trace.csv", ["outer", "objective_start", "objective_end", "f1"],
+                   ([row.outer, repr(row.objective_start), repr(row.objective_end),
+                     "" if row.f1 is None else repr(row.f1)] for row in result.trace))
+        pred = result.posterior.label_posterior.argmax(axis=1)
+        _write_csv(out / "predictions.csv", ["instance_id", "label"],
+                   ([inst.id, label_set.labels[pred[pos]]] for pos, inst in enumerate(instances)))
+        rel = result.posterior.reliability_posterior
+        _write_csv(out / "reliability.csv", ["instance_id", "annotator_id", "score"],
+                   ([annotations.instance_ids[i], annotations.annotator_ids[j], repr(float(rel[pos]))]
+                    for pos, (i, j, _) in enumerate(annotations.triples())))
         _write_manifest(out, "train", cfg,
                         ["model.json", "trace.csv", "predictions.csv", "reliability.csv"])
         click.echo(f"trained {train_cfg.mode} for {len(result.trace)} outer iterations; artifacts in {out}")
@@ -350,20 +349,21 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
             report = evaluate.reliability_report(scores, annotations, gold, k)
             (out / "reliability_report.txt").write_text(
                 evaluate.report_to_text(report, label_set.labels), encoding="utf-8")
-            with open(out / "reliability_report.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["annotator", "side", "n", "n_correct", "mean_reliability",
-                                 "class", "class_n", "class_correct", "class_mean_reliability"])
-                for entry in report.annotators:
-                    for side_name in ("top", "bottom"):
-                        side = getattr(entry, side_name)
-                        writer.writerow([entry.annotator_id, side_name,
-                                         len(side.instance_indices), side.n_correct,
-                                         repr(side.mean_reliability), "", "", "", ""])
-                        for c, stats in sorted(side.per_class.items()):
-                            writer.writerow([entry.annotator_id, side_name, "", "", "",
-                                             label_set.labels[c], stats.n_instances,
-                                             stats.n_correct, repr(stats.mean_reliability)])
+            report_rows = []
+            for entry in report.annotators:
+                for side_name in ("top", "bottom"):
+                    side = getattr(entry, side_name)
+                    report_rows.append([entry.annotator_id, side_name,
+                                        len(side.instance_indices), side.n_correct,
+                                        repr(side.mean_reliability), "", "", "", ""])
+                    for c, stats in sorted(side.per_class.items()):
+                        report_rows.append([entry.annotator_id, side_name, "", "", "",
+                                            label_set.labels[c], stats.n_instances,
+                                            stats.n_correct, repr(stats.mean_reliability)])
+            _write_csv(out / "reliability_report.csv",
+                       ["annotator", "side", "n", "n_correct", "mean_reliability",
+                        "class", "class_n", "class_correct", "class_mean_reliability"],
+                       report_rows)
             files += ["reliability_report.txt", "reliability_report.csv"]
         denoise_with = _get(cfg, "denoise", "off")
         if denoise_with != "off":
@@ -375,10 +375,7 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
                      (f"denoise_{denoise_with}_after", repr(res.f1_after.micro)),
                      (f"denoise_{denoise_with}_delta", repr(res.delta_micro))]
 
-        with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            writer.writerows(rows)
+        _write_csv(out / "metrics.csv", ["metric", "value"], rows)
         _write_manifest(out, "eval", cfg, files)
         for name, value in rows:
             click.echo(f"{name} = {value}")
@@ -398,7 +395,17 @@ def _load_scores(path: Path, annotations: data.AnnotationSet) -> np.ndarray:
         for row in reader:
             if not row:
                 continue
-            by_pair[(inst_pos[row[0]], ann_pos[row[1]])] = float(row[2])
+            where = f"{path}:{reader.line_num}"
+            if len(row) != 3:
+                raise data.ParseError(f"{where}: expected 3 columns, got {len(row)}")
+            if row[0] not in inst_pos:
+                raise data.DataError(f"{where}: unknown instance id {row[0]!r}")
+            if row[1] not in ann_pos:
+                raise data.DataError(f"{where}: unknown annotator id {row[1]!r}")
+            try:
+                by_pair[(inst_pos[row[0]], ann_pos[row[1]])] = float(row[2])
+            except ValueError:
+                raise data.ParseError(f"{where}: cannot parse score {row[2]!r}") from None
     scores = np.empty(annotations.n_pairs, dtype=np.float64)
     for pos, (i, j, _) in enumerate(annotations.triples()):
         if (i, j) not in by_pair:

@@ -126,9 +126,6 @@ class GoldLabels:
     def __len__(self) -> int:
         return len(self.by_index)
 
-    def get(self, instance: int) -> int | None:
-        return self.by_index.get(instance)
-
     def to_array(self, n_instances: int, missing: int = -1) -> np.ndarray:
         out = np.full(n_instances, missing, dtype=np.int64)
         for i, t in self.by_index.items():

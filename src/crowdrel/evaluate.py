@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .baselines import vote_counts
 from .data import AnnotationSet, GoldLabels
 
 
@@ -38,7 +39,8 @@ def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
     p, g = pred[mask], gold_arr[mask]
     micro = float((p == g).mean())
     macros = []
-    for c in np.unique(np.concatenate([p, g])):
+    # a set, not np.unique: numpy 2 loads numpy.ma for np.unique, and training calls this
+    for c in sorted(set(p.tolist()) | set(g.tolist())):
         tp = float(((p == c) & (g == c)).sum())
         fp = float(((p == c) & (g != c)).sum())
         fn = float(((p != c) & (g == c)).sum())
@@ -47,15 +49,9 @@ def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
     return F1Scores(micro=micro, macro=float(np.mean(macros)))
 
 
-def _label_counts(annotations: AnnotationSet, n_labels: int) -> np.ndarray:
-    counts = np.zeros((annotations.n_instances, n_labels), dtype=np.float64)
-    np.add.at(counts, (annotations.instance_idx, annotations.label_idx), 1.0)
-    return counts
-
-
 def fleiss_kappa(annotations: AnnotationSet, n_labels: int) -> float:
     """Chance-corrected agreement for complete panels (equal ratings per instance)."""
-    counts = _label_counts(annotations, n_labels)
+    counts = vote_counts(annotations, n_labels)
     per_instance = counts.sum(axis=1)
     n_raters = per_instance[0] if len(per_instance) else 0
     if n_raters < 2 or not np.all(per_instance == n_raters):
@@ -74,7 +70,7 @@ def fleiss_kappa(annotations: AnnotationSet, n_labels: int) -> float:
 
 def krippendorff_alpha(annotations: AnnotationSet, n_labels: int) -> float:
     """Nominal-distance alpha from the coincidence matrix; handles sparse panels."""
-    counts = _label_counts(annotations, n_labels)
+    counts = vote_counts(annotations, n_labels)
     m_u = counts.sum(axis=1)
     usable = m_u >= 2
     if not usable.any():
@@ -111,10 +107,6 @@ class SideStats:
     n_with_gold: int
     mean_reliability: float
     per_class: dict[int, ClassStats] = field(default_factory=dict)
-
-    @property
-    def accuracy(self) -> float:
-        return self.n_correct / self.n_with_gold if self.n_with_gold else float("nan")
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import numpy as np
 
 from .baselines import dawid_skene, majority_vote
 from .data import AnnotationSet, LabelSet
+from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
     AdamState,
@@ -99,37 +100,31 @@ class ModelState:
 
 @dataclass
 class JointPosterior:
-    """Per-pair posteriors over (label, reliable) plus their marginals.
+    """The two marginals of the exact per-pair posterior over (label, reliable).
 
-    ``tables`` has shape (n_pairs, n_labels, 2); entry [p, t, r] is the
-    posterior that pair p's instance has label t and the annotation was
-    produced reliably (r=1) or not. Mass at r=1 sits only on the
-    annotated label. ``label_posterior`` is the (N, K) marginal over
-    labels and ``reliability_posterior`` the (n_pairs,) marginal that
-    each annotation was reliable.
+    ``label_posterior`` is the (N, K) posterior over each instance's label
+    and ``reliability_posterior`` the (n_pairs,) posterior that each
+    annotation was produced reliably. ``posterior_table`` builds the full
+    joint when it is wanted.
     """
 
-    tables: np.ndarray
     label_posterior: np.ndarray
     reliability_posterior: np.ndarray
 
 
-def emission_prob(annotated: int, true: int, reliable: int, n_labels: int) -> float:
-    """p(annotation | true label, reliability): uniform when unreliable, delta when reliable."""
-    if reliable:
-        return 1.0 if annotated == true else 0.0
-    return 1.0 / n_labels
-
-
-def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray,
-                          annotations: AnnotationSet) -> JointPosterior:
-    """Exact posterior given label priors (N, K) and per-pair reliability priors.
+def _posterior_parts(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                     annotations: AnnotationSet):
+    """Log-space core of the exact posterior given label priors (N, K) and pair priors (P,).
 
     For pair p = (i, j) with annotation a:
         pi_p(t, r) prop. p(t|x_i) p(r|x_i,j) p(a|t,r) prod_{j' != j} gamma_{ij'}(t)
     where gamma collapses each other annotator's reliability. The product
     over annotators is accumulated once per instance in log space and the
     pair's own factor divided back out.
+
+    Returns the (N, K) label posterior and, per pair, the shifted
+    unnormalized mass at r=0 (P, K), the mass at r=1 on the annotated
+    label (P,) and their total (P,).
     """
     n, k = label_prior.shape
     ii, ll = annotations.instance_idx, annotations.label_idx
@@ -162,16 +157,32 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
         raise FloatingPointError("posterior table degenerated to all zeros")
     e0 = np.exp(log_unnorm_r0 - pair_shift[:, None])
     e1 = np.exp(log_unnorm_r1 - pair_shift)
-    totals = e0.sum(axis=1) + e1
+    return label_posterior, e0, e1, e0.sum(axis=1) + e1
 
-    tables = np.zeros((p, k, 2), dtype=np.float64)
-    tables[:, :, 0] = e0 / totals[:, None]
-    tables[np.arange(p), ll, 1] = e1 / totals
-    return JointPosterior(
-        tables=tables,
-        label_posterior=label_posterior,
-        reliability_posterior=e1 / totals,
-    )
+
+def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                          annotations: AnnotationSet) -> JointPosterior:
+    """Exact label and reliability posteriors given label priors (N, K) and pair priors (P,)."""
+    label_posterior, _, e1, totals = _posterior_parts(label_prior, reliability_prior, annotations)
+    return JointPosterior(label_posterior=label_posterior, reliability_posterior=e1 / totals)
+
+
+def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                    annotations: AnnotationSet) -> np.ndarray:
+    """The (n_pairs, n_labels, 2) joint posterior, built per pair.
+
+    Entry [p, t, r] is the posterior that pair p's instance has label t
+    and the annotation was produced reliably (r=1) or not. Mass at r=1
+    sits only on the annotated label. Each table comes from the pair's
+    own leave-one-out product, not from ``label_posterior``, so its label
+    marginal is an independent check on that posterior.
+    """
+    _, e0, e1, totals = _posterior_parts(label_prior, reliability_prior, annotations)
+    p, k = e0.shape
+    table = np.zeros((p, k, 2), dtype=np.float64)
+    table[:, :, 0] = e0 / totals[:, None]
+    table[np.arange(p), annotations.label_idx, 1] = e1 / totals
+    return table
 
 
 def annotator_onehot(annotator_idx: np.ndarray, n_annotators: int) -> np.ndarray:
@@ -180,39 +191,30 @@ def annotator_onehot(annotator_idx: np.ndarray, n_annotators: int) -> np.ndarray
     return out
 
 
-def instance_representation(state: ModelState, features: np.ndarray) -> np.ndarray:
-    """What the estimator sees per instance: raw features or classifier hidden output."""
-    if state.estimator_input == "feature":
-        return np.asarray(features, dtype=np.float64)
-    _, hidden = forward(state.classifier, features)
-    return hidden
-
-
 def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> np.ndarray:
     onehot = annotator_onehot(annotations.annotator_idx, annotations.n_annotators)
     return np.concatenate([representation[annotations.instance_idx], onehot], axis=1)
 
 
-def label_prior(state: ModelState, features: np.ndarray) -> np.ndarray:
-    probs, _ = forward(state.classifier, features)
-    return probs
+def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
+    """One forward pass of each network under the current parameters.
 
-
-def reliability_prior(state: ModelState, features: np.ndarray,
-                      annotations: AnnotationSet) -> np.ndarray:
-    rep = instance_representation(state, features)
-    probs, _ = forward(state.estimator, estimator_pair_inputs(rep, annotations))
-    return probs
+    Returns the label prior (N, K), what the estimator sees per instance
+    (raw features or the classifier's hidden output), the estimator's
+    pair inputs built from it and the reliability prior (P,).
+    """
+    label_prior, hidden = forward(state.classifier, features)
+    rep = np.asarray(features, dtype=np.float64) if state.estimator_input == "feature" else hidden
+    pair_x = estimator_pair_inputs(rep, annotations)
+    reliability_prior, _ = forward(state.estimator, pair_x)
+    return label_prior, rep, pair_x, reliability_prior
 
 
 def e_step(state: ModelState, features: np.ndarray,
            annotations: AnnotationSet) -> JointPosterior:
     """Posteriors under the current networks (the fixed-parameter inference step)."""
-    return posterior_from_priors(
-        label_prior(state, features),
-        reliability_prior(state, features, annotations),
-        annotations,
-    )
+    label_prior, _, _, reliability_prior = _priors(state, features, annotations)
+    return posterior_from_priors(label_prior, reliability_prior, annotations)
 
 
 def _adam_from_config(config: TrainConfig) -> AdamState:
@@ -277,40 +279,32 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     return state
 
 
-def q_objective(state: ModelState, posteriors: JointPosterior, features: np.ndarray,
-                annotations: AnnotationSet) -> float:
-    """Expected complete log likelihood under fixed posteriors.
+def q_objective(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                posteriors: JointPosterior) -> float:
+    """Expected complete log likelihood of the priors under fixed posteriors.
 
     The annotation-emission term is constant in the parameters (emissions
     carry none) but is included so monotonicity checks see the full value.
     """
-    clf_probs = label_prior(state, features)
-    est_probs = reliability_prior(state, features, annotations)
-    return _q_value(clf_probs, est_probs, posteriors, annotations.n_labels)
-
-
-def _q_value(clf_probs: np.ndarray, est_probs: np.ndarray,
-             posteriors: JointPosterior, n_labels: int) -> float:
     rel = posteriors.reliability_posterior
-    term_t = float((posteriors.label_posterior * np.log(np.maximum(clf_probs, PROB_FLOOR))).sum())
-    term_r = float((rel * np.log(np.maximum(est_probs, PROB_FLOOR))
-                    + (1.0 - rel) * np.log(np.maximum(1.0 - est_probs, PROB_FLOOR))).sum())
-    term_a = float(-np.log(n_labels) * (1.0 - rel).sum())
+    term_t = float((posteriors.label_posterior
+                    * np.log(np.maximum(label_prior, PROB_FLOOR))).sum())
+    term_r = float((rel * np.log(np.maximum(reliability_prior, PROB_FLOOR))
+                    + (1.0 - rel) * np.log(np.maximum(1.0 - reliability_prior, PROB_FLOOR))).sum())
+    term_a = float(-np.log(label_prior.shape[1]) * (1.0 - rel).sum())
     return term_t + term_r + term_a
 
 
-def ce_losses(state: ModelState, posteriors: JointPosterior, features: np.ndarray,
-              annotations: AnnotationSet) -> tuple[float, float]:
-    """Per-network cross entropies between priors and the fixed posteriors.
+def ce_losses(label_prior: np.ndarray, reliability_prior: np.ndarray,
+              posteriors: JointPosterior) -> tuple[float, float]:
+    """Per-network cross entropies between the priors and fixed posteriors.
 
     The classifier loss is normalized by the instance count and the
     estimator loss by the number of observed pairs.
     """
-    clf_probs = label_prior(state, features)
-    est_probs = reliability_prior(state, features, annotations)
-    loss_t = soft_ce_loss(clf_probs, posteriors.label_posterior, float(len(features)))
-    loss_r = soft_ce_loss(est_probs, posteriors.reliability_posterior,
-                          float(annotations.n_pairs))
+    loss_t = soft_ce_loss(label_prior, posteriors.label_posterior, float(len(label_prior)))
+    loss_r = soft_ce_loss(reliability_prior, posteriors.reliability_posterior,
+                          float(len(reliability_prior)))
     return loss_t, loss_r
 
 
@@ -324,33 +318,34 @@ class TraceRow:
 
 @dataclass
 class TrainResult:
+    """The trained networks, the posterior under them and one trace row per outer iteration."""
+
     state: ModelState
+    posterior: JointPosterior
     trace: list[TraceRow] = field(default_factory=list)
-
-
-def _micro_f1(pred: np.ndarray, gold_arr: np.ndarray) -> float:
-    mask = gold_arr >= 0
-    return float((pred[mask] == gold_arr[mask]).mean())
 
 
 def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
           gold: np.ndarray | None = None) -> TrainResult:
     """Pre-train, then alternate inference and network refitting.
 
-    Each outer iteration computes posteriors under the current
-    parameters, freezes them (and, in hidden mode, the estimator's input
+    Each outer iteration freezes the posteriors under the current
+    parameters (and, in hidden mode, the estimator's input
     representation) and runs ``inner_iters`` optimizer steps on the
     mode's objective. Training stops at the iteration cap or when the
     objective improves by less than ``early_stop_tol`` between outer
-    iterations. ``gold`` (label index per instance, -1 for missing) only
-    feeds the diagnostic F1 column of the trace.
+    iterations. The priors are computed once per parameter update: the
+    pass after an update gives the end objective's classifier term, the
+    trace F1 and the next iteration's posteriors. ``gold`` (label index
+    per instance, -1 for missing) only feeds the diagnostic F1 column of
+    the trace, which stays empty when no instance has a gold label.
     """
     features = np.asarray(features, dtype=np.float64)
     state = pretrain(features, annotations, config)
-    max_outer = config.resolved_max_outer()
-    result = TrainResult(state=state)
-    if max_outer == 0:
-        return result
+    label_prior, _, pair_x, rel_prior = _priors(state, features, annotations)
+    post = posterior_from_priors(label_prior, rel_prior, annotations)
+    trace: list[TraceRow] = []
+    has_gold = gold is not None and bool(np.any(np.asarray(gold) >= 0))
 
     n = float(len(features))
     n_pairs = float(annotations.n_pairs)
@@ -361,23 +356,17 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     else:
         opt_joint = _adam_from_config(config)
 
-    def objective(pair_x: np.ndarray, post: JointPosterior) -> float:
-        clf_probs, _ = forward(state.classifier, features)
-        est_probs, _ = forward(state.estimator, pair_x)
+    def objective(clf_probs: np.ndarray, est_probs: np.ndarray, post: JointPosterior) -> float:
         if config.mode == "em":
-            return _q_value(clf_probs, est_probs, post, annotations.n_labels)
-        return (soft_ce_loss(clf_probs, post.label_posterior, n)
-                + soft_ce_loss(est_probs, post.reliability_posterior, n_pairs))
+            return q_objective(clf_probs, est_probs, post)
+        loss_t, loss_r = ce_losses(clf_probs, est_probs, post)
+        return loss_t + loss_r
 
     previous_end: float | None = None
-    for outer in range(1, max_outer + 1):
-        post = e_step(state, features, annotations)
-        rep = instance_representation(state, features)
-        pair_x = estimator_pair_inputs(rep, annotations)
+    for outer in range(1, config.resolved_max_outer() + 1):
         label_targets = post.label_posterior
         rel_targets = post.reliability_posterior
-
-        start = objective(pair_x, post)
+        start = objective(label_prior, rel_prior, post)
         if config.mode == "em":
             for _ in range(config.inner_iters):
                 grads = (backward(state.classifier, features, label_targets, 1.0)
@@ -393,21 +382,24 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
                 adam_step(est_arrays, backward(state.estimator, pair_x, rel_targets, n_pairs), opt_r)
             for _ in range(config.inner_iters):
                 adam_step(clf_arrays, backward(state.classifier, features, label_targets, n), opt_t)
-        end = objective(pair_x, post)
 
-        f1 = None
-        if gold is not None:
-            pred, _ = predict_labels(state, features, annotations)
-            f1 = _micro_f1(pred, np.asarray(gold))
-        result.trace.append(TraceRow(outer=outer, objective_start=start,
-                                     objective_end=end, f1=f1))
+        # the end objective scores the estimator on the frozen inputs; they
+        # are dropped before the next pass builds their replacement
+        est_probs = forward(state.estimator, pair_x)[0]
+        del pair_x
+        label_prior, _, pair_x, rel_prior = _priors(state, features, annotations)
+        end = objective(label_prior, est_probs, post)
+        post = posterior_from_priors(label_prior, rel_prior, annotations)
+
+        score = f1(post.label_posterior.argmax(axis=1), gold).micro if has_gold else None
+        trace.append(TraceRow(outer=outer, objective_start=start, objective_end=end, f1=score))
         state.outer_iteration = outer
         if previous_end is not None:
             improved = (end - previous_end) if config.mode == "em" else (previous_end - end)
             if improved < config.early_stop_tol:
                 break
         previous_end = end
-    return result
+    return TrainResult(state=state, posterior=post, trace=trace)
 
 
 def predict_labels(state: ModelState, features: np.ndarray,
@@ -435,8 +427,8 @@ class ReliabilityScores:
 
 def reliability_scores(state: ModelState, features: np.ndarray,
                        annotations: AnnotationSet) -> ReliabilityScores:
-    post = e_step(state, features, annotations)
-    rep = instance_representation(state, features)
+    label_prior, rep, _, rel_prior = _priors(state, features, annotations)
+    post = posterior_from_priors(label_prior, rel_prior, annotations)
     n, m = len(features), annotations.n_annotators
     prior = np.empty((n, m), dtype=np.float64)
     block = np.zeros((n, m), dtype=np.float64)

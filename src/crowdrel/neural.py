@@ -28,22 +28,11 @@ class FnnParams:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
-    @property
-    def hidden_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
-    @property
-    def output_dim(self) -> int:
-        return self.weights[-1].shape[1]
-
     def arrays(self) -> list[np.ndarray]:
         out: list[np.ndarray] = []
         for w, b in zip(self.weights, self.biases):
             out.extend((w, b))
         return out
-
-    def copy(self) -> "FnnParams":
-        return FnnParams([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.head)
 
 
 def init_fnn(input_dim: int, hidden1: int, hidden2: int, output_dim: int,
@@ -104,8 +93,7 @@ def forward(params: FnnParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, h2
 
 
-def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float,
-                 weights: np.ndarray | None = None) -> float:
+def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float) -> float:
     """Cross entropy against soft targets, divided by the caller's normalizer.
 
     2-d ``probs`` are categorical rows matched against target distributions;
@@ -119,13 +107,11 @@ def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float,
     else:
         per_row = -(targets * np.log(np.maximum(probs, PROB_FLOOR))
                     + (1.0 - targets) * np.log(np.maximum(1.0 - probs, PROB_FLOOR)))
-    if weights is not None:
-        per_row = per_row * weights
     return float(per_row.sum() / normalizer)
 
 
-def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray, normalizer: float,
-             weights: np.ndarray | None = None) -> list[np.ndarray]:
+def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray,
+             normalizer: float) -> list[np.ndarray]:
     """Exact gradients of soft_ce_loss(forward(params, x), targets, normalizer).
 
     Returned in the order of ``params.arrays()``: W1, b1, W2, b2, W3, b3.
@@ -138,8 +124,6 @@ def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray, normalizer: 
         dz3 = probs - targets
     else:
         dz3 = (probs - targets)[:, None]
-    if weights is not None:
-        dz3 = dz3 * np.asarray(weights, dtype=np.float64)[:, None]
     dz3 = dz3 / normalizer
     dw3 = h2.T @ dz3
     db3 = dz3.sum(axis=0)

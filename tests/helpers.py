@@ -39,6 +39,13 @@ def random_annotation_setup(rng: np.random.Generator, max_n: int = 20, max_m: in
     return label_prior, rel_prior, ann
 
 
+def emission_prob(annotated: int, true: int, reliable: int, n_labels: int) -> float:
+    """p(annotation | true label, reliability): uniform when unreliable, delta when reliable."""
+    if reliable:
+        return 1.0 if annotated == true else 0.0
+    return 1.0 / n_labels
+
+
 def brute_force_posteriors(label_prior: np.ndarray, rel_prior: np.ndarray,
                            ann: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate the joint p(t, r_1..r_m, a) per instance and marginalize.
@@ -58,10 +65,7 @@ def brute_force_posteriors(label_prior: np.ndarray, rel_prior: np.ndarray,
                 for q, p in enumerate(pairs):
                     r = (bits >> q) & 1
                     w *= rel_prior[p] if r else (1.0 - rel_prior[p])
-                    if r:
-                        w *= 1.0 if ann.label_idx[p] == t else 0.0
-                    else:
-                        w *= 1.0 / k
+                    w *= emission_prob(int(ann.label_idx[p]), t, r, k)
                 weights[(t, bits)] = w
         total = sum(weights.values())
         for (t, bits), w in weights.items():

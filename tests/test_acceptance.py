@@ -31,7 +31,14 @@ from crowdrel.data import (
 )
 from crowdrel.evaluate import denoise_experiment, f1, fleiss_kappa, krippendorff_alpha
 from crowdrel.featurize import fit_tfidf, transform_tfidf
-from crowdrel.model import TrainConfig, posterior_from_priors, predict_labels, reliability_scores, train
+from crowdrel.model import (
+    TrainConfig,
+    posterior_from_priors,
+    posterior_table,
+    predict_labels,
+    reliability_scores,
+    train,
+)
 from crowdrel.neural import backward, init_fnn
 from crowdrel.simulate import default_panel, gen_2d, gen_text_fixture, simulate_annotations
 
@@ -53,7 +60,8 @@ def posterior_suite():
     for _ in range(200):
         label_prior, rel_prior, ann = random_annotation_setup(rng)
         post = posterior_from_priors(label_prior, rel_prior, ann)
-        cases.append((label_prior, rel_prior, ann, post))
+        table = posterior_table(label_prior, rel_prior, ann)
+        cases.append((label_prior, rel_prior, ann, post, table))
     elapsed = time.monotonic() - started
     return cases, elapsed
 
@@ -62,10 +70,10 @@ def test_criterion_1_posterior_matches_enumeration(posterior_suite):
     cases, forward_time = posterior_suite
     started = time.monotonic()
     worst = 0.0
-    for label_prior, rel_prior, ann, post in cases:
+    for label_prior, rel_prior, ann, post, table in cases:
         tables, label_post = brute_force_posteriors(label_prior, rel_prior, ann)
         worst = max(worst,
-                    float(np.abs(post.tables - tables).max()),
+                    float(np.abs(table - tables).max()),
                     float(np.abs(post.label_posterior - label_post).max()))
         rel = tables[np.arange(ann.n_pairs), :, 1].sum(axis=1)
         worst = max(worst, float(np.abs(post.reliability_posterior - rel).max()))
@@ -77,10 +85,10 @@ def test_criterion_1_posterior_matches_enumeration(posterior_suite):
 def test_criterion_2_pair_consistency(posterior_suite):
     cases, _ = posterior_suite
     worst_j, worst_norm = 0.0, 0.0
-    for _, _, ann, post in cases:
-        sums = post.tables.sum(axis=(1, 2))
+    for _, _, ann, post, table in cases:
+        sums = table.sum(axis=(1, 2))
         worst_norm = max(worst_norm, float(np.abs(sums - 1.0).max()))
-        label_marginals = post.tables.sum(axis=2)
+        label_marginals = table.sum(axis=2)
         spread = np.abs(label_marginals - post.label_posterior[ann.instance_idx]).max()
         worst_j = max(worst_j, float(spread))
     report(2, worst_j <= 1e-10 and worst_norm <= 1e-9,

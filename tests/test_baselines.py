@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_annotations
-from crowdrel.baselines import dawid_skene, ds_annotation_scores, majority_vote, vote_fractions
+from crowdrel.baselines import dawid_skene, majority_vote, vote_fractions
 from crowdrel.data import AnnotationSet
 from crowdrel.evaluate import f1
 from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
@@ -97,18 +97,6 @@ class TestDawidSkene:
         model = dawid_skene(ann, 3).model
         assert model.class_priors.sum() == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(model.confusion.sum(axis=2), 1.0, atol=1e-9)
-
-    def test_annotation_scores_track_confusion(self):
-        truth = [i % 2 for i in range(20)]
-        triples = []
-        for i, t in enumerate(truth):
-            triples += [(i, 0, t), (i, 1, t), (i, 2, 1 - t)]
-        ann = make_annotations(triples, 20, 3, 2)
-        result = dawid_skene(ann, 2)
-        scores = ds_annotation_scores(result, ann)
-        perfect = scores[ann.annotator_idx < 2]
-        adversary = scores[ann.annotator_idx == 2]
-        assert perfect.min() > adversary.max()
 
 
 def test_vote_fractions_rows_sum_to_one():

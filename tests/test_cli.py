@@ -112,6 +112,48 @@ class TestTrainCommand:
             np.testing.assert_array_equal(a, b)
 
 
+    def test_gold_without_labels_leaves_f1_column_empty(self, runner, tmp_path, pipeline_dir):
+        src, cfg = pipeline_dir
+        out = tmp_path / "nogold"
+        out.mkdir()
+        for name in ("instances.csv", "annotations.csv"):
+            (out / name).write_bytes((src / name).read_bytes())
+        (out / "gold.csv").write_text("instance_id,label\n")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg), "-o", str(out),
+                                          "--max-outer", "2"])
+        assert result.exit_code == 0, result.output
+        with open(out / "trace.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[3] for row in rows[1:]] == ["", ""]
+
+
+def dense_files_config(tmp_path: Path, instances: str, annotations: str) -> Path:
+    (tmp_path / "inst.csv").write_text(instances)
+    (tmp_path / "ann.csv").write_text(annotations)
+    return write_config(tmp_path / "files.cfg", dataset="files", labels="0,1",
+                        instances=tmp_path / "inst.csv", annotations=tmp_path / "ann.csv",
+                        max_outer=1, pretrain_epochs=5, inner_iters=2, out_dir=tmp_path / "out")
+
+
+class TestFilesValidation:
+    ANNOTATIONS = "instance_id,annotator_id,label\na,w1,0\na,w2,1\nb,w1,1\nb,w2,1\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_uncovered_instance_exits_one(self, runner, tmp_path, command):
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\nlonely,0.5,0.6\n",
+                                 self.ANNOTATIONS)
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "'lonely' has no annotations" in result.output
+
+    def test_non_finite_feature_exits_one(self, runner, tmp_path):
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,nan\nb,0.3,0.4\n",
+                                 self.ANNOTATIONS)
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "non-finite feature value in instance 'a'" in result.output
+
+
 class TestEvalCommand:
     def test_metrics_and_denoise(self, runner, pipeline_dir):
         out, cfg = pipeline_dir
@@ -177,6 +219,23 @@ class TestFilesDataset:
         assert metrics["f1_micro"] > 0.6
         assert "fleiss_kappa" in metrics
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("bogus,a0,0.5", "unknown instance id 'bogus'"),
+        ("i0,bogus,0.5", "unknown annotator id 'bogus'"),
+        ("i0,a0,high", "cannot parse score 'high'"),
+    ])
+    def test_bad_reliability_row_names_file_and_line(self, runner, tmp_path, bad_row, message):
+        cfg = dense_files_config(tmp_path, "id,x0\ni0,0.1\ni1,0.2\n",
+                                 "instance_id,annotator_id,label\ni0,a0,0\ni1,a0,1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "predictions.csv").write_text("instance_id,label\ni0,0\ni1,1\n")
+        (out / "reliability.csv").write_text(
+            f"instance_id,annotator_id,score\ni1,a0,0.5\n{bad_row}\n")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa"])
+        assert result.exit_code == 1, result.output
+        assert f"reliability.csv:3: {message}" in result.output
+
     def test_unknown_metric_fails_validation(self, runner, pipeline_dir):
         _, cfg = pipeline_dir
         result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "auc"])
@@ -190,6 +249,12 @@ class TestConfigHandling:
         runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1
+
+    def test_threads_option_is_gone(self, runner, tmp_path):
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
+        result = runner.invoke(cli.main, ["--threads", "1", "simulate", "-c", str(cfg)])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--threads" in result.output
 
     def test_malformed_config_line(self, runner, tmp_path):
         path = tmp_path / "oops.cfg"

@@ -122,7 +122,7 @@ class TestReliabilityReport:
         ann, scores, gold = self._setup()
         report = reliability_report(scores, ann, gold, k=3)
         top = report.annotators[0].top
-        assert top.n_correct == 3 and top.accuracy == 1.0
+        assert top.n_correct == top.n_with_gold == 3
         assert report.annotators[1].top.n_correct == 0
 
     def test_score_ties_break_by_instance_index(self):

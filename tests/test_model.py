@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from helpers import (
     brute_force_posteriors,
     ce_losses_oracle,
+    emission_prob,
     make_annotations,
     q_objective_oracle,
     random_annotation_setup,
@@ -17,11 +19,10 @@ from crowdrel.model import (
     TrainConfig,
     ce_losses,
     e_step,
-    emission_prob,
     estimator_pair_inputs,
-    label_prior,
     load_model,
     posterior_from_priors,
+    posterior_table,
     predict_labels,
     pretrain,
     q_objective,
@@ -46,20 +47,18 @@ class TestEmissionProb:
                 assert emission_prob(a, t, 0, 4) == 0.25
 
 
-def two_annotator_case():
-    ann = make_annotations([(0, 0, 0), (0, 1, 1)], 1, 2, 2)
-    return posterior_from_priors(np.array([[0.6, 0.4]]), np.array([0.8, 0.5]), ann)
-
-
 class TestPosteriorFromPriors:
     def test_worked_two_annotator_example(self):
-        post = two_annotator_case()
+        ann = make_annotations([(0, 0, 0), (0, 1, 1)], 1, 2, 2)
+        priors = (np.array([[0.6, 0.4]]), np.array([0.8, 0.5]), ann)
+        post = posterior_from_priors(*priors)
+        table = posterior_table(*priors)
         # exact values from enumerating the 0.165 total mass
         assert post.label_posterior[0, 0] == pytest.approx(9 / 11, abs=1e-10)
-        assert post.tables[0, 0, 1] == pytest.approx(8 / 11, abs=1e-10)
-        assert post.tables[0, 0, 0] == pytest.approx(1 / 11, abs=1e-10)
-        assert post.tables[0, 1, 1] == 0.0
-        assert post.tables[0, 1, 0] == pytest.approx(2 / 11, abs=1e-10)
+        assert table[0, 0, 1] == pytest.approx(8 / 11, abs=1e-10)
+        assert table[0, 0, 0] == pytest.approx(1 / 11, abs=1e-10)
+        assert table[0, 1, 1] == 0.0
+        assert table[0, 1, 0] == pytest.approx(2 / 11, abs=1e-10)
         assert post.reliability_posterior[0] == pytest.approx(8 / 11, abs=1e-10)
 
     def test_certain_annotator_forces_label(self):
@@ -80,7 +79,7 @@ class TestPosteriorFromPriors:
             lp, rel, ann = random_annotation_setup(rng)
             post = posterior_from_priors(lp, rel, ann)
             tables, label_post = brute_force_posteriors(lp, rel, ann)
-            np.testing.assert_allclose(post.tables, tables, atol=1e-10)
+            np.testing.assert_allclose(posterior_table(lp, rel, ann), tables, atol=1e-10)
             np.testing.assert_allclose(post.label_posterior, label_post, atol=1e-10)
 
     def test_invariants_hold(self):
@@ -88,14 +87,18 @@ class TestPosteriorFromPriors:
         for _ in range(20):
             lp, rel, ann = random_annotation_setup(rng)
             post = posterior_from_priors(lp, rel, ann)
+            table = posterior_table(lp, rel, ann)
             # every table is a distribution
-            np.testing.assert_allclose(post.tables.sum(axis=(1, 2)), 1.0, atol=1e-9)
+            np.testing.assert_allclose(table.sum(axis=(1, 2)), 1.0, atol=1e-9)
             # reliable mass sits only on the annotated label
-            mask = np.ones_like(post.tables[:, :, 1], dtype=bool)
+            mask = np.ones_like(table[:, :, 1], dtype=bool)
             mask[np.arange(ann.n_pairs), ann.label_idx] = False
-            assert np.all(post.tables[:, :, 1][mask] == 0.0)
+            assert np.all(table[:, :, 1][mask] == 0.0)
+            # the reliability marginal is the table's r=1 mass
+            np.testing.assert_allclose(table[:, :, 1].sum(axis=1), post.reliability_posterior,
+                                       atol=1e-12)
             # marginalizing any pair of the same instance gives the same label posterior
-            label_marginals = post.tables.sum(axis=2)
+            label_marginals = table.sum(axis=2)
             for p in range(ann.n_pairs):
                 np.testing.assert_allclose(
                     label_marginals[p], post.label_posterior[ann.instance_idx[p]], atol=1e-10)
@@ -122,28 +125,30 @@ def random_model_setup(rng, estimator_input="feature"):
     return state, x, ann
 
 
+def feature_priors(state, x, ann):
+    """Label and reliability priors of a feature-mode state, computed directly."""
+    return (forward(state.classifier, x)[0],
+            forward(state.estimator, estimator_pair_inputs(x, ann))[0])
+
+
 class TestObjectives:
     def test_q_matches_quadruple_loop_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             state, x, ann = random_model_setup(rng)
             post = e_step(state, x, ann)
-            expected = q_objective_oracle(
-                label_prior(state, x),
-                forward(state.estimator, estimator_pair_inputs(x, ann))[0],
-                post.tables, ann)
-            assert q_objective(state, post, x, ann) == pytest.approx(expected, abs=1e-9)
+            lp, rel = feature_priors(state, x, ann)
+            expected = q_objective_oracle(lp, rel, posterior_table(lp, rel, ann), ann)
+            assert q_objective(lp, rel, post) == pytest.approx(expected, abs=1e-9)
 
     def test_ce_losses_match_loop_oracle(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             state, x, ann = random_model_setup(rng)
             post = e_step(state, x, ann)
-            expected = ce_losses_oracle(
-                label_prior(state, x),
-                forward(state.estimator, estimator_pair_inputs(x, ann))[0],
-                post.tables, ann)
-            got = ce_losses(state, post, x, ann)
+            lp, rel = feature_priors(state, x, ann)
+            expected = ce_losses_oracle(lp, rel, posterior_table(lp, rel, ann), ann)
+            got = ce_losses(lp, rel, post)
             assert got[0] == pytest.approx(expected[0], abs=1e-9)
             assert got[1] == pytest.approx(expected[1], abs=1e-9)
 
@@ -151,12 +156,10 @@ class TestObjectives:
         # when priors equal posteriors the first two terms hit the entropy bound
         rng = np.random.default_rng(7)
         state, x, ann = random_model_setup(rng)
-        post = e_step(state, x, ann)
-        lp = label_prior(state, x)
-        rel = forward(state.estimator, estimator_pair_inputs(x, ann))[0]
+        lp, rel = feature_priors(state, x, ann)
         matched = posterior_from_priors(lp, rel, ann)
         # construct the three Q terms directly from the matched posteriors
-        value = q_objective(state, matched, x, ann)
+        value = q_objective(lp, rel, matched)
         ent_t = -(matched.label_posterior * np.log(lp)).sum()
         r = matched.reliability_posterior
         ent_r = -(r * np.log(rel) + (1 - r) * np.log(1 - rel)).sum()
@@ -183,7 +186,7 @@ class TestObjectives:
         triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)]
         ann = make_annotations(triples, n, m, k)
         post = e_step(state, x, ann)
-        loss_t, _ = ce_losses(state, post, x, ann)
+        loss_t, _ = ce_losses(*feature_priors(state, x, ann), post)
         assert loss_t == pytest.approx(math.log(6.0), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
@@ -199,10 +202,10 @@ class TestObjectives:
         h = 1e-5
 
         def ce_total():
-            return sum(ce_losses(state, post, x, ann))
+            return sum(ce_losses(*feature_priors(state, x, ann), post))
 
         def q_value():
-            return q_objective(state, post, x, ann)
+            return q_objective(*feature_priors(state, x, ann), post)
 
         for arrays, grads, norm in ((state.classifier.arrays(), grads_t, n),
                                     (state.estimator.arrays(), grads_r, p)):
@@ -240,7 +243,7 @@ class TestPretrain:
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
         state = pretrain(x, ann, TrainConfig(pretrain_source="mv", pretrain_epochs=2000, seed=1))
-        pred = label_prior(state, x).argmax(axis=1)
+        pred = forward(state.classifier, x)[0].argmax(axis=1)
         assert np.mean(pred == gold.to_array(300)) == 1.0
 
     def test_ds_pretrained_classifier_tracks_ds_score(self, moon_setup):
@@ -248,7 +251,7 @@ class TestPretrain:
         ds_f1 = float((dawid_skene(ann, 2).hard_labels == gold).mean())
         # converged pretraining lands within two points of its own targets' quality
         state = pretrain(x, ann, TrainConfig(pretrain_source="ds", pretrain_epochs=2000, seed=1))
-        clf_f1 = float((label_prior(state, x).argmax(axis=1) == gold).mean())
+        clf_f1 = float((forward(state.classifier, x)[0].argmax(axis=1) == gold).mean())
         assert abs(clf_f1 - ds_f1) <= 0.02
 
     def test_adversary_agreement_rate_matches_correctness(self, moon_setup):
@@ -278,6 +281,22 @@ class TestTrain:
         assert [row.outer for row in result.trace] == [1, 2, 3]
         assert all(row.f1 is not None for row in result.trace)
         assert all(np.isfinite(row.objective_end) for row in result.trace)
+
+    def test_result_posterior_is_the_e_step_of_the_final_state(self, moon_setup):
+        x, ann, gold = moon_setup
+        for max_outer in (0, 2):
+            result = train(x, ann, TrainConfig(mode="ce-jt", max_outer=max_outer, seed=5),
+                           gold=gold)
+            post = e_step(result.state, x, ann)
+            assert np.array_equal(result.posterior.label_posterior, post.label_posterior)
+            assert np.array_equal(result.posterior.reliability_posterior,
+                                  post.reliability_posterior)
+
+    def test_gold_without_labels_leaves_f1_empty(self, moon_setup):
+        x, ann, _ = moon_setup
+        result = train(x, ann, TrainConfig(mode="ce-jt", max_outer=2, seed=5),
+                       gold=np.full(len(x), -1))
+        assert [row.f1 for row in result.trace] == [None, None]
 
     def test_huge_tolerance_stops_after_two_iterations(self, moon_setup):
         x, ann, _ = moon_setup
@@ -341,7 +360,7 @@ class TestAnnotatorPermutation:
         m = ann.n_annotators
         perm = np.random.default_rng(0).permutation(m)
 
-        permuted_est = state.estimator.copy()
+        permuted_est = copy.deepcopy(state.estimator)
         rep_dim = x.shape[1]
         for j in range(m):
             permuted_est.weights[0][rep_dim + perm[j]] = state.estimator.weights[0][rep_dim + j]

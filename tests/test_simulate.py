@@ -139,5 +139,5 @@ class TestTextFixture:
     def test_classes_have_disjoint_keywords(self):
         instances, gold = gen_text_fixture(60, 3, seed=1)
         for inst in instances:
-            c = gold.get(int(inst.id[1:]))
+            c = gold.by_index[int(inst.id[1:])]
             assert f"topic{c}word" in inst.text
