@@ -29,6 +29,7 @@ from .neural import (
     PROB_FLOOR,
     AdamState,
     FnnParams,
+    PairInput,
     adam_step,
     backward,
     fnn_from_dict,
@@ -185,15 +186,10 @@ def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
     return table
 
 
-def annotator_onehot(annotator_idx: np.ndarray, n_annotators: int) -> np.ndarray:
-    out = np.zeros((len(annotator_idx), n_annotators), dtype=np.float64)
-    out[np.arange(len(annotator_idx)), annotator_idx] = 1.0
-    return out
-
-
-def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> np.ndarray:
-    onehot = annotator_onehot(annotations.annotator_idx, annotations.n_annotators)
-    return np.concatenate([representation[annotations.instance_idx], onehot], axis=1)
+def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> PairInput:
+    """Each observed pair's instance representation and annotator, as the estimator sees them."""
+    return PairInput(representation[annotations.instance_idx], annotations.annotator_idx,
+                     annotations.n_annotators)
 
 
 def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
@@ -227,7 +223,7 @@ def _adam_from_config(config: TrainConfig) -> AdamState:
     )
 
 
-def _fit_full_batch(params: FnnParams, inputs: np.ndarray, targets: np.ndarray,
+def _fit_full_batch(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
                     epochs: int, config: TrainConfig) -> None:
     opt = _adam_from_config(config)
     normalizer = float(len(inputs))
@@ -334,7 +330,9 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     representation) and runs ``inner_iters`` optimizer steps on the
     mode's objective. Training stops at the iteration cap or when the
     objective improves by less than ``early_stop_tol`` between outer
-    iterations. The priors are computed once per parameter update: the
+    iterations; EM's Q, a sum over instances and pairs, is divided by
+    their count for that test, so the rule does not depend on dataset
+    size. The priors are computed once per parameter update: the
     pass after an update gives the end objective's classifier term, the
     trace F1 and the next iteration's posteriors. ``gold`` (label index
     per instance, -1 for missing) only feeds the diagnostic F1 column of
@@ -395,7 +393,11 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
         trace.append(TraceRow(outer=outer, objective_start=start, objective_end=end, f1=score))
         state.outer_iteration = outer
         if previous_end is not None:
-            improved = (end - previous_end) if config.mode == "em" else (previous_end - end)
+            if config.mode == "em":
+                # Q sums over instances and pairs; the CE losses are already means
+                improved = (end - previous_end) / (n + n_pairs)
+            else:
+                improved = previous_end - end
             if improved < config.early_stop_tol:
                 break
         previous_end = end
@@ -431,12 +433,8 @@ def reliability_scores(state: ModelState, features: np.ndarray,
     post = posterior_from_priors(label_prior, rel_prior, annotations)
     n, m = len(features), annotations.n_annotators
     prior = np.empty((n, m), dtype=np.float64)
-    block = np.zeros((n, m), dtype=np.float64)
     for j in range(m):
-        block[:, j] = 1.0
-        probs, _ = forward(state.estimator, np.concatenate([rep, block], axis=1))
-        prior[:, j] = probs
-        block[:, j] = 0.0
+        prior[:, j] = forward(state.estimator, PairInput(rep, np.full(n, j), m))[0]
     return ReliabilityScores(posterior=post.reliability_posterior, prior=prior)
 
 

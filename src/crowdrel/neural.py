@@ -67,29 +67,89 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR)
 
 
-def _forward_cache(params: FnnParams, x: np.ndarray):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.input_dim:
+class PairInput:
+    """Estimator input for (instance, annotator) pairs, without the one-hot.
+
+    Row p stands for ``rows[p]`` joined to the one-hot of
+    ``annotator_idx[p]`` over ``n_annotators`` columns, so its width is
+    ``rows.shape[1] + n_annotators``. The first layer applies the
+    annotator part as a row lookup into its weights, and memory stays
+    O(P * h).
+    """
+
+    def __init__(self, rows: np.ndarray, annotator_idx: np.ndarray, n_annotators: int) -> None:
+        rows = np.asarray(rows, dtype=np.float64)
+        annotator_idx = np.asarray(annotator_idx, dtype=np.intp)
+        if rows.ndim != 2 or annotator_idx.shape != (len(rows),):
+            raise ValueError(f"rows {rows.shape} and annotator index {annotator_idx.shape} "
+                             "do not pair up")
+        if len(annotator_idx) and not (0 <= annotator_idx.min()
+                                       and annotator_idx.max() < n_annotators):
+            raise ValueError(f"annotator index outside [0, {n_annotators})")
+        self.rows = rows
+        self.annotator_idx = annotator_idx
+        self.n_annotators = n_annotators
+        self._scatter: dict[int, np.ndarray] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), self.rows.shape[1] + self.n_annotators
+
+    def first_layer(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """x @ w + b: the rows' product plus each pair's annotator row of w."""
+        h = self.rows.shape[1]
+        z = self.rows @ w[:h]
+        # b folded into the looked-up rows: one (P, width) temporary, added in place
+        z += (w[h:] + b)[self.annotator_idx]
+        return z
+
+    def weight_grad(self, dz: np.ndarray) -> np.ndarray:
+        """x.T @ dz: the rows' product, then a per-annotator sum of dz."""
+        h, width = self.rows.shape[1], dz.shape[1]
+        # the flat bin index depends only on the annotator ids and the width,
+        # so it is built once per object, not once per backward pass
+        index = self._scatter.get(width)
+        if index is None:
+            index = (self.annotator_idx[:, None] * width + np.arange(width)).ravel()
+            self._scatter[width] = index
+        grad = np.empty((h + self.n_annotators, width), dtype=np.float64)
+        grad[:h] = self.rows.T @ dz
+        grad[h:] = np.bincount(index, weights=dz.ravel(),
+                               minlength=self.n_annotators * width).reshape(-1, width)
+        return grad
+
+
+def _forward_cache(params: FnnParams, x):
+    if not isinstance(x, PairInput):
+        x = np.asarray(x, dtype=np.float64)
+    if len(x.shape) != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    z1 = x @ params.weights[0] + params.biases[0]
-    h1 = np.maximum(z1, 0.0)
-    z2 = h1 @ params.weights[1] + params.biases[1]
-    h2 = np.maximum(z2, 0.0)
+    w1, b1 = params.weights[0], params.biases[0]
+    h1 = x.first_layer(w1, b1) if isinstance(x, PairInput) else x @ w1 + b1
+    # ReLU in place: the mask h > 0 equals z > 0, so z need not be kept
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ params.weights[1] + params.biases[1]
+    np.maximum(h2, 0.0, out=h2)
     z3 = h2 @ params.weights[2] + params.biases[2]
     if params.head == "softmax":
         probs = _softmax(z3)
     else:
         probs = _sigmoid(z3[:, 0])
-    return x, z1, h1, z2, h2, probs
+    return x, h1, h2, probs
 
 
-def forward(params: FnnParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def forward(params: FnnParams, x: np.ndarray | PairInput) -> tuple[np.ndarray, np.ndarray]:
     """Return (probabilities, second-hidden-layer activations).
+
+    ``x`` is a (B, input_dim) array or a ``PairInput`` of that shape.
 
     Softmax probabilities have shape (B, K); the sigmoid head yields a
     (B,) vector of Bernoulli success probabilities.
     """
-    _, _, _, _, h2, probs = _forward_cache(params, x)
+    _, _, h2, probs = _forward_cache(params, x)
     return probs, h2
 
 
@@ -110,7 +170,7 @@ def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float) -> f
     return float(per_row.sum() / normalizer)
 
 
-def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray,
+def backward(params: FnnParams, x: np.ndarray | PairInput, targets: np.ndarray,
              normalizer: float) -> list[np.ndarray]:
     """Exact gradients of soft_ce_loss(forward(params, x), targets, normalizer).
 
@@ -118,7 +178,7 @@ def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray,
     For the softmax head each target row must sum to 1 (the output-layer
     delta below relies on it).
     """
-    x, z1, h1, z2, h2, probs = _forward_cache(params, x)
+    x, h1, h2, probs = _forward_cache(params, x)
     targets = np.asarray(targets, dtype=np.float64)
     if params.head == "softmax":
         dz3 = probs - targets
@@ -128,12 +188,12 @@ def backward(params: FnnParams, x: np.ndarray, targets: np.ndarray,
     dw3 = h2.T @ dz3
     db3 = dz3.sum(axis=0)
     dh2 = dz3 @ params.weights[2].T
-    dz2 = dh2 * (z2 > 0.0)
+    dz2 = dh2 * (h2 > 0.0)
     dw2 = h1.T @ dz2
     db2 = dz2.sum(axis=0)
     dh1 = dz2 @ params.weights[1].T
-    dz1 = dh1 * (z1 > 0.0)
-    dw1 = x.T @ dz1
+    dz1 = dh1 * (h1 > 0.0)
+    dw1 = x.weight_grad(dz1) if isinstance(x, PairInput) else x.T @ dz1
     db1 = dz1.sum(axis=0)
     return [dw1, db1, dw2, db2, dw3, db3]
 

@@ -39,6 +39,19 @@ def random_annotation_setup(rng: np.random.Generator, max_n: int = 20, max_m: in
     return label_prior, rel_prior, ann
 
 
+def annotator_onehot(annotator_idx: np.ndarray, n_annotators: int) -> np.ndarray:
+    """(P, M) indicator of each pair's annotator."""
+    out = np.zeros((len(annotator_idx), n_annotators), dtype=np.float64)
+    out[np.arange(len(annotator_idx)), annotator_idx] = 1.0
+    return out
+
+
+def dense_pair_input(pairs) -> np.ndarray:
+    """The (P, h + M) matrix a ``PairInput`` stands for: rows joined to a one-hot annotator id."""
+    return np.concatenate([pairs.rows, annotator_onehot(pairs.annotator_idx, pairs.n_annotators)],
+                          axis=1)
+
+
 def emission_prob(annotated: int, true: int, reliable: int, n_labels: int) -> float:
     """p(annotation | true label, reliability): uniform when unreliable, delta when reliable."""
     if reliable:

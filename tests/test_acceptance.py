@@ -39,7 +39,7 @@ from crowdrel.model import (
     reliability_scores,
     train,
 )
-from crowdrel.neural import backward, init_fnn
+from crowdrel.neural import PairInput, backward, init_fnn
 from crowdrel.simulate import default_panel, gen_2d, gen_text_fixture, simulate_annotations
 
 SEEDS = (0, 1, 2)
@@ -114,7 +114,20 @@ def test_criterion_3_gradient_checks():
         analytic = backward(params, x, targets, float(batch))
         numeric = finite_diff_grads(params, x, targets, float(batch))
         worst = max(worst, max_relative_error(analytic, numeric))
-    report(3, worst < 1e-4, f"100 configurations, worst relative gradient error {worst:.2e}")
+    # the estimator's gathered input: representation rows plus an annotator-row lookup
+    for _ in range(50):
+        h, m, h1, h2 = (int(rng.integers(1, 5)) for _ in range(4))
+        params = init_fnn(h + m, h1, h2, 1, "sigmoid", rng)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        batch = int(rng.integers(1, 8))
+        pairs = PairInput(rng.normal(size=(batch, h)), rng.integers(0, m, size=batch), m)
+        targets = rng.uniform(0.05, 0.95, size=batch)
+        analytic = backward(params, pairs, targets, float(batch))
+        numeric = finite_diff_grads(params, pairs, targets, float(batch))
+        worst = max(worst, max_relative_error(analytic, numeric))
+    report(3, worst < 1e-4,
+           f"100 dense + 50 gathered configurations, worst relative gradient error {worst:.2e}")
 
 
 def moon_panel(seed, n=1000):

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brute_force_posteriors,
     ce_losses_oracle,
+    dense_pair_input,
     emission_prob,
     make_annotations,
     q_objective_oracle,
@@ -226,6 +229,54 @@ class TestObjectives:
                     assert abs(numeric_q + analytic * norm) < 1e-4 * max(1e-4, abs(analytic) * norm)
 
 
+class TestEstimatorPairInputs:
+    @pytest.mark.parametrize("n,m,per_instance", [(12, 1, False), (12, 5, False),
+                                                  (12, 1000, False), (12, 5, True)])
+    def test_gathered_layer_matches_dense_onehot(self, n, m, per_instance):
+        rng = np.random.default_rng(m + n)
+        rep = rng.normal(size=(n, 3))
+        if per_instance:
+            triples = [(i, int(rng.integers(0, m)), 0) for i in range(n)]
+        else:
+            triples = sorted({(int(rng.integers(0, n)), int(rng.integers(0, m)), 0)
+                              for _ in range(3 * n)} | {(i, 0, 0) for i in range(n)})
+        ann = make_annotations(triples, n, m, 2)
+        pairs = estimator_pair_inputs(rep, ann)
+        dense = dense_pair_input(pairs)
+        assert len(pairs) == ann.n_pairs and np.array_equal(dense[:, :3], rep[ann.instance_idx])
+        params = init_fnn(3 + m, 4, 3, 1, "sigmoid", rng)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        targets = rng.uniform(size=ann.n_pairs)
+        for got, want in zip(forward(params, pairs), forward(params, dense)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        for got, want in zip(backward(params, pairs, targets, 3.0),
+                             backward(params, dense, targets, 3.0)):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 6),
+           k=st.integers(2, 4), estimator_input=st.sampled_from(["feature", "hidden"]))
+    @settings(max_examples=40, deadline=None)
+    def test_permuting_pairs_permutes_reliability_only(self, seed, n, m, k, estimator_input):
+        rng = np.random.default_rng(seed)
+        state = small_state(rng, n_labels=k, n_annotators=m, estimator_input=estimator_input)
+        x = rng.normal(size=(n, 2))
+        triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)
+                   if rng.random() < 0.6 or j == i % m]
+        perm = rng.permutation(len(triples))
+        ann = make_annotations(triples, n, m, k)
+        shuffled = make_annotations([triples[p] for p in perm], n, m, k)
+        rep = forward(state.classifier, x)[1] if estimator_input == "hidden" else x
+        prior = forward(state.estimator, estimator_pair_inputs(rep, ann))[0]
+        prior_shuffled = forward(state.estimator, estimator_pair_inputs(rep, shuffled))[0]
+        np.testing.assert_allclose(prior_shuffled, prior[perm], rtol=0.0, atol=1e-12)
+        post, post_shuffled = e_step(state, x, ann), e_step(state, x, shuffled)
+        np.testing.assert_allclose(post_shuffled.reliability_posterior,
+                                   post.reliability_posterior[perm], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(post_shuffled.label_posterior, post.label_posterior,
+                                   rtol=0.0, atol=1e-12)
+
+
 @pytest.fixture(scope="module")
 def moon_setup():
     instances, gold = gen_2d("moon", 400, seed=1)
@@ -302,6 +353,24 @@ class TestTrain:
         x, ann, _ = moon_setup
         result = train(x, ann, TrainConfig(mode="ce-jt", early_stop_tol=1e9, seed=5))
         assert len(result.trace) == 2
+
+    def test_em_stop_does_not_depend_on_dataset_size(self):
+        # Tiling the data 4x scales Q and its gradients by 4. Without weight
+        # decay and clipping, Adam's steps are scale-free, so both runs follow
+        # one trajectory and must stop at the same outer iteration.
+        instances, gold = gen_2d("moon", 100, seed=1)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
+                                   instance_ids=[inst.id for inst in instances])
+        x = feature_matrix(instances)
+        cfg = TrainConfig(mode="em", max_outer=150, inner_iters=20, weight_decay=0.0,
+                          clip_norm=0.0, seed=0)
+        tiled = make_annotations(
+            [(i + r * len(x), j, a) for r in range(4) for i, j, a in ann.triples()],
+            4 * len(x), ann.n_annotators, ann.n_labels)
+        once = train(x, ann, cfg)
+        four = train(np.tile(x, (4, 1)), tiled, cfg)
+        assert len(once.trace) < 150
+        assert len(four.trace) == len(once.trace)
 
     def test_em_mode_improves_q_within_iterations(self, moon_setup):
         x, ann, _ = moon_setup

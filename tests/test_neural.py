@@ -6,6 +6,7 @@ import pytest
 from helpers import finite_diff_grads, max_relative_error
 from crowdrel.neural import (
     AdamState,
+    PairInput,
     adam_step,
     backward,
     fnn_from_dict,
@@ -92,6 +93,26 @@ class TestForward:
         first, _ = forward(params, x)
         second, _ = forward(params, x)
         assert np.array_equal(first, second)
+
+
+class TestPairInput:
+    def test_mismatched_pair_input_is_a_value_error(self):
+        rng = np.random.default_rng(3)
+        params = init_fnn(2 + 3, 4, 4, 1, "sigmoid", rng)
+        rows = rng.normal(size=(4, 2))
+        targets = rng.uniform(size=4)
+        # h + M differs from the network's input width
+        for pairs in (PairInput(rows, [0, 1, 2, 3], 4), PairInput(rows[:, :1], [0, 1, 2, 0], 3)):
+            with pytest.raises(ValueError, match="does not match input_dim"):
+                forward(params, pairs)
+            with pytest.raises(ValueError, match="does not match input_dim"):
+                backward(params, pairs, targets, 4.0)
+        # an index outside [0, M) would raise IndexError or read another annotator's row
+        for idx in ([0, 1, 3, 0], [0, -1, 2, 0]):
+            with pytest.raises(ValueError, match="annotator index"):
+                forward(params, PairInput(rows, idx, 3))
+        with pytest.raises(ValueError):
+            PairInput(rows, [0, 1, 2], 3)
 
 
 class TestSoftCeLoss:
