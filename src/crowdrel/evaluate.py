@@ -199,13 +199,11 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
     scores = np.asarray(scores, dtype=np.float64)
     per_instance = np.bincount(annotations.instance_idx, minlength=annotations.n_instances)
     order = np.lexsort((annotations.annotator_idx, scores, annotations.instance_idx))
+    # the first pair of each instance's run in the sorted order is its lowest-scored one
+    sorted_instances = annotations.instance_idx[order]
+    first = np.diff(sorted_instances, prepend=-1) != 0
     drop = np.zeros(annotations.n_pairs, dtype=bool)
-    seen_first: set[int] = set()
-    for pos in order:
-        i = int(annotations.instance_idx[pos])
-        if per_instance[i] >= 2 and i not in seen_first:
-            drop[pos] = True
-            seen_first.add(i)
+    drop[order] = first & (per_instance[sorted_instances] >= 2)
     keep = ~drop
     reduced = AnnotationSet(
         n_instances=annotations.n_instances,

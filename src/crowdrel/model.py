@@ -5,13 +5,16 @@ reliability-estimator network provides, per (instance, annotator) pair,
 the prior probability that the annotation is correct. A reliable
 annotator emits the true label; an unreliable one emits a label drawn
 uniformly over all categories. Exact per-pair posteriors over
-(label, reliable) follow in closed form, and the networks are refit
+(label, reliable) follow in closed form: given the label, an
+annotation's reliability depends on no other annotation, so each
+reliability posterior is the label posterior at the annotated label
+times one factor of its own pair. The networks are refit
 against those posteriors either by generalized EM (gradient steps on the
 expected complete log likelihood) or by minimizing soft-target cross
 entropies, alternating or jointly.
 
-All posterior products run in log space with priors floored at 1e-12, so
-large annotator counts cannot underflow.
+The label posterior is accumulated in log space with priors floored at
+1e-12, so large annotator counts cannot underflow.
 """
 
 from __future__ import annotations
@@ -105,84 +108,68 @@ class JointPosterior:
 
     ``label_posterior`` is the (N, K) posterior over each instance's label
     and ``reliability_posterior`` the (n_pairs,) posterior that each
-    annotation was produced reliably. ``posterior_table`` builds the full
-    joint when it is wanted.
+    annotation was produced reliably, which is the label posterior at the
+    annotated label times the pair's own factor (see
+    ``posterior_from_priors``). ``posterior_table`` spreads both marginals
+    into the full joint when it is wanted.
     """
 
     label_posterior: np.ndarray
     reliability_posterior: np.ndarray
 
 
-def _posterior_parts(label_prior: np.ndarray, reliability_prior: np.ndarray,
-                     annotations: AnnotationSet):
-    """Log-space core of the exact posterior given label priors (N, K) and pair priors (P,).
+def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                          annotations: AnnotationSet) -> JointPosterior:
+    """Exact label and reliability posteriors given label priors (N, K) and pair priors (P,).
 
-    For pair p = (i, j) with annotation a:
-        pi_p(t, r) prop. p(t|x_i) p(r|x_i,j) p(a|t,r) prod_{j' != j} gamma_{ij'}(t)
-    where gamma collapses each other annotator's reliability. The product
-    over annotators is accumulated once per instance in log space and the
-    pair's own factor divided back out.
-
-    Returns the (N, K) label posterior and, per pair, the shifted
-    unnormalized mass at r=0 (P, K), the mass at r=1 on the annotated
-    label (P,) and their total (P,).
+    For pair p on instance i with annotation a_p, reliability prior p1 and
+    p0 = 1 - p1, collapsing the reliability gives the emission
+    gamma_p(t) = p0/K + p1 [t = a_p]. Then
+        post[i, t] = softmax_t(log p(t|x_i) + sum_{p in i} log gamma_p(t))
+        rel_p      = post[i, a_p] p1 / gamma_p(a_p).
+    The terms log(p0/K) hold for every t and cancel in the softmax, so only
+    the annotated labels' excess log(gamma_p(a_p)) - log(p0/K) is summed.
     """
     n, k = label_prior.shape
     ii, ll = annotations.instance_idx, annotations.label_idx
-    p = annotations.n_pairs
-    log_k = np.log(k)
 
-    log_prior_t = np.log(np.maximum(label_prior, PROB_FLOOR))
     p1 = np.asarray(reliability_prior, dtype=np.float64)
     log_p1 = np.log(np.maximum(p1, PROB_FLOOR))
-    log_p0 = np.log(np.maximum(1.0 - p1, PROB_FLOOR))
+    log_r0 = np.log(np.maximum(1.0 - p1, PROB_FLOOR)) - np.log(k)
+    log_gamma_a = np.logaddexp(log_r0, log_p1)
 
-    # gamma_p(t) = p0/K for t != a_p, p0/K + p1 at t = a_p
-    log_gamma = np.repeat((log_p0 - log_k)[:, None], k, axis=1)
-    log_gamma[np.arange(p), ll] = np.logaddexp(log_gamma[np.arange(p), ll], log_p1)
+    scores = np.log(np.maximum(label_prior, PROB_FLOOR))
+    scores += np.bincount(ii * k + ll, weights=log_gamma_a - log_r0,
+                          minlength=n * k).reshape(n, k)
+    if not np.all(np.isfinite(scores)):
+        raise FloatingPointError("posterior scores are not finite (NaN or infinite priors)")
+    scores -= scores.max(axis=1, keepdims=True)
+    label_posterior = np.exp(scores)
+    label_posterior /= label_posterior.sum(axis=1, keepdims=True)
 
-    scores = log_prior_t.copy()
-    np.add.at(scores, ii, log_gamma)
-
-    shift = scores.max(axis=1, keepdims=True)
-    expd = np.exp(scores - shift)
-    label_posterior = expd / expd.sum(axis=1, keepdims=True)
-
-    # leave-one-out score, then the pair's own (t, r) factors
-    loo = scores[ii] - log_gamma
-    log_unnorm_r0 = loo + (log_p0 - log_k)[:, None]
-    log_unnorm_r1 = loo[np.arange(p), ll] + log_p1
-
-    pair_shift = np.maximum(log_unnorm_r0.max(axis=1), log_unnorm_r1)
-    if not np.all(np.isfinite(pair_shift)):
-        raise FloatingPointError("posterior table degenerated to all zeros")
-    e0 = np.exp(log_unnorm_r0 - pair_shift[:, None])
-    e1 = np.exp(log_unnorm_r1 - pair_shift)
-    return label_posterior, e0, e1, e0.sum(axis=1) + e1
-
-
-def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray,
-                          annotations: AnnotationSet) -> JointPosterior:
-    """Exact label and reliability posteriors given label priors (N, K) and pair priors (P,)."""
-    label_posterior, _, e1, totals = _posterior_parts(label_prior, reliability_prior, annotations)
-    return JointPosterior(label_posterior=label_posterior, reliability_posterior=e1 / totals)
+    reliability_posterior = label_posterior[ii, ll] * np.exp(log_p1 - log_gamma_a)
+    return JointPosterior(label_posterior=label_posterior,
+                          reliability_posterior=reliability_posterior)
 
 
 def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
                     annotations: AnnotationSet) -> np.ndarray:
-    """The (n_pairs, n_labels, 2) joint posterior, built per pair.
+    """The (n_pairs, n_labels, 2) joint posterior, built from the two marginals.
 
     Entry [p, t, r] is the posterior that pair p's instance has label t
-    and the annotation was produced reliably (r=1) or not. Mass at r=1
-    sits only on the annotated label. Each table comes from the pair's
-    own leave-one-out product, not from ``label_posterior``, so its label
-    marginal is an independent check on that posterior.
+    and the annotation was produced reliably (r=1) or not. Reliable mass
+    sits only on the annotated label: [p, a_p, 1] = rel_p. Since
+    (p0/K + p1) / gamma_p(a_p) = 1 and gamma_p(t) = p0/K elsewhere, the
+    unreliable mass is [p, t, 0] = post[i, t] for t != a_p and
+    post[i, a_p] - rel_p at the annotated label.
     """
-    _, e0, e1, totals = _posterior_parts(label_prior, reliability_prior, annotations)
-    p, k = e0.shape
-    table = np.zeros((p, k, 2), dtype=np.float64)
-    table[:, :, 0] = e0 / totals[:, None]
-    table[np.arange(p), annotations.label_idx, 1] = e1 / totals
+    post = posterior_from_priors(label_prior, reliability_prior, annotations)
+    rel = post.reliability_posterior
+    pairs = np.arange(annotations.n_pairs)
+    table = np.zeros((annotations.n_pairs, label_prior.shape[1], 2), dtype=np.float64)
+    table[:, :, 0] = post.label_posterior[annotations.instance_idx]
+    table[pairs, annotations.label_idx, 0] -= rel
+    table[pairs, annotations.label_idx, 1] = rel
     return table
 
 
@@ -347,6 +334,9 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
 
     n = float(len(features))
     n_pairs = float(annotations.n_pairs)
+    # EM steps on Q per instance and annotation, so weight decay and
+    # clipping act alike at every dataset size; CE steps on per-network means
+    norm_t, norm_r = (n + n_pairs, n + n_pairs) if config.mode == "em" else (n, n_pairs)
     clf_arrays = state.classifier.arrays()
     est_arrays = state.estimator.arrays()
     if config.mode == "ce-alt":
@@ -365,21 +355,17 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
         label_targets = post.label_posterior
         rel_targets = post.reliability_posterior
         start = objective(label_prior, rel_prior, post)
-        if config.mode == "em":
+        if config.mode == "ce-alt":
             for _ in range(config.inner_iters):
-                grads = (backward(state.classifier, features, label_targets, 1.0)
-                         + backward(state.estimator, pair_x, rel_targets, 1.0))
-                adam_step(clf_arrays + est_arrays, grads, opt_joint)
-        elif config.mode == "ce-jt":
+                adam_step(est_arrays, backward(state.estimator, pair_x, rel_targets, norm_r), opt_r)
             for _ in range(config.inner_iters):
-                grads = (backward(state.classifier, features, label_targets, n)
-                         + backward(state.estimator, pair_x, rel_targets, n_pairs))
-                adam_step(clf_arrays + est_arrays, grads, opt_joint)
+                adam_step(clf_arrays, backward(state.classifier, features, label_targets, norm_t),
+                          opt_t)
         else:
             for _ in range(config.inner_iters):
-                adam_step(est_arrays, backward(state.estimator, pair_x, rel_targets, n_pairs), opt_r)
-            for _ in range(config.inner_iters):
-                adam_step(clf_arrays, backward(state.classifier, features, label_targets, n), opt_t)
+                grads = (backward(state.classifier, features, label_targets, norm_t)
+                         + backward(state.estimator, pair_x, rel_targets, norm_r))
+                adam_step(clf_arrays + est_arrays, grads, opt_joint)
 
         # the end objective scores the estimator on the frozen inputs; they
         # are dropped before the next pass builds their replacement

@@ -197,3 +197,16 @@ def ce_losses_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,
                 prior_r = rel_prior[p] if r else 1.0 - rel_prior[p]
                 loss_r -= tables[p, t, r] * np.log(max(prior_r, 1e-12))
     return loss_t / n, loss_r / ann.n_pairs
+
+
+def least_reliable_oracle(ann: AnnotationSet, scores: np.ndarray) -> set[int]:
+    """Positions of the pairs drop_least_reliable removes, by a loop over instances.
+
+    Each instance with at least two annotations loses its lowest-scored
+    one, ties going to the lowest annotator index.
+    """
+    by_instance: dict[int, list[int]] = {}
+    for p in range(ann.n_pairs):
+        by_instance.setdefault(int(ann.instance_idx[p]), []).append(p)
+    return {min(pairs, key=lambda p: (scores[p], ann.annotator_idx[p]))
+            for pairs in by_instance.values() if len(pairs) >= 2}

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import fleiss_kappa_oracle, krippendorff_alpha_oracle, make_annotations
+from helpers import (
+    fleiss_kappa_oracle,
+    krippendorff_alpha_oracle,
+    least_reliable_oracle,
+    make_annotations,
+)
 from crowdrel.baselines import majority_vote
 from crowdrel.data import GoldLabels
 from crowdrel.evaluate import (
@@ -177,6 +182,25 @@ class TestDenoise:
         assert n_removed == 2 and n_skipped == 0
         kept = set(zip(reduced.instance_idx.tolist(), reduced.annotator_idx.tolist()))
         assert kept == {(0, 1), (1, 2)}
+
+    def test_drops_match_loop_oracle_on_shuffled_tied_scores(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, m = int(rng.integers(1, 8)), int(rng.integers(1, 5))
+            pairs = [(i, j) for i in range(n) for j in range(m) if rng.random() < 0.6]
+            if not pairs:
+                continue
+            triples = [(i, j, int(rng.integers(0, 2))) for i, j in rng.permutation(pairs)]
+            ann = make_annotations(triples, n, m, 2)
+            scores = rng.choice([0.1, 0.5, 0.9], size=ann.n_pairs)
+            reduced, n_removed, n_skipped = drop_least_reliable(ann, scores)
+            dropped = least_reliable_oracle(ann, scores)
+            kept = [p for p in range(ann.n_pairs) if p not in dropped]
+            assert n_removed == len(dropped)
+            assert n_skipped == int((np.bincount(ann.instance_idx, minlength=n) == 1).sum())
+            assert np.array_equal(reduced.instance_idx, ann.instance_idx[kept])
+            assert np.array_equal(reduced.annotator_idx, ann.annotator_idx[kept])
+            assert np.array_equal(reduced.label_idx, ann.label_idx[kept])
 
     def test_single_annotation_instances_are_skipped(self):
         ann = make_annotations([(0, 0, 0), (1, 0, 1), (1, 1, 0)], 2, 2, 2)

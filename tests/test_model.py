@@ -106,6 +106,48 @@ class TestPosteriorFromPriors:
                 np.testing.assert_allclose(
                     label_marginals[p], post.label_posterior[ann.instance_idx[p]], atol=1e-10)
 
+    def test_nan_prior_is_a_floating_point_error(self):
+        ann = make_annotations([(0, 0, 0), (0, 1, 1), (1, 0, 1)], 2, 2, 2)
+        label_prior = np.array([[0.6, 0.4], [0.5, 0.5]])
+        rel_prior = np.array([0.8, 0.5, 0.7])
+        bad_label = label_prior.copy()
+        bad_label[1, 0] = np.nan
+        with pytest.raises(FloatingPointError):
+            posterior_from_priors(bad_label, rel_prior, ann)
+        bad_rel = rel_prior.copy()
+        bad_rel[1] = np.nan
+        with pytest.raises(FloatingPointError):
+            posterior_from_priors(label_prior, bad_rel, ann)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4), m=st.integers(1, 1000),
+           k=st.integers(2, 50), one_per_instance=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_extreme_priors_give_normalized_posteriors(self, seed, n, m, k, one_per_instance):
+        rng = np.random.default_rng(seed)
+        triples = []
+        for i in range(n):
+            count = 1 if one_per_instance else int(rng.integers(1, m + 1))
+            triples += [(i, int(j), int(rng.integers(0, k)))
+                        for j in rng.choice(m, size=count, replace=False)]
+        ann = make_annotations(triples, n, m, k)
+        extremes = np.array([0.0, 1.0, 1e-300, 1.0 - 1e-16])
+
+        def draw(shape):
+            return np.where(rng.random(shape) < 0.5, rng.choice(extremes, size=shape),
+                            rng.uniform(size=shape))
+
+        label_prior, rel_prior = draw((n, k)), draw(ann.n_pairs)
+        post = posterior_from_priors(label_prior, rel_prior, ann)
+        table = posterior_table(label_prior, rel_prior, ann)
+        lp, rel = post.label_posterior, post.reliability_posterior
+        at_annotated = lp[ann.instance_idx, ann.label_idx]
+        assert np.all(np.isfinite(lp)) and np.all(lp >= 0.0)
+        np.testing.assert_allclose(lp.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        assert np.all(rel >= 0.0) and np.all(rel <= at_annotated)
+        assert np.all(table >= 0.0)
+        np.testing.assert_allclose(table.sum(axis=(1, 2)), 1.0, rtol=0.0, atol=1e-12)
+        assert np.array_equal(table[:, :, 1].sum(axis=1), rel)
+
 
 def small_state(rng, n_labels=3, n_annotators=4, input_dim=2, estimator_input="feature"):
     rep_dim = input_dim if estimator_input == "feature" else 3
@@ -355,22 +397,24 @@ class TestTrain:
         assert len(result.trace) == 2
 
     def test_em_stop_does_not_depend_on_dataset_size(self):
-        # Tiling the data 4x scales Q and its gradients by 4. Without weight
-        # decay and clipping, Adam's steps are scale-free, so both runs follow
-        # one trajectory and must stop at the same outer iteration.
+        # Tiling the data 4x scales Q by 4. EM steps on Q per instance and
+        # annotation, so both runs follow one trajectory and must stop at the
+        # same outer iteration, with weight decay and clipping off (Adam alone
+        # is scale-free) and at their defaults (which act on the same mean).
         instances, gold = gen_2d("moon", 100, seed=1)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
-        cfg = TrainConfig(mode="em", max_outer=150, inner_iters=20, weight_decay=0.0,
-                          clip_norm=0.0, seed=0)
         tiled = make_annotations(
             [(i + r * len(x), j, a) for r in range(4) for i, j, a in ann.triples()],
             4 * len(x), ann.n_annotators, ann.n_labels)
-        once = train(x, ann, cfg)
-        four = train(np.tile(x, (4, 1)), tiled, cfg)
-        assert len(once.trace) < 150
-        assert len(four.trace) == len(once.trace)
+        for cfg in (TrainConfig(mode="em", max_outer=150, inner_iters=20, weight_decay=0.0,
+                                clip_norm=0.0, seed=0),
+                    TrainConfig(mode="em", max_outer=150, inner_iters=20, seed=0)):
+            once = train(x, ann, cfg)
+            four = train(np.tile(x, (4, 1)), tiled, cfg)
+            assert len(once.trace) < 150
+            assert len(four.trace) == len(once.trace)
 
     def test_em_mode_improves_q_within_iterations(self, moon_setup):
         x, ann, _ = moon_setup
