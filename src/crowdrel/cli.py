@@ -8,7 +8,6 @@ hash of the effective config so artifacts are traceable. Exit codes:
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -28,6 +27,15 @@ HIDDEN_DEFAULTS = {
     "tfidf": (100, 100),
     "avg-embed": (50, 25),
     "concat-avg-embed": (100, 50),
+}
+
+# config keys that set the TrainConfig field of the same name (pretrain sets
+# pretrain_source), with their parsers; the defaults live in TrainConfig
+TRAIN_KEYS = {
+    "mode": str, "pretrain": str, "estimator_input": str,
+    "inner_iters": int, "max_outer": int, "pretrain_epochs": int,
+    "classifier_hidden": int, "estimator_hidden": int, "seed": int,
+    "early_stop_tol": float, "learning_rate": float, "weight_decay": float, "clip_norm": float,
 }
 
 
@@ -79,13 +87,6 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict[str, str], files: lis
         "files": sorted(files),
     }
     (out_dir / f"manifest_{command}.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
@@ -176,24 +177,11 @@ def _features(cfg: dict[str, str], instances: list[data.Instance]) -> tuple[np.n
 
 
 def _train_config(cfg: dict[str, str], featurizer: str) -> model.TrainConfig:
-    clf_default, est_default = HIDDEN_DEFAULTS[featurizer]
-    max_outer = cfg.get("max_outer")
+    settings = dict(zip(("classifier_hidden", "estimator_hidden"), HIDDEN_DEFAULTS[featurizer]))
+    settings.update(("pretrain_source" if key == "pretrain" else key, _get(cfg, key, cast=cast))
+                    for key, cast in TRAIN_KEYS.items() if key in cfg)
     try:
-        return model.TrainConfig(
-            mode=_get(cfg, "mode", "ce-jt"),
-            inner_iters=_get(cfg, "inner_iters", 50, int),
-            max_outer=None if max_outer is None else int(max_outer),
-            early_stop_tol=_get(cfg, "early_stop_tol", 1e-3, float),
-            pretrain_source=_get(cfg, "pretrain", "ds"),
-            pretrain_epochs=_get(cfg, "pretrain_epochs", 200, int),
-            classifier_hidden=_get(cfg, "classifier_hidden", clf_default, int),
-            estimator_hidden=_get(cfg, "estimator_hidden", est_default, int),
-            estimator_input=_get(cfg, "estimator_input", "hidden"),
-            learning_rate=_get(cfg, "learning_rate", 0.001, float),
-            weight_decay=_get(cfg, "weight_decay", 0.001, float),
-            clip_norm=_get(cfg, "clip_norm", 5.0, float),
-            seed=_get(cfg, "seed", 0, int),
-        )
+        return model.TrainConfig(**settings)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -269,16 +257,15 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         result = model.train(features, annotations, train_cfg, gold=gold_arr)
 
         model.save_model(out / "model.json", result.state, label_set, train_cfg)
-        _write_csv(out / "trace.csv", ["outer", "objective_start", "objective_end", "f1"],
-                   ([row.outer, repr(row.objective_start), repr(row.objective_end),
-                     "" if row.f1 is None else repr(row.f1)] for row in result.trace))
+        data.write_table(out / "trace.csv", ["outer", "objective_start", "objective_end", "f1"],
+                         ([row.outer, repr(row.objective_start), repr(row.objective_end),
+                           "" if row.f1 is None else repr(row.f1)] for row in result.trace))
+        # predictions.csv shares the gold file schema (instance_id,label)
         pred = result.posterior.label_posterior.argmax(axis=1)
-        _write_csv(out / "predictions.csv", ["instance_id", "label"],
-                   ([inst.id, label_set.labels[pred[pos]]] for pos, inst in enumerate(instances)))
-        rel = result.posterior.reliability_posterior
-        _write_csv(out / "reliability.csv", ["instance_id", "annotator_id", "score"],
-                   ([annotations.instance_ids[i], annotations.annotator_ids[j], repr(float(rel[pos]))]
-                    for pos, (i, j, _) in enumerate(annotations.triples())))
+        data.write_gold(out / "predictions.csv", data.GoldLabels(dict(enumerate(pred.tolist()))),
+                        label_set, annotations.instance_ids)
+        data.write_scores(out / "reliability.csv", annotations,
+                          result.posterior.reliability_posterior)
         _write_manifest(out, "train", cfg,
                         ["model.json", "trace.csv", "predictions.csv", "reliability.csv"])
         click.echo(f"trained {train_cfg.mode} for {len(result.trace)} outer iterations; artifacts in {out}")
@@ -287,11 +274,9 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
 
 
 def _aggregator(name: str, n_labels: int):
-    if name == "mv":
-        return lambda ann: baselines.majority_vote(ann, n_labels)
-    if name == "ds":
-        return lambda ann: baselines.dawid_skene(ann, n_labels).hard_labels
-    raise ConfigError(f"unknown aggregator {name!r}")
+    if name not in model.PRETRAIN_SOURCES:
+        raise ConfigError(f"unknown aggregator {name!r}")
+    return lambda ann: model.pretrain_labels(ann, n_labels, name)
 
 
 @main.command("eval")
@@ -308,13 +293,11 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
                                    "denoise": denoise})
         out = _resolve_out_dir(cfg, out_dir)
         instances, annotations, gold, label_set = _load_dataset(cfg, out)
-        ids = [inst.id for inst in instances]
-        pred_gold = data.load_gold(out / "predictions.csv", label_set, instance_ids=ids)
-        # predictions.csv shares the gold file schema (instance_id,label)
-        pred = pred_gold.to_array(len(instances))
+        pred = data.load_gold(out / "predictions.csv", label_set,
+                              instance_ids=annotations.instance_ids).to_array(len(instances))
         if np.any(pred < 0):
             raise ConfigError("predictions.csv does not cover every instance")
-        scores = _load_scores(out / "reliability.csv", annotations)
+        scores = data.load_scores(out / "reliability.csv", annotations)
 
         rows: list[tuple[str, str]] = []
         wanted = [m.strip() for m in _get(cfg, "metrics", "f1,iaa").split(",") if m.strip()]
@@ -360,10 +343,10 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
                         report_rows.append([entry.annotator_id, side_name, "", "", "",
                                             label_set.labels[c], stats.n_instances,
                                             stats.n_correct, repr(stats.mean_reliability)])
-            _write_csv(out / "reliability_report.csv",
-                       ["annotator", "side", "n", "n_correct", "mean_reliability",
-                        "class", "class_n", "class_correct", "class_mean_reliability"],
-                       report_rows)
+            data.write_table(out / "reliability_report.csv",
+                             ["annotator", "side", "n", "n_correct", "mean_reliability",
+                              "class", "class_n", "class_correct", "class_mean_reliability"],
+                             report_rows)
             files += ["reliability_report.txt", "reliability_report.csv"]
         denoise_with = _get(cfg, "denoise", "off")
         if denoise_with != "off":
@@ -375,44 +358,12 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
                      (f"denoise_{denoise_with}_after", repr(res.f1_after.micro)),
                      (f"denoise_{denoise_with}_delta", repr(res.delta_micro))]
 
-        _write_csv(out / "metrics.csv", ["metric", "value"], rows)
+        data.write_table(out / "metrics.csv", ["metric", "value"], rows)
         _write_manifest(out, "eval", cfg, files)
         for name, value in rows:
             click.echo(f"{name} = {value}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-
-
-def _load_scores(path: Path, annotations: data.AnnotationSet) -> np.ndarray:
-    inst_pos = {v: i for i, v in enumerate(annotations.instance_ids)}
-    ann_pos = {v: j for j, v in enumerate(annotations.annotator_ids)}
-    by_pair: dict[tuple[int, int], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["instance_id", "annotator_id", "score"]:
-            raise data.ParseError(f"{path}: header must be instance_id,annotator_id,score")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != 3:
-                raise data.ParseError(f"{where}: expected 3 columns, got {len(row)}")
-            if row[0] not in inst_pos:
-                raise data.DataError(f"{where}: unknown instance id {row[0]!r}")
-            if row[1] not in ann_pos:
-                raise data.DataError(f"{where}: unknown annotator id {row[1]!r}")
-            try:
-                by_pair[(inst_pos[row[0]], ann_pos[row[1]])] = float(row[2])
-            except ValueError:
-                raise data.ParseError(f"{where}: cannot parse score {row[2]!r}") from None
-    scores = np.empty(annotations.n_pairs, dtype=np.float64)
-    for pos, (i, j, _) in enumerate(annotations.triples()):
-        if (i, j) not in by_pair:
-            raise data.DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "
-                                 f"{annotations.annotator_ids[j]})")
-        scores[pos] = by_pair[(i, j)]
-    return scores
 
 
 if __name__ == "__main__":

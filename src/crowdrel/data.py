@@ -1,4 +1,7 @@
-"""Dataset types and file IO for instances, annotations and gold labels.
+"""Dataset types and file IO for instances, annotations, gold labels and scores.
+
+Every CSV table, input or artifact, is read by ``_table`` and written by
+``write_table``; a bad row is a DataError that names its ``path:line``.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices assigned at load time. All types are immutable
@@ -11,7 +14,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,35 +136,57 @@ class GoldLabels:
         return out
 
 
-def _read_rows(path: str | Path) -> list[list[str]]:
+def _at(path: str | Path, line: int, exc: DataError) -> DataError:
+    """``exc`` again, its message led by the ``path:line`` of the row that raised it."""
+    return type(exc)(f"{path}:{line}: {exc}")
+
+
+def _table(path: str | Path, header: Sequence[str],
+           more: bool = False) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line number, row) for each non-blank row below a CSV table's header.
+
+    The header must be ``header`` or, with ``more``, begin with it and name
+    further columns. Every row must be as wide as the header. An empty file
+    yields nothing.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None:
+            return
+        if found[:len(header)] != list(header) or (len(found) != len(header) and not more):
+            raise ParseError(f"{path}: header must be {','.join(header)}{',...' if more else ''}")
+        width = len(found)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise DimensionError(
+                    f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV table: ``header``, then one line per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
-    Dense rows must all have the same width; malformed rows raise ParseError
-    with the offending line number. An empty file yields an empty list.
+    Dense rows must all have the header's width; malformed rows raise
+    DataError naming the file and line. An empty file yields an empty list.
     """
     if format == "dense-csv":
-        rows = _read_rows(path)
-        if not rows:
-            return []
-        header, body = rows[0], rows[1:]
-        if not header or header[0] != "id":
-            raise ParseError(f"{path}: first header column must be 'id', got {header[:1]}")
-        width = len(header) - 1
         instances = []
-        for lineno, row in enumerate(body, start=2):
-            if not row:
-                continue
-            if len(row) - 1 != width:
-                raise DimensionError(f"{path}:{lineno}: expected {width} features, got {len(row) - 1}")
+        for line, row in _table(path, ("id",), more=True):
             try:
                 vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+                raise _at(path, line, ParseError(exc)) from None
             instances.append(Instance(id=row[0], features=vec))
         return instances
     if format == "text-jsonl":
@@ -184,14 +209,13 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
 
 def write_instances(path: str | Path, instances: Sequence[Instance]) -> None:
     """Write dense-feature instances as CSV (inverse of dense-csv loading)."""
+    for inst in instances:
+        if inst.features is None:
+            raise DataError(f"instance {inst.id!r} has no dense features")
     width = 0 if not instances else len(instances[0].features)  # type: ignore[arg-type]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id"] + [f"x{k}" for k in range(width)])
-        for inst in instances:
-            if inst.features is None:
-                raise DataError(f"instance {inst.id!r} has no dense features")
-            writer.writerow([inst.id] + [repr(float(v)) for v in inst.features])
+    write_table(path, ["id"] + [f"x{k}" for k in range(width)],
+                ([inst.id] + [repr(float(v)) for v in inst.features]  # type: ignore[union-attr]
+                 for inst in instances))
 
 
 def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> None:
@@ -205,14 +229,19 @@ def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> No
             fh.write(json.dumps(obj) + "\n")
 
 
-def _index_of(ids: list[str], seen: dict[str, int], key: str, fixed: bool, what: str, where: str) -> int:
+def _index_of(seen: dict[str, int], key: str, grow: bool, what: str) -> int:
+    """Index of id ``key``; a new id gets the next index when ``grow``, else is an error."""
     idx = seen.get(key)
     if idx is None:
-        if fixed:
-            raise DataError(f"{where}: unknown {what} id {key!r}")
-        seen[key] = idx = len(ids)
-        ids.append(key)
+        if not grow:
+            raise DataError(f"unknown {what} id {key!r}")
+        seen[key] = idx = len(seen)
     return idx
+
+
+ANNOTATIONS_HEADER = ("instance_id", "annotator_id", "label")
+GOLD_HEADER = ("instance_id", "label")
+SCORES_HEADER = ("instance_id", "annotator_id", "score")
 
 
 def load_annotations(
@@ -226,51 +255,42 @@ def load_annotations(
     Ids are mapped to dense 0-based indices in first-occurrence order unless
     an explicit id order is supplied (as when annotations must align with a
     previously loaded instance file). Duplicate (instance, annotator) pairs
-    and labels outside ``label_set`` are rejected.
+    and labels outside ``label_set`` are rejected, naming the file and line.
     """
-    rows = _read_rows(path)
-    if rows and rows[0] != ["instance_id", "annotator_id", "label"]:
-        raise ParseError(f"{path}: header must be instance_id,annotator_id,label")
-    inst_fixed = instance_ids is not None
-    ann_fixed = annotator_ids is not None
-    inst_list = list(instance_ids) if inst_fixed else []
-    ann_list = list(annotator_ids) if ann_fixed else []
-    inst_seen = {v: i for i, v in enumerate(inst_list)}
-    ann_seen = {v: i for i, v in enumerate(ann_list)}
+    inst_seen = {v: i for i, v in enumerate(() if instance_ids is None else instance_ids)}
+    ann_seen = {v: i for i, v in enumerate(() if annotator_ids is None else annotator_ids)}
     ii, jj, ll = [], [], []
     pairs: set[tuple[int, int]] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-        where = f"{path}:{lineno}"
-        i = _index_of(inst_list, inst_seen, row[0], inst_fixed, "instance", where)
-        j = _index_of(ann_list, ann_seen, row[1], ann_fixed, "annotator", where)
-        if (i, j) in pairs:
-            raise DuplicateError(f"{where}: duplicate annotation for instance {row[0]!r} by {row[1]!r}")
+    for line, row in _table(path, ANNOTATIONS_HEADER):
+        try:
+            i = _index_of(inst_seen, row[0], instance_ids is None, "instance")
+            j = _index_of(ann_seen, row[1], annotator_ids is None, "annotator")
+            if (i, j) in pairs:
+                raise DuplicateError(f"duplicate annotation for instance {row[0]!r} by {row[1]!r}")
+            ll.append(label_set.index(row[2]))
+        except DataError as exc:
+            raise _at(path, line, exc) from None
         pairs.add((i, j))
         ii.append(i)
         jj.append(j)
-        ll.append(label_set.index(row[2]))
+    inst_ids = tuple(inst_seen if instance_ids is None else instance_ids)
+    ann_ids = tuple(ann_seen if annotator_ids is None else annotator_ids)
     return AnnotationSet(
-        n_instances=len(inst_list),
-        n_annotators=len(ann_list),
+        n_instances=len(inst_ids),
+        n_annotators=len(ann_ids),
         n_labels=len(label_set),
         instance_idx=np.array(ii, dtype=np.int64),
         annotator_idx=np.array(jj, dtype=np.int64),
         label_idx=np.array(ll, dtype=np.int64),
-        instance_ids=tuple(inst_list),
-        annotator_ids=tuple(ann_list),
+        instance_ids=inst_ids,
+        annotator_ids=ann_ids,
     )
 
 
 def write_annotations(path: str | Path, annotations: AnnotationSet, label_set: LabelSet) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "annotator_id", "label"])
-        for i, j, l in annotations.triples():
-            writer.writerow([annotations.instance_ids[i], annotations.annotator_ids[j], label_set.labels[l]])
+    write_table(path, ANNOTATIONS_HEADER,
+                ([annotations.instance_ids[i], annotations.annotator_ids[j], label_set.labels[l]]
+                 for i, j, l in annotations.triples()))
 
 
 def load_gold(
@@ -279,32 +299,61 @@ def load_gold(
     instance_ids: Sequence[str] | None = None,
 ) -> GoldLabels:
     """Load gold labels from CSV with header instance_id,label (one row per instance)."""
-    rows = _read_rows(path)
-    if rows and rows[0] != ["instance_id", "label"]:
-        raise ParseError(f"{path}: header must be instance_id,label")
-    fixed = instance_ids is not None
-    ids = list(instance_ids) if fixed else []
-    seen = {v: i for i, v in enumerate(ids)}
+    seen = {v: i for i, v in enumerate(() if instance_ids is None else instance_ids)}
     by_index: dict[int, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise ParseError(f"{path}:{lineno}: expected 2 columns, got {len(row)}")
-        i = _index_of(ids, seen, row[0], fixed, "instance", f"{path}:{lineno}")
-        if i in by_index:
-            raise DuplicateError(f"{path}:{lineno}: duplicate gold label for instance {row[0]!r}")
-        by_index[i] = label_set.index(row[1])
+    for line, row in _table(path, GOLD_HEADER):
+        try:
+            i = _index_of(seen, row[0], instance_ids is None, "instance")
+            if i in by_index:
+                raise DuplicateError(f"duplicate gold label for instance {row[0]!r}")
+            by_index[i] = label_set.index(row[1])
+        except DataError as exc:
+            raise _at(path, line, exc) from None
     return GoldLabels(by_index=by_index)
 
 
 def write_gold(path: str | Path, gold: GoldLabels, label_set: LabelSet,
                instance_ids: Sequence[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instance_id", "label"])
-        for i in sorted(gold.by_index):
-            writer.writerow([instance_ids[i], label_set.labels[gold.by_index[i]]])
+    write_table(path, GOLD_HEADER,
+                ([instance_ids[i], label_set.labels[gold.by_index[i]]] for i in sorted(gold.by_index)))
+
+
+def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
+    """Load one score per annotation from CSV with header instance_id,annotator_id,score.
+
+    Returns the scores in the pair order of ``annotations``. Ids outside
+    ``annotations``, repeated pairs and unparseable scores are rejected,
+    naming the file and line; so is a pair of ``annotations`` with no row.
+    """
+    inst_pos = {v: i for i, v in enumerate(annotations.instance_ids)}
+    ann_pos = {v: j for j, v in enumerate(annotations.annotator_ids)}
+    by_pair: dict[tuple[int, int], float] = {}
+    for line, row in _table(path, SCORES_HEADER):
+        try:
+            pair = (_index_of(inst_pos, row[0], False, "instance"),
+                    _index_of(ann_pos, row[1], False, "annotator"))
+            if pair in by_pair:
+                raise DuplicateError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
+            try:
+                by_pair[pair] = float(row[2])
+            except ValueError:
+                raise ParseError(f"cannot parse score {row[2]!r}") from None
+        except DataError as exc:
+            raise _at(path, line, exc) from None
+    scores = np.empty(annotations.n_pairs, dtype=np.float64)
+    for pos, (i, j, _) in enumerate(annotations.triples()):
+        if (i, j) not in by_pair:
+            raise DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "
+                            f"{annotations.annotator_ids[j]})")
+        scores[pos] = by_pair[(i, j)]
+    return scores
+
+
+def write_scores(path: str | Path, annotations: AnnotationSet, scores: np.ndarray) -> None:
+    """Write one score per annotation (inverse of ``load_scores``)."""
+    write_table(path, SCORES_HEADER,
+                ([annotations.instance_ids[i], annotations.annotator_ids[j], repr(float(score))]
+                 for (i, j, _), score in zip(annotations.triples(), scores)))
 
 
 def validate(

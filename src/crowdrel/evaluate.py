@@ -78,10 +78,9 @@ def krippendorff_alpha(annotations: AnnotationSet, n_labels: int) -> float:
     counts = counts[usable]
     m_u = m_u[usable]
 
-    coincidence = np.zeros((n_labels, n_labels), dtype=np.float64)
-    for row, m in zip(counts, m_u):
-        pair_counts = np.outer(row, row) - np.diag(row)
-        coincidence += pair_counts / (m - 1.0)
+    # sum over instances of (outer(c, c) - diag(c)) / (m_u - 1)
+    weighted = counts / (m_u - 1.0)[:, None]
+    coincidence = weighted.T @ counts - np.diag(weighted.sum(axis=0))
     totals = coincidence.sum(axis=1)
     n = totals.sum()
     observed_disagreement = n - np.trace(coincidence)
@@ -197,7 +196,7 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
     reduced set plus (removed, skipped) counts.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    per_instance = np.bincount(annotations.instance_idx, minlength=annotations.n_instances)
+    per_instance = annotations.counts_per_instance()
     order = np.lexsort((annotations.annotator_idx, scores, annotations.instance_idx))
     # the first pair of each instance's run in the sorted order is its lowest-scored one
     sorted_instances = annotations.instance_idx[order]

@@ -221,15 +221,14 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     """One in-place update: decay, clip by global L2 norm, then biased-corrected Adam."""
     if len(params) != len(grads):
         raise ValueError("parameter/gradient lists differ in length")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
     if state.weight_decay:
         grads = [g + state.weight_decay * p for g, p in zip(grads, params)]
     total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    if not np.isfinite(total):  # a non-finite entry, or squares that overflow
+        raise FloatingPointError(f"non-finite gradient norm {total}")
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
     if state.clip_norm and total > state.clip_norm:
         scale = state.clip_norm / total
         grads = [g * scale for g in grads]

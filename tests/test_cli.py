@@ -153,6 +153,22 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert "non-finite feature value in instance 'a'" in result.output
 
+    @pytest.mark.parametrize("bad_file", ["ann.csv", "gold.csv", "out/predictions.csv"])
+    def test_unknown_label_names_file_and_line(self, runner, tmp_path, bad_file):
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
+        with open(cfg, "a") as fh:
+            fh.write(f"gold = {tmp_path / 'gold.csv'}\n")
+        (tmp_path / "out").mkdir()
+        for name in ("gold.csv", "out/predictions.csv"):
+            (tmp_path / name).write_text("instance_id,label\na,0\nb,1\n")
+        path = tmp_path / bad_file
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2][:-1] + "maybe"  # line 3 ends in its label
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa"])
+        assert result.exit_code == 1, result.output
+        assert f"{path.name}:3: unknown label 'maybe'" in result.output
+
 
 class TestEvalCommand:
     def test_metrics_and_denoise(self, runner, pipeline_dir):
@@ -223,6 +239,7 @@ class TestFilesDataset:
         ("bogus,a0,0.5", "unknown instance id 'bogus'"),
         ("i0,bogus,0.5", "unknown annotator id 'bogus'"),
         ("i0,a0,high", "cannot parse score 'high'"),
+        ("i1,a0,0.7", "duplicate score for instance 'i1' by 'a0'"),
     ])
     def test_bad_reliability_row_names_file_and_line(self, runner, tmp_path, bad_row, message):
         cfg = dense_files_config(tmp_path, "id,x0\ni0,0.1\ni1,0.2\n",

@@ -8,6 +8,7 @@ from crowdrel.data import (
     DataError,
     DimensionError,
     DuplicateError,
+    GoldLabels,
     Instance,
     LabelSet,
     ParseError,
@@ -15,8 +16,13 @@ from crowdrel.data import (
     load_annotations,
     load_gold,
     load_instances,
+    load_scores,
     validate,
     write_annotations,
+    write_gold,
+    write_instances,
+    write_instances_jsonl,
+    write_scores,
 )
 
 
@@ -173,6 +179,17 @@ ids_st = st.lists(st.text(st.characters(categories=("L", "Nd"), include_characte
                           min_size=1, max_size=8),
                   min_size=1, max_size=5, unique=True)
 
+# ids and labels of any characters, empty and CSV/JSON syntax included
+any_text = st.text(max_size=8)
+any_ids = st.lists(any_text, min_size=1, max_size=5, unique=True)
+
+
+def same_floats(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit-for-bit equal, except that NaN matches NaN: text keeps no NaN sign or payload."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
 
 class TestRoundTrip:
     @given(inst_ids=ids_st, ann_ids=ids_st, data=st.data())
@@ -193,6 +210,66 @@ class TestRoundTrip:
         write_annotations(path, ann, labels)
         loaded = load_annotations(path, labels, instance_ids=inst_ids, annotator_ids=ann_ids)
         assert loaded.triples() == ann.triples()
+
+    @given(ids=st.lists(any_text), width=st.integers(0, 3), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_csv_instances(self, tmp_path_factory, ids, width, data):
+        instances = [Instance(id=i, features=np.array(data.draw(st.lists(
+            st.floats(), min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
+        base = tmp_path_factory.mktemp("rt")
+        write_instances(base / "x.csv", instances)
+        loaded = load_instances(base / "x.csv", "dense-csv")
+        assert [inst.id for inst in loaded] == ids
+        assert all(same_floats(a.features, b.features) for a, b in zip(instances, loaded))
+        write_instances(base / "again.csv", loaded)
+        assert (base / "again.csv").read_bytes() == (base / "x.csv").read_bytes()
+
+    @given(docs=st.lists(st.tuples(any_text, st.text(), st.none() | st.text())))
+    @settings(max_examples=40, deadline=None)
+    def test_text_jsonl_instances(self, tmp_path_factory, docs):
+        instances = [Instance(id=i, text=t, text2=t2) for i, t, t2 in docs]
+        base = tmp_path_factory.mktemp("rt")
+        write_instances_jsonl(base / "x.jsonl", instances)
+        loaded = load_instances(base / "x.jsonl", "text-jsonl")
+        assert loaded == instances
+        write_instances_jsonl(base / "again.jsonl", loaded)
+        assert (base / "again.jsonl").read_bytes() == (base / "x.jsonl").read_bytes()
+
+    @given(inst_ids=any_ids, ann_ids=any_ids,
+           labels=st.lists(any_text, min_size=2, max_size=4, unique=True), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_annotations_gold_and_scores(self, tmp_path_factory, inst_ids, ann_ids, labels, data):
+        label_set = LabelSet(tuple(labels))
+        possible = [(i, j) for i in range(len(inst_ids)) for j in range(len(ann_ids))]
+        chosen = data.draw(st.lists(st.sampled_from(possible), min_size=1,
+                                    max_size=len(possible), unique=True))
+        label = st.integers(0, len(labels) - 1)
+        ann = AnnotationSet(
+            n_instances=len(inst_ids), n_annotators=len(ann_ids), n_labels=len(labels),
+            instance_idx=np.array([c[0] for c in chosen]),
+            annotator_idx=np.array([c[1] for c in chosen]),
+            label_idx=np.array([data.draw(label) for _ in chosen]),
+            instance_ids=tuple(inst_ids), annotator_ids=tuple(ann_ids),
+        )
+        gold = GoldLabels(data.draw(st.dictionaries(st.integers(0, len(inst_ids) - 1), label)))
+        scores = np.array([data.draw(st.floats()) for _ in chosen], dtype=np.float64)
+        base = tmp_path_factory.mktemp("rt")
+        write_annotations(base / "ann.csv", ann, label_set)
+        write_gold(base / "gold.csv", gold, label_set, inst_ids)
+        write_scores(base / "rel.csv", ann, scores)
+        loaded = load_annotations(base / "ann.csv", label_set, instance_ids=inst_ids,
+                                  annotator_ids=ann_ids)
+        assert loaded.triples() == ann.triples()
+        assert (loaded.instance_ids, loaded.annotator_ids) == (ann.instance_ids, ann.annotator_ids)
+        loaded_gold = load_gold(base / "gold.csv", label_set, instance_ids=inst_ids)
+        assert loaded_gold == gold
+        loaded_scores = load_scores(base / "rel.csv", loaded)
+        assert same_floats(loaded_scores, scores)
+        write_annotations(base / "ann2.csv", loaded, label_set)
+        write_gold(base / "gold2.csv", loaded_gold, label_set, inst_ids)
+        write_scores(base / "rel2.csv", loaded, loaded_scores)
+        for name in ("ann", "gold", "rel"):
+            assert (base / f"{name}2.csv").read_bytes() == (base / f"{name}.csv").read_bytes()
 
     def test_index_assignment_deterministic(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"

@@ -197,6 +197,9 @@ class TestAdam:
     def test_non_finite_gradient_raises(self):
         with pytest.raises(FloatingPointError):
             adam_step([np.zeros(1)], [np.array([np.nan])], AdamState())
+        # every entry is finite, but the squared norm overflows
+        with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+            adam_step([np.zeros(2)], [np.array([1e200, 0.0])], AdamState())
 
 
 class TestCheckpoint:
