@@ -38,6 +38,14 @@ TRAIN_KEYS = {
     "early_stop_tol": float, "learning_rate": float, "weight_decay": float, "clip_norm": float,
 }
 
+# every key some command reads: one config file drives all three commands,
+# so a key outside this table is a misspelling, not another command's key
+CONFIG_KEYS = frozenset(TRAIN_KEYS) | {
+    "out_dir", "dataset", "n", "noise", "panel", "keep_prob", "labels",
+    "instances", "instances_format", "annotations", "gold", "featurizer", "embeddings",
+    "metrics", "report_reliability", "denoise",
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -51,8 +59,10 @@ def parse_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        key, value = stripped.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        cfg[key] = value
     return cfg
 
 

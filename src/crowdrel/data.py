@@ -177,9 +177,18 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
-    Dense rows must all have the header's width; malformed rows raise
-    DataError naming the file and line. An empty file yields an empty list.
+    Dense rows must all have the header's width; malformed rows and
+    repeated ids raise DataError naming the file and line. An empty file
+    yields an empty list.
     """
+    seen: set[str] = set()
+
+    def new_id(key: str, line: int) -> str:
+        if key in seen:
+            raise DuplicateError(f"{path}:{line}: duplicate instance id {key!r}")
+        seen.add(key)
+        return key
+
     if format == "dense-csv":
         instances = []
         for line, row in _table(path, ("id",), more=True):
@@ -187,7 +196,7 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                 vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise _at(path, line, ParseError(exc)) from None
-            instances.append(Instance(id=row[0], features=vec))
+            instances.append(Instance(id=new_id(row[0], line), features=vec))
         return instances
     if format == "text-jsonl":
         instances = []
@@ -201,7 +210,8 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                     raise ParseError(f"{path}:{lineno}: {exc}") from None
                 if "id" not in obj or "text" not in obj:
                     raise ParseError(f"{path}:{lineno}: object needs 'id' and 'text'")
-                instances.append(Instance(id=str(obj["id"]), text=str(obj["text"]),
+                instances.append(Instance(id=new_id(str(obj["id"]), lineno),
+                                          text=str(obj["text"]),
                                           text2=str(obj["text2"]) if "text2" in obj else None))
         return instances
     raise DataError(f"unknown instance format {format!r}")

@@ -175,7 +175,7 @@ def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
 
 def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> PairInput:
     """Each observed pair's instance representation and annotator, as the estimator sees them."""
-    return PairInput(representation[annotations.instance_idx], annotations.annotator_idx,
+    return PairInput(representation, annotations.instance_idx, annotations.annotator_idx,
                      annotations.n_annotators)
 
 
@@ -420,7 +420,7 @@ def reliability_scores(state: ModelState, features: np.ndarray,
     n, m = len(features), annotations.n_annotators
     prior = np.empty((n, m), dtype=np.float64)
     for j in range(m):
-        prior[:, j] = forward(state.estimator, PairInput(rep, np.full(n, j), m))[0]
+        prior[:, j] = forward(state.estimator, PairInput(rep, np.arange(n), np.full(n, j), m))[0]
     return ReliabilityScores(posterior=post.reliability_posterior, prior=prior)
 
 

@@ -1,15 +1,21 @@
 """Small feed-forward network engine with exact analytic gradients.
 
 Fixed architecture: input -> hidden1 (ReLU) -> hidden2 (ReLU) -> output
-head (row-wise softmax, or a single sigmoid unit). Everything runs in
-float64; the softmax is log-sum-exp stabilized. Losses are soft-target
+head (softmax over the outputs, or a single sigmoid unit). Everything runs
+in float64; the softmax is log-sum-exp stabilized. Losses are soft-target
 cross entropies whose normalizer is supplied by the caller, so the same
 kernels serve per-example means and unnormalized sums.
+
+The layers are narrow (a handful of units) and the batches long, so the
+kernels keep activations feature-major, as (width, B): every product is
+``W.T @ Z`` or ``W @ dZ`` over long contiguous rows, and every bias
+gradient sums a contiguous row. ``forward`` and ``backward`` still take
+and return batch-major arrays; the outputs are transposed views.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,92 +58,123 @@ def init_fnn(input_dim: int, hidden1: int, hidden2: int, output_dim: int,
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the rows of a feature-major (K, B) array, in place."""
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # with e = exp(-|z|) <= 1 nothing overflows, and both branches are exact:
+    # 1/(1+e) for z >= 0 and e/(1+e) for z < 0
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0.0, 1.0, e)
+    e += 1.0
+    out /= e
     # keep strictly inside (0, 1): float64 saturates past |z| ~ 745
-    return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR, out=out)
 
 
 class PairInput:
-    """Estimator input for (instance, annotator) pairs, without the one-hot.
+    """Estimator input for (instance, annotator) pairs, without gathering or one-hot.
 
-    Row p stands for ``rows[p]`` joined to the one-hot of
-    ``annotator_idx[p]`` over ``n_annotators`` columns, so its width is
-    ``rows.shape[1] + n_annotators``. The first layer applies the
-    annotator part as a row lookup into its weights, and memory stays
-    O(P * h).
+    Pair p stands for the row ``rep[instance_idx[p]]`` joined to the
+    one-hot of ``annotator_idx[p]`` over ``n_annotators`` columns, so its
+    width is ``rep.shape[1] + n_annotators``. ``rep`` is the (N, h)
+    per-instance representation. The first layer multiplies ``rep`` once
+    per instance, then gathers the product per pair and adds the
+    annotator's row of the weights, so memory stays O(N * h + P). Its
+    outputs are feature-major, (width, P), like every activation in this
+    module.
     """
 
-    def __init__(self, rows: np.ndarray, annotator_idx: np.ndarray, n_annotators: int) -> None:
-        rows = np.asarray(rows, dtype=np.float64)
+    def __init__(self, rep: np.ndarray, instance_idx: np.ndarray, annotator_idx: np.ndarray,
+                 n_annotators: int) -> None:
+        rep = np.asarray(rep, dtype=np.float64)
+        instance_idx = np.asarray(instance_idx, dtype=np.intp)
         annotator_idx = np.asarray(annotator_idx, dtype=np.intp)
-        if rows.ndim != 2 or annotator_idx.shape != (len(rows),):
-            raise ValueError(f"rows {rows.shape} and annotator index {annotator_idx.shape} "
-                             "do not pair up")
-        if len(annotator_idx) and not (0 <= annotator_idx.min()
-                                       and annotator_idx.max() < n_annotators):
-            raise ValueError(f"annotator index outside [0, {n_annotators})")
-        self.rows = rows
+        if rep.ndim != 2 or instance_idx.ndim != 1 or annotator_idx.shape != instance_idx.shape:
+            raise ValueError(f"representation {rep.shape}, instance index {instance_idx.shape} "
+                             f"and annotator index {annotator_idx.shape} do not pair up")
+        for name, idx, bound in (("instance", instance_idx, len(rep)),
+                                 ("annotator", annotator_idx, n_annotators)):
+            if len(idx) and not (0 <= idx.min() and idx.max() < bound):
+                raise ValueError(f"{name} index outside [0, {bound})")
+        self.rep = rep
+        self.instance_idx = instance_idx
         self.annotator_idx = annotator_idx
         self.n_annotators = n_annotators
-        self._scatter: dict[int, np.ndarray] = {}
+        self._scatter: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.instance_idx)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.rows), self.rows.shape[1] + self.n_annotators
+        return len(self), self.rep.shape[1] + self.n_annotators
 
-    def first_layer(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """x @ w + b: the rows' product plus each pair's annotator row of w."""
-        h = self.rows.shape[1]
-        z = self.rows @ w[:h]
-        # b folded into the looked-up rows: one (P, width) temporary, added in place
-        z += (w[h:] + b)[self.annotator_idx]
-        return z
+    def _flat_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat positions of entry (c, p) of a (width, P) array in (width, N) and (width, M).
 
-    def weight_grad(self, dz: np.ndarray) -> np.ndarray:
-        """x.T @ dz: the rows' product, then a per-annotator sum of dz."""
-        h, width = self.rows.shape[1], dz.shape[1]
-        # the flat bin index depends only on the annotator ids and the width,
-        # so it is built once per object, not once per backward pass
+        They depend only on the indices and the width, so they are built
+        once per object, not once per pass.
+        """
         index = self._scatter.get(width)
         if index is None:
-            index = (self.annotator_idx[:, None] * width + np.arange(width)).ravel()
+            rows = np.arange(width, dtype=np.intp)[:, None]
+            index = ((rows * len(self.rep) + self.instance_idx).ravel(),
+                     (rows * self.n_annotators + self.annotator_idx).ravel())
             self._scatter[width] = index
+        return index
+
+    def first_layer(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """(x @ w + b).T: the per-instance product gathered per pair, plus each annotator's row."""
+        h, width = self.rep.shape[1], w.shape[1]
+        by_instance, by_annotator = self._flat_index(width)
+        z = (w[:h].T @ self.rep.T).ravel().take(by_instance)
+        # b folded into the looked-up rows
+        z += np.ascontiguousarray((w[h:] + b).T).ravel().take(by_annotator)
+        return z.reshape(width, len(self))
+
+    def weight_grad(self, dz: np.ndarray) -> np.ndarray:
+        """x.T @ dz.T for a (width, P) dz: sums of dz per instance and per annotator."""
+        h, width = self.rep.shape[1], dz.shape[0]
+        by_instance, by_annotator = self._flat_index(width)
+        flat = dz.ravel()
         grad = np.empty((h + self.n_annotators, width), dtype=np.float64)
-        grad[:h] = self.rows.T @ dz
-        grad[h:] = np.bincount(index, weights=dz.ravel(),
-                               minlength=self.n_annotators * width).reshape(-1, width)
+        per_instance = np.bincount(by_instance, weights=flat, minlength=width * len(self.rep))
+        grad[:h] = self.rep.T @ per_instance.reshape(width, len(self.rep)).T
+        grad[h:] = np.bincount(by_annotator, weights=flat, minlength=width * self.n_annotators
+                               ).reshape(width, self.n_annotators).T
         return grad
 
 
 def _forward_cache(params: FnnParams, x):
+    """Feature-major activations (width, B) of both hidden layers and the output probabilities.
+
+    Softmax probabilities are (K, B); the sigmoid head gives (B,).
+    """
     if not isinstance(x, PairInput):
         x = np.asarray(x, dtype=np.float64)
     if len(x.shape) != 2 or x.shape[1] != params.input_dim:
         raise ValueError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
-    w1, b1 = params.weights[0], params.biases[0]
-    h1 = x.first_layer(w1, b1) if isinstance(x, PairInput) else x @ w1 + b1
+    (w1, w2, w3), (b1, b2, b3) = params.weights, params.biases
+    if isinstance(x, PairInput):
+        h1 = x.first_layer(w1, b1)
+    else:
+        h1 = w1.T @ x.T
+        h1 += b1[:, None]
     # ReLU in place: the mask h > 0 equals z > 0, so z need not be kept
     np.maximum(h1, 0.0, out=h1)
-    h2 = h1 @ params.weights[1] + params.biases[1]
+    h2 = w2.T @ h1
+    h2 += b2[:, None]
     np.maximum(h2, 0.0, out=h2)
-    z3 = h2 @ params.weights[2] + params.biases[2]
-    if params.head == "softmax":
-        probs = _softmax(z3)
-    else:
-        probs = _sigmoid(z3[:, 0])
+    z3 = w3.T @ h2
+    z3 += b3[:, None]
+    probs = _softmax(z3) if params.head == "softmax" else _sigmoid(z3[0])
     return x, h1, h2, probs
 
 
@@ -147,10 +184,12 @@ def forward(params: FnnParams, x: np.ndarray | PairInput) -> tuple[np.ndarray, n
     ``x`` is a (B, input_dim) array or a ``PairInput`` of that shape.
 
     Softmax probabilities have shape (B, K); the sigmoid head yields a
-    (B,) vector of Bernoulli success probabilities.
+    (B,) vector of Bernoulli success probabilities. The hidden output is
+    (B, width). Both 2-d outputs are transposed views of feature-major
+    arrays.
     """
     _, _, h2, probs = _forward_cache(params, x)
-    return probs, h2
+    return (probs.T if probs.ndim == 2 else probs), h2.T
 
 
 def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float) -> float:
@@ -180,21 +219,25 @@ def backward(params: FnnParams, x: np.ndarray | PairInput, targets: np.ndarray,
     """
     x, h1, h2, probs = _forward_cache(params, x)
     targets = np.asarray(targets, dtype=np.float64)
-    if params.head == "softmax":
-        dz3 = probs - targets
-    else:
-        dz3 = (probs - targets)[:, None]
-    dz3 = dz3 / normalizer
-    dw3 = h2.T @ dz3
-    db3 = dz3.sum(axis=0)
-    dh2 = dz3 @ params.weights[2].T
-    dz2 = dh2 * (h2 > 0.0)
-    dw2 = h1.T @ dz2
-    db2 = dz2.sum(axis=0)
-    dh1 = dz2 @ params.weights[1].T
-    dz1 = dh1 * (h1 > 0.0)
-    dw1 = x.weight_grad(dz1) if isinstance(x, PairInput) else x.T @ dz1
-    db1 = dz1.sum(axis=0)
+    # each delta overwrites the fresh array of its layer's output once that is
+    # used up, so a pass allocates no (width, B) array beyond the forward's
+    dz3 = probs if params.head == "softmax" else probs[None, :]
+    dz3 -= targets.T
+    dz3 /= normalizer
+    _, w2, w3 = params.weights
+    dw3 = h2 @ dz3.T
+    db3 = dz3.sum(axis=1)
+    active = h2 > 0.0
+    # np.dot, not matmul: numpy's matmul leaves BLAS when the inner dimension is 1
+    dz2 = np.dot(w3, dz3, out=h2)
+    dz2 *= active
+    dw2 = h1 @ dz2.T
+    db2 = dz2.sum(axis=1)
+    active = h1 > 0.0
+    dz1 = np.matmul(w2, dz2, out=h1)
+    dz1 *= active
+    dw1 = x.weight_grad(dz1) if isinstance(x, PairInput) else x.T @ dz1.T
+    db1 = dz1.sum(axis=1)
     return [dw1, db1, dw2, db2, dw3, db3]
 
 
@@ -204,6 +247,7 @@ class AdamState:
 
     One state drives one parameter list; joint updates over several
     networks share a single state (and therefore a single clip norm).
+    ``m`` and ``v`` are flat vectors over the list's arrays, in order.
     """
 
     learning_rate: float = 0.001
@@ -213,34 +257,42 @@ class AdamState:
     clip_norm: float = 5.0
     eps: float = 1e-8
     step_count: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> list[np.ndarray]:
-    """One in-place update: decay, clip by global L2 norm, then biased-corrected Adam."""
+    """One in-place update: decay, clip by global L2 norm, then biased-corrected Adam.
+
+    The list's gradients are updated as one flat vector; each array only
+    receives its slice of the final step.
+    """
     if len(params) != len(grads):
         raise ValueError("parameter/gradient lists differ in length")
+    g = np.concatenate([grad.ravel() for grad in grads])
     if state.weight_decay:
-        grads = [g + state.weight_decay * p for g, p in zip(grads, params)]
-    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+        g += state.weight_decay * np.concatenate([p.ravel() for p in params])
+    total = np.sqrt(g @ g)
     if not np.isfinite(total):  # a non-finite entry, or squares that overflow
         raise FloatingPointError(f"non-finite gradient norm {total}")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+    if state.m is None:
+        state.m = np.zeros_like(g)
+        state.v = np.zeros_like(g)
     if state.clip_norm and total > state.clip_norm:
-        scale = state.clip_norm / total
-        grads = [g * scale for g in grads]
+        g *= state.clip_norm / total
     state.step_count += 1
     c1 = 1.0 - state.beta1 ** state.step_count
     c2 = 1.0 - state.beta2 ** state.step_count
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    step = state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    start = 0
+    for p in params:
+        p -= step[start:start + p.size].reshape(p.shape)
+        start += p.size
     return params
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from crowdrel.data import AnnotationSet
-from crowdrel.neural import FnnParams, forward, soft_ce_loss
+from crowdrel.neural import PROB_FLOOR, AdamState, FnnParams, PairInput, forward, soft_ce_loss
 
 
 def make_annotations(triples: list[tuple[int, int, int]], n_instances: int,
@@ -47,9 +47,75 @@ def annotator_onehot(annotator_idx: np.ndarray, n_annotators: int) -> np.ndarray
 
 
 def dense_pair_input(pairs) -> np.ndarray:
-    """The (P, h + M) matrix a ``PairInput`` stands for: rows joined to a one-hot annotator id."""
-    return np.concatenate([pairs.rows, annotator_onehot(pairs.annotator_idx, pairs.n_annotators)],
-                          axis=1)
+    """The (P, h + M) matrix a ``PairInput`` stands for: each pair's instance row joined to a
+    one-hot annotator id."""
+    return np.concatenate([pairs.rep[pairs.instance_idx],
+                           annotator_onehot(pairs.annotator_idx, pairs.n_annotators)], axis=1)
+
+
+def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def _reference_cache(params: FnnParams, x):
+    x = dense_pair_input(x) if isinstance(x, PairInput) else np.asarray(x, dtype=np.float64)
+    h1 = np.maximum(x @ params.weights[0] + params.biases[0], 0.0)
+    h2 = np.maximum(h1 @ params.weights[1] + params.biases[1], 0.0)
+    z3 = h2 @ params.weights[2] + params.biases[2]
+    if params.head == "softmax":
+        shifted = z3 - z3.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        probs = e / e.sum(axis=1, keepdims=True)
+    else:
+        probs = _reference_sigmoid(z3[:, 0])
+    return x, h1, h2, probs
+
+
+def reference_forward(params: FnnParams, x) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (B, width) forward pass; a ``PairInput`` is expanded to its dense matrix."""
+    _, _, h2, probs = _reference_cache(params, x)
+    return probs, h2
+
+
+def reference_backward(params: FnnParams, x, targets: np.ndarray,
+                       normalizer: float) -> list[np.ndarray]:
+    """Row-major backward pass of the soft cross entropy, in the order of ``params.arrays()``."""
+    x, h1, h2, probs = _reference_cache(params, x)
+    targets = np.asarray(targets, dtype=np.float64)
+    dz3 = (probs - targets) if params.head == "softmax" else (probs - targets)[:, None]
+    dz3 = dz3 / normalizer
+    dz2 = (dz3 @ params.weights[2].T) * (h2 > 0.0)
+    dz1 = (dz2 @ params.weights[1].T) * (h1 > 0.0)
+    return [x.T @ dz1, dz1.sum(axis=0), h1.T @ dz2, dz2.sum(axis=0), h2.T @ dz3, dz3.sum(axis=0)]
+
+
+def reference_adam_step(params: list[np.ndarray], grads: list[np.ndarray],
+                        state: AdamState) -> list[np.ndarray]:
+    """Adam array by array; ``state.m``/``state.v`` hold one moment array per parameter."""
+    if state.weight_decay:
+        grads = [g + state.weight_decay * p for g, p in zip(grads, params)]
+    total = np.sqrt(sum(float((g * g).sum()) for g in grads))
+    if not state.m:
+        state.m = [np.zeros_like(p) for p in params]
+        state.v = [np.zeros_like(p) for p in params]
+    if state.clip_norm and total > state.clip_norm:
+        scale = state.clip_norm / total
+        grads = [g * scale for g in grads]
+    state.step_count += 1
+    c1 = 1.0 - state.beta1 ** state.step_count
+    c2 = 1.0 - state.beta2 ** state.step_count
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    return params
 
 
 def emission_prob(annotated: int, true: int, reliable: int, n_labels: int) -> float:

@@ -114,14 +114,17 @@ def test_criterion_3_gradient_checks():
         analytic = backward(params, x, targets, float(batch))
         numeric = finite_diff_grads(params, x, targets, float(batch))
         worst = max(worst, max_relative_error(analytic, numeric))
-    # the estimator's gathered input: representation rows plus an annotator-row lookup
+    # the estimator's gathered input: per-instance representation rows, gathered per
+    # pair, plus an annotator-row lookup
     for _ in range(50):
         h, m, h1, h2 = (int(rng.integers(1, 5)) for _ in range(4))
         params = init_fnn(h + m, h1, h2, 1, "sigmoid", rng)
         for b in params.biases:
             b[:] = rng.normal(0.0, 0.3, size=b.shape)
         batch = int(rng.integers(1, 8))
-        pairs = PairInput(rng.normal(size=(batch, h)), rng.integers(0, m, size=batch), m)
+        n = (batch + 1) // 2  # fewer instances than pairs: some instance repeats
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=batch),
+                          rng.integers(0, m, size=batch), m)
         targets = rng.uniform(0.05, 0.95, size=batch)
         analytic = backward(params, pairs, targets, float(batch))
         numeric = finite_diff_grads(params, pairs, targets, float(batch))

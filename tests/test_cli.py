@@ -153,6 +153,24 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert "non-finite feature value in instance 'a'" in result.output
 
+    @pytest.mark.parametrize("fmt", ["dense-csv", "text-jsonl"])
+    def test_repeated_instance_id_names_file_and_line(self, runner, tmp_path, fmt):
+        if fmt == "dense-csv":
+            cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\na,0.3,0.4\nb,0.5,0.6\n",
+                                     self.ANNOTATIONS)
+            name, line = "inst.csv", 3
+        else:
+            docs = "".join(json.dumps({"id": i, "text": "some words"}) + "\n" for i in "aab")
+            (tmp_path / "docs.jsonl").write_text(docs)
+            cfg = dense_files_config(tmp_path, "", self.ANNOTATIONS)
+            with open(cfg, "a") as fh:
+                fh.write(f"instances = {tmp_path / 'docs.jsonl'}\ninstances_format = text-jsonl\n"
+                         "featurizer = tfidf\n")
+            name, line = "docs.jsonl", 2
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert f"{name}:{line}: duplicate instance id 'a'" in result.output
+
     @pytest.mark.parametrize("bad_file", ["ann.csv", "gold.csv", "out/predictions.csv"])
     def test_unknown_label_names_file_and_line(self, runner, tmp_path, bad_file):
         cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
@@ -278,6 +296,17 @@ class TestConfigHandling:
         path.write_text("this is not a key value pair\n")
         result = runner.invoke(cli.main, ["simulate", "-c", str(path)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_misspelt_key_names_file_and_line(self, runner, tmp_path, command):
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
+        with open(cfg, "a") as fh:
+            fh.write("max_outter = 1\n")
+        line = len(cfg.read_text().splitlines())
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert f"run.cfg:{line}: unknown config key 'max_outter'" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_file(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")

@@ -218,6 +218,10 @@ class TestRoundTrip:
             st.floats(), min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
         base = tmp_path_factory.mktemp("rt")
         write_instances(base / "x.csv", instances)
+        if len(set(ids)) < len(ids):
+            with pytest.raises(DuplicateError, match="duplicate instance id"):
+                load_instances(base / "x.csv", "dense-csv")
+            return
         loaded = load_instances(base / "x.csv", "dense-csv")
         assert [inst.id for inst in loaded] == ids
         assert all(same_floats(a.features, b.features) for a, b in zip(instances, loaded))
@@ -230,6 +234,10 @@ class TestRoundTrip:
         instances = [Instance(id=i, text=t, text2=t2) for i, t, t2 in docs]
         base = tmp_path_factory.mktemp("rt")
         write_instances_jsonl(base / "x.jsonl", instances)
+        if len({i for i, _, _ in docs}) < len(docs):
+            with pytest.raises(DuplicateError, match="duplicate instance id"):
+                load_instances(base / "x.jsonl", "text-jsonl")
+            return
         loaded = load_instances(base / "x.jsonl", "text-jsonl")
         assert loaded == instances
         write_instances_jsonl(base / "again.jsonl", loaded)

@@ -2,11 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import finite_diff_grads, max_relative_error
+from helpers import (
+    finite_diff_grads,
+    max_relative_error,
+    reference_adam_step,
+    reference_backward,
+    reference_forward,
+)
 from crowdrel.neural import (
+    PROB_FLOOR,
     AdamState,
     PairInput,
+    _sigmoid,
     adam_step,
     backward,
     fnn_from_dict,
@@ -95,14 +105,83 @@ class TestForward:
         assert np.array_equal(first, second)
 
 
+def assert_matches_reference(params, x, targets):
+    for got, want in zip(forward(params, x), reference_forward(params, x)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    got = backward(params, x, targets, 3.0)
+    want = reference_backward(params, x, targets, 3.0)
+    for g, w, arr in zip(got, want, params.arrays()):
+        assert g.shape == w.shape == arr.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestFeatureMajorKernels:
+    """The feature-major kernels against the row-major reference in helpers."""
+
+    @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["softmax", "sigmoid"]),
+           batch=st.integers(1, 9), width=st.integers(1, 6), k=st.integers(2, 4))
+    @example(seed=0, head="softmax", batch=1, width=1, k=2)
+    @example(seed=1, head="sigmoid", batch=1, width=1, k=2)
+    @example(seed=2, head="softmax", batch=7, width=3, k=4)
+    @settings(max_examples=60, deadline=None)
+    def test_dense_input_matches_row_major(self, seed, head, batch, width, k):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 5))
+        params = init_fnn(d, width, int(rng.integers(1, 6)), 1 if head == "sigmoid" else k,
+                          head, rng)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        x = rng.normal(size=(batch, params.input_dim))
+        assert_matches_reference(params, x, random_targets(rng, batch, params))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), n_pairs=st.integers(1, 8),
+           m=st.integers(1, 12), width=st.integers(1, 5),
+           estimator_input=st.sampled_from(["hidden", "feature"]))
+    @example(seed=0, n=2, n_pairs=1, m=1, width=1, estimator_input="hidden")
+    @example(seed=1, n=4, n_pairs=3, m=9, width=2, estimator_input="feature")
+    @example(seed=2, n=3, n_pairs=8, m=1, width=5, estimator_input="hidden")
+    @settings(max_examples=60, deadline=None)
+    def test_pair_input_matches_row_major(self, seed, n, n_pairs, m, width, estimator_input):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, 3))
+        classifier = init_fnn(3, 4, 3, 2, "softmax", rng)
+        # the classifier's hidden output is a transposed view; raw features are row-major
+        rep = forward(classifier, x)[1] if estimator_input == "hidden" else x
+        # the last instance is never used, and with two or more pairs one repeats
+        instance_idx = rng.integers(0, n - 1, size=n_pairs)
+        instance_idx[-1] = instance_idx[0]
+        pairs = PairInput(rep, instance_idx, rng.integers(0, m, size=n_pairs), m)
+        params = init_fnn(rep.shape[1] + m, width, int(rng.integers(1, 5)), 1, "sigmoid", rng)
+        for b in params.biases:
+            b[:] = rng.normal(0.0, 0.3, size=b.shape)
+        assert_matches_reference(params, pairs, rng.uniform(0.05, 0.95, size=n_pairs))
+
+
+class TestSigmoid:
+    def test_exact_in_both_tails(self):
+        z = np.array([-745.0, -40.0, -20.0, 0.0, 20.0, 40.0, 745.0])
+        got = _sigmoid(z.copy())
+        assert np.all(got > 0.0) and np.all(got < 1.0)
+        for value, out in zip(z, got):
+            e = math.exp(-abs(value))
+            want = 1.0 / (1.0 + e) if value >= 0 else e / (1.0 + e)
+            if PROB_FLOOR < want < 1.0 - PROB_FLOOR:
+                assert abs(out - want) <= 1e-15 * want, value
+            else:
+                assert out == min(max(want, PROB_FLOOR), 1.0 - PROB_FLOOR), value
+
+
 class TestPairInput:
     def test_mismatched_pair_input_is_a_value_error(self):
         rng = np.random.default_rng(3)
         params = init_fnn(2 + 3, 4, 4, 1, "sigmoid", rng)
-        rows = rng.normal(size=(4, 2))
+        rep = rng.normal(size=(3, 2))
+        instances = [0, 1, 2, 1]
         targets = rng.uniform(size=4)
         # h + M differs from the network's input width
-        for pairs in (PairInput(rows, [0, 1, 2, 3], 4), PairInput(rows[:, :1], [0, 1, 2, 0], 3)):
+        for pairs in (PairInput(rep, instances, [0, 1, 2, 3], 4),
+                      PairInput(rep[:, :1], instances, [0, 1, 2, 0], 3)):
             with pytest.raises(ValueError, match="does not match input_dim"):
                 forward(params, pairs)
             with pytest.raises(ValueError, match="does not match input_dim"):
@@ -110,9 +189,13 @@ class TestPairInput:
         # an index outside [0, M) would raise IndexError or read another annotator's row
         for idx in ([0, 1, 3, 0], [0, -1, 2, 0]):
             with pytest.raises(ValueError, match="annotator index"):
-                forward(params, PairInput(rows, idx, 3))
+                forward(params, PairInput(rep, instances, idx, 3))
+        # likewise an index outside [0, N) for the instance's representation row
+        for idx in ([0, 1, 3, 0], [0, -1, 2, 0]):
+            with pytest.raises(ValueError, match="instance index"):
+                forward(params, PairInput(rep, idx, [0, 1, 2, 0], 3))
         with pytest.raises(ValueError):
-            PairInput(rows, [0, 1, 2], 3)
+            PairInput(rep, instances, [0, 1, 2], 3)
 
 
 class TestSoftCeLoss:
@@ -181,7 +264,7 @@ class TestAdam:
         params = [np.zeros(2)]
         state = AdamState(weight_decay=0.0, clip_norm=5.0)
         adam_step(params, [np.array([6.0, 8.0])], state)  # norm 10 -> halved
-        np.testing.assert_allclose(state.m[0], 0.1 * np.array([3.0, 4.0]), atol=1e-12)
+        np.testing.assert_allclose(state.m, 0.1 * np.array([3.0, 4.0]), atol=1e-12)
 
     def test_single_scalar_closed_form(self):
         theta0, grad = 1.5, 0.3
@@ -193,6 +276,30 @@ class TestAdam:
         v_hat = (1 - state.beta2) * g * g / (1 - state.beta2)
         expected = theta0 - state.learning_rate * m_hat / (math.sqrt(v_hat) + state.eps)
         assert params[0][0] == pytest.approx(expected, abs=1e-15)
+
+    def test_flat_update_matches_per_array_reference(self):
+        rng = np.random.default_rng(17)
+        shapes = [(4, 3), (3,), (3, 1), (1,)]
+        params = [rng.normal(size=shape) for shape in shapes]
+        expected = [p.copy() for p in params]
+        state = AdamState(learning_rate=0.01, weight_decay=0.05, clip_norm=2.0)
+        reference = AdamState(learning_rate=0.01, weight_decay=0.05, clip_norm=2.0)
+        clipped = 0
+        for step in range(150):
+            # every third step's gradient is far above the clip norm
+            scale = 5.0 if step % 3 == 0 else 0.2
+            grads = [scale * rng.normal(size=shape) for shape in shapes]
+            decayed = [g + 0.05 * p for g, p in zip(grads, params)]
+            clipped += np.sqrt(sum(float((g * g).sum()) for g in decayed)) > 2.0
+            adam_step(params, grads, state)
+            reference_adam_step(expected, grads, reference)
+            for got, want in zip(params, expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+        assert 40 <= clipped < 150
+        np.testing.assert_allclose(state.m, np.concatenate([m.ravel() for m in reference.m]),
+                                   rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(state.v, np.concatenate([v.ravel() for v in reference.v]),
+                                   rtol=1e-12, atol=1e-14)
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(FloatingPointError):
