@@ -46,7 +46,8 @@ def fit_tfidf(corpus: list[str]) -> Vocabulary:
     index: dict[str, int] = {}
     df: list[int] = []
     for text in corpus:
-        for tok in set(tokenize(text)):
+        # dict.fromkeys, not set: a set's order depends on PYTHONHASHSEED
+        for tok in dict.fromkeys(tokenize(text)):
             pos = index.get(tok)
             if pos is None:
                 index[tok] = len(df)

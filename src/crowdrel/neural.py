@@ -11,6 +11,15 @@ kernels keep activations feature-major, as (width, B): every product is
 ``W.T @ Z`` or ``W @ dZ`` over long contiguous rows, and every bias
 gradient sums a contiguous row. ``forward`` and ``backward`` still take
 and return batch-major arrays; the outputs are transposed views.
+
+A ``PairInput`` owns the workspace of the estimator's pair pass: both
+hidden layers and their ReLU masks are written into (width, P) buffers
+that the input creates on its first pass at a width and reuses on every
+later one, so memory is O(N * h + width * P) and a training step
+allocates no (width, P) array. ``forward`` hands the second layer's
+buffer over as its hidden output, so no result is overwritten later.
+One ``PairInput`` must not be shared across threads. A dense input gets
+fresh arrays on every pass.
 """
 
 from __future__ import annotations
@@ -86,9 +95,15 @@ class PairInput:
     width is ``rep.shape[1] + n_annotators``. ``rep`` is the (N, h)
     per-instance representation. The first layer multiplies ``rep`` once
     per instance, then gathers the product per pair and adds the
-    annotator's row of the weights, so memory stays O(N * h + P). Its
-    outputs are feature-major, (width, P), like every activation in this
-    module.
+    annotator's row of the weights. Its outputs are feature-major,
+    (width, P), like every activation in this module.
+
+    The input owns the pass's workspace: the hidden layers and their ReLU
+    masks live in (width, P) buffers made on first use at a width and
+    overwritten by every later pass, so memory is O(N * h + width * P).
+    ``first_layer`` returns such a buffer, and ``release`` stops the reuse
+    of one that a caller keeps. One ``PairInput`` must not be shared
+    across threads.
     """
 
     def __init__(self, rep: np.ndarray, instance_idx: np.ndarray, annotator_idx: np.ndarray,
@@ -108,6 +123,7 @@ class PairInput:
         self.annotator_idx = annotator_idx
         self.n_annotators = n_annotators
         self._scatter: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._work: dict[tuple[str, int], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.instance_idx)
@@ -130,14 +146,36 @@ class PairInput:
             self._scatter[width] = index
         return index
 
+    def workspace(self, name: str, width: int, dtype=np.float64) -> np.ndarray:
+        """The (width, P) buffer ``name``: made on the first request, the same array after."""
+        buf = self._work.get((name, width))
+        if buf is None:
+            buf = self._work[name, width] = np.empty((width, len(self)), dtype=dtype)
+        return buf
+
+    def release(self, buf: np.ndarray) -> None:
+        """Hand ``buf`` over to the caller: the next pass makes a new buffer in its place."""
+        self._work = {key: held for key, held in self._work.items() if held is not buf}
+
     def first_layer(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(x @ w + b).T: the per-instance product gathered per pair, plus each annotator's row."""
+        """(x @ w + b).T: the per-instance product gathered per pair, plus each annotator's row.
+
+        The result is the "layer1" buffer, overwritten by the next pass.
+        """
         h, width = self.rep.shape[1], w.shape[1]
         by_instance, by_annotator = self._flat_index(width)
-        z = (w[:h].T @ self.rep.T).ravel().take(by_instance)
-        # b folded into the looked-up rows
-        z += np.ascontiguousarray((w[h:] + b).T).ravel().take(by_annotator)
-        return z.reshape(width, len(self))
+        z = self.workspace("layer1", width)
+        # mode="clip" writes straight into out (the default buffers it); the
+        # indices were range-checked in __init__, so nothing is clipped
+        np.take((w[:h].T @ self.rep.T).ravel(), by_instance, out=z.reshape(-1), mode="clip")
+        # b folded into the looked-up rows, gathered as scratch into the second
+        # layer's buffer of this width (the layer-2 product's own when the two
+        # layers are equally wide, as in every model here)
+        rows = self.workspace("layer2", width)
+        np.take(np.ascontiguousarray((w[h:] + b).T).ravel(), by_annotator,
+                out=rows.reshape(-1), mode="clip")
+        z += rows
+        return z
 
     def weight_grad(self, dz: np.ndarray) -> np.ndarray:
         """x.T @ dz.T for a (width, P) dz: sums of dz per instance and per annotator."""
@@ -152,10 +190,16 @@ class PairInput:
         return grad
 
 
+def _workspace(x, name: str, width: int, dtype=np.float64) -> np.ndarray | None:
+    """A ``PairInput``'s reusable (width, P) buffer; None, so a fresh array, for a dense input."""
+    return x.workspace(name, width, dtype) if isinstance(x, PairInput) else None
+
+
 def _forward_cache(params: FnnParams, x):
     """Feature-major activations (width, B) of both hidden layers and the output probabilities.
 
-    Softmax probabilities are (K, B); the sigmoid head gives (B,).
+    Softmax probabilities are (K, B); the sigmoid head gives (B,). For a
+    ``PairInput`` both hidden layers are its buffers.
     """
     if not isinstance(x, PairInput):
         x = np.asarray(x, dtype=np.float64)
@@ -169,7 +213,7 @@ def _forward_cache(params: FnnParams, x):
         h1 += b1[:, None]
     # ReLU in place: the mask h > 0 equals z > 0, so z need not be kept
     np.maximum(h1, 0.0, out=h1)
-    h2 = w2.T @ h1
+    h2 = np.matmul(w2.T, h1, out=_workspace(x, "layer2", w2.shape[1]))
     h2 += b2[:, None]
     np.maximum(h2, 0.0, out=h2)
     z3 = w3.T @ h2
@@ -186,9 +230,13 @@ def forward(params: FnnParams, x: np.ndarray | PairInput) -> tuple[np.ndarray, n
     Softmax probabilities have shape (B, K); the sigmoid head yields a
     (B,) vector of Bernoulli success probabilities. The hidden output is
     (B, width). Both 2-d outputs are transposed views of feature-major
-    arrays.
+    arrays; neither is a buffer that a later pass overwrites. A
+    ``PairInput`` hands its second-layer buffer over as the hidden output
+    and makes a new one on its next pass.
     """
-    _, _, h2, probs = _forward_cache(params, x)
+    x, _, h2, probs = _forward_cache(params, x)
+    if isinstance(x, PairInput):
+        x.release(h2)
     return (probs.T if probs.ndim == 2 else probs), h2.T
 
 
@@ -219,21 +267,24 @@ def backward(params: FnnParams, x: np.ndarray | PairInput, targets: np.ndarray,
     """
     x, h1, h2, probs = _forward_cache(params, x)
     targets = np.asarray(targets, dtype=np.float64)
-    # each delta overwrites the fresh array of its layer's output once that is
-    # used up, so a pass allocates no (width, B) array beyond the forward's
+    # each delta overwrites its layer's output once that is used up, so a pass
+    # allocates no (width, B) float array beyond the forward's, and nothing of
+    # that size for a PairInput past its first pass
     dz3 = probs if params.head == "softmax" else probs[None, :]
     dz3 -= targets.T
     dz3 /= normalizer
     _, w2, w3 = params.weights
     dw3 = h2 @ dz3.T
     db3 = dz3.sum(axis=1)
-    active = h2 > 0.0
+    # one mask buffer per width serves both layers: the second's is used up
+    # before the first's is written
+    active = np.greater(h2, 0.0, out=_workspace(x, "mask", h2.shape[0], bool))
     # np.dot, not matmul: numpy's matmul leaves BLAS when the inner dimension is 1
     dz2 = np.dot(w3, dz3, out=h2)
     dz2 *= active
     dw2 = h1 @ dz2.T
     db2 = dz2.sum(axis=1)
-    active = h1 > 0.0
+    active = np.greater(h1, 0.0, out=_workspace(x, "mask", h1.shape[0], bool))
     dz1 = np.matmul(w2, dz2, out=h1)
     dz1 *= active
     dw1 = x.weight_grad(dz1) if isinstance(x, PairInput) else x.T @ dz1.T

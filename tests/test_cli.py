@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import crowdrel
 from crowdrel import cli
 from crowdrel.data import LabelSet, feature_matrix, load_annotations, load_instances
 from crowdrel.model import load_model, pretrain
@@ -22,6 +27,8 @@ def write_config(path: Path, **items) -> Path:
     path.write_text("\n".join(lines) + "\n")
     return path
 
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE = dict(dataset="moon", n=400, panel="default", seed=3, mode="ce-jt",
             pretrain="ds", max_outer=8)
@@ -51,6 +58,17 @@ class TestSimulateCommand:
             assert runner.invoke(cli.main, ["simulate", "-c", str(cfg)]).exit_code == 0
         for name in ("instances.csv", "gold.csv", "annotations.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_readme_walkthrough_config_runs(self, runner, tmp_path):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        body = re.search(r"cat > moon\.cfg <<'EOF'\n(.*?)\nEOF\n", readme, re.S).group(1)
+        body, swapped = re.subn(r"(?m)^out_dir = .*$", f"out_dir = {tmp_path / 'out'}", body)
+        assert swapped == 1
+        cfg = tmp_path / "moon.cfg"
+        cfg.write_text(body + "\n")
+        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert len(load_instances(tmp_path / "out" / "instances.csv", "dense-csv")) == 1000
 
     def test_missing_panel_is_a_validation_error(self, runner, tmp_path):
         items = {k: v for k, v in BASE.items() if k != "panel"}
@@ -252,6 +270,37 @@ class TestFilesDataset:
         metrics = read_metrics(out)
         assert metrics["f1_micro"] > 0.6
         assert "fleiss_kappa" in metrics
+
+    def test_tfidf_training_does_not_depend_on_hash_seed(self, tmp_path):
+        from crowdrel.data import write_annotations, write_instances_jsonl
+        from crowdrel.simulate import default_panel, gen_text_fixture, simulate_annotations
+
+        instances, gold = gen_text_fixture(40, 3, seed=4)
+        ann = simulate_annotations(gold, 3, default_panel(3), seed=4,
+                                   instance_ids=[inst.id for inst in instances])
+        write_instances_jsonl(tmp_path / "docs.jsonl", instances)
+        write_annotations(tmp_path / "ann.csv", ann, LabelSet(("0", "1", "2")))
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "text.cfg",
+            dataset="files", labels="0,1,2",
+            instances=tmp_path / "docs.jsonl", instances_format="text-jsonl",
+            annotations=tmp_path / "ann.csv",
+            featurizer="tfidf", classifier_hidden=4, estimator_hidden=4,
+            mode="em", pretrain="mv", pretrain_epochs=5, max_outer=1, inner_iters=2, seed=1,
+            out_dir=out,
+        )
+        # set iteration order, and with it any order built from a set, follows the hash seed
+        src = str(Path(crowdrel.__file__).resolve().parent.parent)
+        models = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-m", "crowdrel.cli", "train", "-c", str(cfg)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
 
     @pytest.mark.parametrize("bad_row, message", [
         ("bogus,a0,0.5", "unknown instance id 'bogus'"),

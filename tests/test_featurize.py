@@ -37,6 +37,15 @@ class TestFitTfidf:
         with pytest.raises(ValueError):
             fit_tfidf(["", "?!"])
 
+    def test_index_follows_first_occurrence(self):
+        words = ("river delta flood plain sediment basin tide estuary marsh reed "
+                 "heron willow current bank ford meander oxbow silt levee channel").split()
+        # repeats inside the document must not move a token's column
+        text = " ".join(words[:10] + words[2:7] + words[10:] + words[::3])
+        vocab = fit_tfidf([text, "channel weir river"])
+        assert vocab.index == {w: n for n, w in enumerate(words + ["weir"])}
+        assert vocab.doc_freq.tolist() == [2] + [1] * 18 + [2, 1]
+
     def test_tokenizer_lowercases_and_splits(self):
         assert tokenize("Where is the Orinoco?") == ["where", "is", "the", "orinoco"]
         assert tokenize("a-b  c3") == ["a", "b", "c3"]

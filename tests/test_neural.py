@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,59 @@ class TestPairInput:
                 forward(params, PairInput(rep, idx, [0, 1, 2, 0], 3))
         with pytest.raises(ValueError):
             PairInput(rep, instances, [0, 1, 2], 3)
+
+
+class TestPairInputBuffers:
+    """A PairInput reuses its (width, P) buffers from one pass to the next."""
+
+    @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["softmax", "sigmoid"]),
+           n_pairs=st.integers(1, 8), m=st.integers(1, 5),
+           widths=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+                           max_size=5))
+    @example(seed=0, head="sigmoid", n_pairs=5, m=3, widths=[(3, 3), (2, 3), (3, 3), (3, 2)])
+    @example(seed=1, head="softmax", n_pairs=1, m=1, widths=[(1, 1), (1, 1)])
+    @settings(max_examples=60, deadline=None)
+    def test_reused_buffers_are_never_stale_or_aliased(self, seed, head, n_pairs, m, widths):
+        rng = np.random.default_rng(seed)
+        n, h = 4, 3
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
+                          rng.integers(0, m, size=n_pairs), m)
+        k = 1 if head == "sigmoid" else 3
+        outputs = []
+        for width1, width2 in widths:
+            params = init_fnn(h + m, width1, width2, k, head, rng)
+            for _ in range(2):
+                for arr in params.arrays():
+                    arr += rng.normal(0.0, 0.3, size=arr.shape)
+                targets = random_targets(rng, n_pairs, params)
+                got = backward(params, pairs, targets, 3.0)
+                want = reference_backward(params, pairs, targets, 3.0)
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+                probs, hidden = forward(params, pairs)
+                for g, w in zip((probs, hidden), reference_forward(params, pairs)):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+                outputs.append((probs, hidden, probs.copy(), hidden.copy()))
+        # later passes overwrite the buffers, never what forward returned
+        for probs, hidden, probs_then, hidden_then in outputs:
+            assert np.array_equal(probs, probs_then) and np.array_equal(hidden, hidden_then)
+
+    def test_repeat_backward_allocates_no_activation(self):
+        rng = np.random.default_rng(0)
+        n, n_pairs, h, width, m = 500, 3000, 100, 100, 3
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
+                          rng.integers(0, m, size=n_pairs), m)
+        params = init_fnn(h + m, width, width, 1, "sigmoid", rng)
+        targets = rng.uniform(size=n_pairs)
+        backward(params, pairs, targets, float(n_pairs))
+        tracemalloc.start()
+        try:
+            backward(params, pairs, targets, float(n_pairs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (width, P) float64 array is 2.4 MB
+        assert peak < width * n_pairs * 8
 
 
 class TestSoftCeLoss:
