@@ -41,10 +41,8 @@ from .model import (
     load_model,
     posterior_from_priors,
     posterior_table,
-    predict_labels,
     pretrain,
     q_objective,
-    reliability_scores,
     save_model,
     train,
 )

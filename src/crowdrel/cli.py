@@ -115,14 +115,17 @@ def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
     for part in value.split(","):
         part = part.strip()
         kind, _, arg = part.partition(":")
-        if kind == "narrow":
-            profiles.append(simulate.AnnotatorProfile("narrow", domain=int(arg)))
-        elif kind == "graded":
-            profiles.append(simulate.AnnotatorProfile("graded", error_prob=float(arg)))
-        elif kind in ("broad", "random", "adversarial"):
-            profiles.append(simulate.AnnotatorProfile(kind))
-        else:
-            raise ConfigError(f"unknown panel entry {part!r}")
+        try:
+            if kind == "narrow":
+                profiles.append(simulate.AnnotatorProfile("narrow", domain=int(arg)))
+            elif kind == "graded":
+                profiles.append(simulate.AnnotatorProfile("graded", error_prob=float(arg)))
+            elif kind in ("broad", "random", "adversarial"):
+                profiles.append(simulate.AnnotatorProfile(kind))
+            else:
+                raise ValueError("unknown annotator kind")
+        except ValueError as exc:
+            raise ConfigError(f"panel entry {part!r}: {exc}") from None
     return profiles
 
 
@@ -137,7 +140,7 @@ def _merge(cfg_path: str | None, overrides: dict[str, str | None]) -> dict[str, 
 def _label_set(cfg: dict[str, str]) -> data.LabelSet:
     kind = _get(cfg, "dataset", "moon")
     if kind in simulate.DATASET_KINDS:
-        k = 3 if kind == "three-class" else 2
+        k, _ = simulate.DATASET_KINDS[kind]
         return data.LabelSet(tuple(str(c) for c in range(k)))
     return data.LabelSet(tuple(s.strip() for s in _get(cfg, "labels").split(",")))
 
@@ -224,19 +227,21 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
         kind = _get(cfg, "dataset", "moon")
         if kind not in simulate.DATASET_KINDS:
             raise ConfigError(f"simulate needs a generated dataset kind, got {kind!r}")
-        out = _resolve_out_dir(cfg, out_dir)
         seed_v = _get(cfg, "seed", 0, int)
-        noise_v = cfg.get("noise")
-        instances, gold = simulate.gen_2d(kind, _get(cfg, "n", 1000, int),
-                                          None if noise_v is None else float(noise_v), seed_v)
+        n_v = _get(cfg, "n", 1000, int)
+        noise_v = _get(cfg, "noise", cast=float) if "noise" in cfg else None
+        keep_prob_v = _get(cfg, "keep_prob", 1.0, float)
         label_set = _label_set(cfg)
         profiles = _parse_panel(_get(cfg, "panel"), len(label_set))
-        annotations = simulate.simulate_annotations(
-            gold, len(label_set), profiles, seed_v,
-            instance_ids=[inst.id for inst in instances],
-            keep_prob=_get(cfg, "keep_prob", 1.0, float),
-        )
+        try:  # the generators raise ValueError only for out-of-range arguments
+            instances, gold = simulate.gen_2d(kind, n_v, noise_v, seed_v)
+            annotations = simulate.simulate_annotations(
+                gold, len(label_set), profiles, seed_v,
+                instance_ids=[inst.id for inst in instances], keep_prob=keep_prob_v)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         _validate(instances, annotations, gold)
+        out = _resolve_out_dir(cfg, out_dir)
         data.write_instances(out / "instances.csv", instances)
         data.write_gold(out / "gold.csv", gold, label_set, [i.id for i in instances])
         data.write_annotations(out / "annotations.csv", annotations, label_set)

@@ -79,10 +79,21 @@ class TrainConfig:
             raise ValueError(f"pretrain_source must be one of {PRETRAIN_SOURCES}")
         if self.estimator_input not in ESTIMATOR_INPUTS:
             raise ValueError(f"estimator_input must be one of {ESTIMATOR_INPUTS}")
-        if self.inner_iters < 1:
-            raise ValueError("inner_iters must be >= 1")
-        if self.early_stop_tol <= 0:
-            raise ValueError("early_stop_tol must be positive")
+        for name, ok, rule in (
+                ("inner_iters", self.inner_iters >= 1, ">= 1"),
+                ("max_outer", self.max_outer is None or self.max_outer >= 0, ">= 0"),
+                ("pretrain_epochs", self.pretrain_epochs >= 0, ">= 0"),
+                ("classifier_hidden", self.classifier_hidden >= 1, ">= 1"),
+                ("estimator_hidden", self.estimator_hidden >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("early_stop_tol", self.early_stop_tol > 0, "positive"),
+                ("learning_rate", 0 < self.learning_rate < np.inf, "finite and positive"),
+                ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0 (0 is off)"),
+                ("clip_norm", 0 <= self.clip_norm < np.inf, "finite and >= 0 (0 is off)"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def resolved_max_outer(self) -> int:
         if self.max_outer is not None:
@@ -182,21 +193,21 @@ def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet
 def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
     """One forward pass of each network under the current parameters.
 
-    Returns the label prior (N, K), what the estimator sees per instance
-    (raw features or the classifier's hidden output), the estimator's
-    pair inputs built from it and the reliability prior (P,).
+    Returns the label prior (N, K), the estimator's pair inputs (built
+    from the raw features or the classifier's hidden output) and the
+    reliability prior (P,).
     """
     label_prior, hidden = forward(state.classifier, features)
     rep = np.asarray(features, dtype=np.float64) if state.estimator_input == "feature" else hidden
     pair_x = estimator_pair_inputs(rep, annotations)
     reliability_prior, _ = forward(state.estimator, pair_x)
-    return label_prior, rep, pair_x, reliability_prior
+    return label_prior, pair_x, reliability_prior
 
 
 def e_step(state: ModelState, features: np.ndarray,
            annotations: AnnotationSet) -> JointPosterior:
     """Posteriors under the current networks (the fixed-parameter inference step)."""
-    label_prior, _, _, reliability_prior = _priors(state, features, annotations)
+    label_prior, _, reliability_prior = _priors(state, features, annotations)
     return posterior_from_priors(label_prior, reliability_prior, annotations)
 
 
@@ -210,14 +221,12 @@ def _adam_from_config(config: TrainConfig) -> AdamState:
     )
 
 
-def _fit_full_batch(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
-                    epochs: int, config: TrainConfig) -> None:
-    opt = _adam_from_config(config)
-    normalizer = float(len(inputs))
+def _fit(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
+         normalizer: float, steps: int, opt: AdamState) -> None:
+    """``steps`` full-batch Adam steps of one network against fixed targets."""
     arrays = params.arrays()
-    for _ in range(epochs):
-        grads = backward(params, inputs, targets, normalizer)
-        adam_step(arrays, grads, opt)
+    for _ in range(steps):
+        adam_step(arrays, backward(params, inputs, targets, normalizer), opt)
 
 
 def pretrain_labels(annotations: AnnotationSet, n_labels: int, source: str) -> np.ndarray:
@@ -244,7 +253,8 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     labels = pretrain_labels(annotations, k, config.pretrain_source)
     onehot_targets = np.zeros((len(features), k), dtype=np.float64)
     onehot_targets[np.arange(len(features)), labels] = 1.0
-    _fit_full_batch(classifier, features, onehot_targets, config.pretrain_epochs, config)
+    _fit(classifier, features, onehot_targets, float(len(features)), config.pretrain_epochs,
+         _adam_from_config(config))
 
     if config.estimator_input == "feature":
         rep = features
@@ -257,8 +267,8 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
                        n_labels=k, n_annotators=m,
                        estimator_input=config.estimator_input)
     agreement = (annotations.label_idx == labels[annotations.instance_idx]).astype(np.float64)
-    _fit_full_batch(estimator, estimator_pair_inputs(rep, annotations),
-                    agreement, config.pretrain_epochs, config)
+    _fit(estimator, estimator_pair_inputs(rep, annotations), agreement,
+         float(annotations.n_pairs), config.pretrain_epochs, _adam_from_config(config))
     return state
 
 
@@ -270,12 +280,9 @@ def q_objective(label_prior: np.ndarray, reliability_prior: np.ndarray,
     carry none) but is included so monotonicity checks see the full value.
     """
     rel = posteriors.reliability_posterior
-    term_t = float((posteriors.label_posterior
-                    * np.log(np.maximum(label_prior, PROB_FLOOR))).sum())
-    term_r = float((rel * np.log(np.maximum(reliability_prior, PROB_FLOOR))
-                    + (1.0 - rel) * np.log(np.maximum(1.0 - reliability_prior, PROB_FLOOR))).sum())
     term_a = float(-np.log(label_prior.shape[1]) * (1.0 - rel).sum())
-    return term_t + term_r + term_a
+    return (-soft_ce_loss(label_prior, posteriors.label_posterior, 1.0)
+            - soft_ce_loss(reliability_prior, rel, 1.0) + term_a)
 
 
 def ce_losses(label_prior: np.ndarray, reliability_prior: np.ndarray,
@@ -327,7 +334,7 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     """
     features = np.asarray(features, dtype=np.float64)
     state = pretrain(features, annotations, config)
-    label_prior, _, pair_x, rel_prior = _priors(state, features, annotations)
+    label_prior, pair_x, rel_prior = _priors(state, features, annotations)
     post = posterior_from_priors(label_prior, rel_prior, annotations)
     trace: list[TraceRow] = []
     has_gold = gold is not None and bool(np.any(np.asarray(gold) >= 0))
@@ -337,11 +344,10 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     # EM steps on Q per instance and annotation, so weight decay and
     # clipping act alike at every dataset size; CE steps on per-network means
     norm_t, norm_r = (n + n_pairs, n + n_pairs) if config.mode == "em" else (n, n_pairs)
-    clf_arrays = state.classifier.arrays()
-    est_arrays = state.estimator.arrays()
     if config.mode == "ce-alt":
         opt_t, opt_r = _adam_from_config(config), _adam_from_config(config)
     else:
+        joint_arrays = state.classifier.arrays() + state.estimator.arrays()
         opt_joint = _adam_from_config(config)
 
     def objective(clf_probs: np.ndarray, est_probs: np.ndarray, post: JointPosterior) -> float:
@@ -356,22 +362,19 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
         rel_targets = post.reliability_posterior
         start = objective(label_prior, rel_prior, post)
         if config.mode == "ce-alt":
-            for _ in range(config.inner_iters):
-                adam_step(est_arrays, backward(state.estimator, pair_x, rel_targets, norm_r), opt_r)
-            for _ in range(config.inner_iters):
-                adam_step(clf_arrays, backward(state.classifier, features, label_targets, norm_t),
-                          opt_t)
+            _fit(state.estimator, pair_x, rel_targets, norm_r, config.inner_iters, opt_r)
+            _fit(state.classifier, features, label_targets, norm_t, config.inner_iters, opt_t)
         else:
             for _ in range(config.inner_iters):
                 grads = (backward(state.classifier, features, label_targets, norm_t)
                          + backward(state.estimator, pair_x, rel_targets, norm_r))
-                adam_step(clf_arrays + est_arrays, grads, opt_joint)
+                adam_step(joint_arrays, grads, opt_joint)
 
         # the end objective scores the estimator on the frozen inputs; they
         # are dropped before the next pass builds their replacement
         est_probs = forward(state.estimator, pair_x)[0]
         del pair_x
-        label_prior, _, pair_x, rel_prior = _priors(state, features, annotations)
+        label_prior, pair_x, rel_prior = _priors(state, features, annotations)
         end = objective(label_prior, est_probs, post)
         post = posterior_from_priors(label_prior, rel_prior, annotations)
 
@@ -390,6 +393,7 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     return TrainResult(state=state, posterior=post, trace=trace)
 
 
+# kept only because perfbench/child.py traces it by name
 def predict_labels(state: ModelState, features: np.ndarray,
                    annotations: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
     """Most probable label per instance under the annotation-informed posterior.
@@ -400,28 +404,11 @@ def predict_labels(state: ModelState, features: np.ndarray,
     return post.label_posterior.argmax(axis=1), post.label_posterior
 
 
-@dataclass
-class ReliabilityScores:
-    """Posterior reliability per observed pair, plus the estimator's priors.
-
-    ``posterior`` aligns with the annotation triples. ``prior`` is the
-    (N, M) matrix of estimator outputs for every pair, observed or not,
-    for prediction-time use.
-    """
-
-    posterior: np.ndarray
-    prior: np.ndarray
-
-
+# kept only because perfbench/child.py traces it by name
 def reliability_scores(state: ModelState, features: np.ndarray,
-                       annotations: AnnotationSet) -> ReliabilityScores:
-    label_prior, rep, _, rel_prior = _priors(state, features, annotations)
-    post = posterior_from_priors(label_prior, rel_prior, annotations)
-    n, m = len(features), annotations.n_annotators
-    prior = np.empty((n, m), dtype=np.float64)
-    for j in range(m):
-        prior[:, j] = forward(state.estimator, PairInput(rep, np.arange(n), np.full(n, j), m))[0]
-    return ReliabilityScores(posterior=post.reliability_posterior, prior=prior)
+                       annotations: AnnotationSet) -> np.ndarray:
+    """Posterior reliability per observed pair: ``e_step(...).reliability_posterior``."""
+    return e_step(state, features, annotations).reliability_posterior
 
 
 def save_model(path: str | Path, state: ModelState, label_set: LabelSet,

@@ -13,8 +13,8 @@ import numpy as np
 
 from .data import AnnotationSet, GoldLabels, Instance
 
-DATASET_KINDS = ("moon", "circle", "three-class")
-DEFAULT_NOISE = {"moon": 0.1, "circle": 0.08, "three-class": 0.5}
+# generated dataset kind -> (label count, default noise)
+DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
 
 BROAD_ERROR = 0.05
 NARROW_OFF_DOMAIN_CORRECT = 0.65
@@ -84,11 +84,13 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
     lowest class indices: 1000 points give 500/500 or 334/333/333).
     """
     if kind not in DATASET_KINDS:
-        raise ValueError(f"dataset kind must be one of {DATASET_KINDS}")
-    k = 3 if kind == "three-class" else 2
+        raise ValueError(f"dataset kind must be one of {tuple(DATASET_KINDS)}")
+    k, default_noise = DATASET_KINDS[kind]
     if n < k:
-        raise ValueError(f"need at least {k} points for {kind}")
-    sigma = DEFAULT_NOISE[kind] if noise is None else noise
+        raise ValueError(f"n must be at least {k} for {kind}, got {n}")
+    if noise is not None and not 0.0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    sigma = default_noise if noise is None else noise
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = _class_counts(n, k)
 
@@ -151,6 +153,12 @@ def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
     """
     if not profiles:
         raise ValueError("need at least one annotator profile")
+    for j, profile in enumerate(profiles):
+        if profile.kind == "narrow" and profile.domain >= n_labels:
+            raise ValueError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
+                             f"is not one of the {n_labels} labels")
+    if not 0.0 <= keep_prob <= 1.0:
+        raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
     truth = gold.to_array(len(gold)) if isinstance(gold, GoldLabels) else np.asarray(gold)
     if np.any(truth < 0):
         raise ValueError("simulation needs a gold label for every instance")

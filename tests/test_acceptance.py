@@ -35,8 +35,6 @@ from crowdrel.model import (
     TrainConfig,
     posterior_from_priors,
     posterior_table,
-    predict_labels,
-    reliability_scores,
     train,
 )
 from crowdrel.neural import PairInput, backward, init_fnn
@@ -164,9 +162,10 @@ def trained_2d():
                                        instance_ids=[inst.id for inst in instances])
             x = feature_matrix(instances)
             result = train(x, ann, TrainConfig(mode="ce-jt", pretrain_source="ds", seed=seed))
-            pred, _ = predict_labels(result.state, x, ann)
+            pred = result.posterior.label_posterior.argmax(axis=1)
             runs[(kind, seed)] = {
-                "x": x, "ann": ann, "gold": gold, "state": result.state,
+                "x": x, "ann": ann, "gold": gold,
+                "reliability": result.posterior.reliability_posterior,
                 "ours": f1(pred, gold).micro,
                 "mv": f1(majority_vote(ann, k), gold).micro,
                 "ds": f1(dawid_skene(ann, k).hard_labels, gold).micro,
@@ -189,14 +188,13 @@ def test_criterion_5_end_to_end_2d(trained_2d):
 
 
 def reliability_by_annotator(run, n_labels):
-    scores = reliability_scores(run["state"], run["x"], run["ann"])
     gold = run["gold"].to_array(len(run["x"]))
     ann = run["ann"]
     stats = {}
     for j, name in enumerate(ann.annotator_ids):
         sel = ann.annotator_idx == j
         truth = gold[ann.instance_idx[sel]]
-        values = scores.posterior[sel]
+        values = run["reliability"][sel]
         stats[name] = (values, truth)
     return stats
 
@@ -227,8 +225,7 @@ def test_criterion_7_denoising_never_hurts(trained_2d):
     deltas = []
     for seed in SEEDS:
         run = runs[("moon", seed)]
-        scores = reliability_scores(run["state"], run["x"], run["ann"])
-        result = denoise_experiment(run["ann"], scores.posterior,
+        result = denoise_experiment(run["ann"], run["reliability"],
                                     lambda a: majority_vote(a, 2), run["gold"])
         deltas.append(result.delta_micro)
     ok = all(d >= 0.0 for d in deltas) and any(d > 0.0 for d in deltas)
@@ -281,12 +278,12 @@ def test_criterion_9_text_pipeline(tmp_path):
 
     result = train(x, ann, TrainConfig(mode="ce-jt", pretrain_source="ds",
                                        classifier_hidden=32, estimator_hidden=32, seed=0))
-    scores = reliability_scores(result.state, x, ann)
+    scores = result.posterior.reliability_posterior
     gold_arr = gold.to_array(500)
     pattern_ok = True
     for j, name in enumerate(ann.annotator_ids):
         sel = ann.annotator_idx == j
-        values = scores.posterior[sel]
+        values = scores[sel]
         truth = gold_arr[ann.instance_idx[sel]]
         if "_N" in name:
             domain = int(name[-1])

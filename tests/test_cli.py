@@ -77,6 +77,23 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert "panel" in result.output
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("noise", "abc", "'noise'"),
+        ("noise", "-0.5", "noise must be finite and >= 0"),
+        ("n", "1", "n must be at least 2"),
+        ("panel", "narrow:x", "panel entry 'narrow:x'"),
+        ("panel", "graded:1.5", "panel entry 'graded:1.5'"),
+        ("panel", "narrow:0,narrow:7", "annotator 1 (N7): domain 7"),
+        ("keep_prob", "-1", "keep_prob must be in [0, 1]"),
+        ("keep_prob", "1.5", "keep_prob must be in [0, 1]"),
+    ])
+    def test_out_of_range_input_names_the_key(self, runner, tmp_path, key, value, message):
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE, key: value}, out_dir=tmp_path / "out")
+        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_carries_config_hash(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
         runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
@@ -333,6 +350,24 @@ class TestConfigHandling:
         runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("clip_norm", "-1"), ("max_outer", "-3"), ("pretrain_epochs", "-1"),
+        ("classifier_hidden", "0"), ("estimator_hidden", "-2"), ("seed", "-1"),
+        ("learning_rate", "nan"), ("weight_decay", "inf"), ("early_stop_tol", "nan"),
+    ])
+    def test_out_of_range_training_setting_exits_one(self, runner, tmp_path, pipeline_dir,
+                                                      key, value):
+        src, _ = pipeline_dir
+        out = tmp_path / "out"
+        out.mkdir()
+        for name in ("instances.csv", "gold.csv", "annotations.csv"):
+            (out / name).write_bytes((src / name).read_bytes())
+        cfg = write_config(tmp_path / "bad.cfg", **{**BASE, key: value}, out_dir=out)
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert f"{key} must be" in result.output
+        assert not (out / "model.json").exists()
 
     def test_threads_option_is_gone(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")

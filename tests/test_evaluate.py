@@ -10,6 +10,8 @@ from helpers import (
 from crowdrel.baselines import majority_vote
 from crowdrel.data import GoldLabels
 from crowdrel.evaluate import (
+    DenoiseResult,
+    F1Scores,
     denoise_experiment,
     drop_least_reliable,
     f1,
@@ -201,6 +203,13 @@ class TestDenoise:
             assert np.array_equal(reduced.instance_idx, ann.instance_idx[kept])
             assert np.array_equal(reduced.annotator_idx, ann.annotator_idx[kept])
             assert np.array_equal(reduced.label_idx, ann.label_idx[kept])
+
+    @pytest.mark.parametrize("before, after, delta", [(0.846, 0.925, 0.079), (0.5, 0.5, 0.0),
+                                                      (0.925, 0.846, -0.079), (0.0, 0.001, 0.001)])
+    def test_delta_is_the_decimal_difference(self, before, after, delta):
+        # 0.925 - 0.846 is 0.07900000000000007 in floating point
+        result = DenoiseResult(F1Scores(before, before), F1Scores(after, after), 0, 0)
+        assert repr(result.delta_micro) == repr(delta)
 
     def test_single_annotation_instances_are_skipped(self):
         ann = make_annotations([(0, 0, 0), (1, 0, 1), (1, 1, 0)], 2, 2, 2)

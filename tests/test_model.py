@@ -14,6 +14,9 @@ from helpers import (
     make_annotations,
     q_objective_oracle,
     random_annotation_setup,
+    reference_adam_step,
+    reference_backward,
+    reference_forward,
 )
 from crowdrel.baselines import dawid_skene
 from crowdrel.data import AnnotationSet, LabelSet, feature_matrix
@@ -26,14 +29,12 @@ from crowdrel.model import (
     load_model,
     posterior_from_priors,
     posterior_table,
-    predict_labels,
     pretrain,
     q_objective,
-    reliability_scores,
     save_model,
     train,
 )
-from crowdrel.neural import backward, forward, init_fnn
+from crowdrel.neural import AdamState, backward, forward, init_fnn
 from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
 
 
@@ -416,6 +417,41 @@ class TestTrain:
             assert len(once.trace) < 150
             assert len(four.trace) == len(once.trace)
 
+    @pytest.mark.parametrize("estimator_input", ["hidden", "feature"])
+    def test_ce_alt_matches_hand_rolled_schedule(self, estimator_input):
+        # each outer iteration freezes the posteriors and the estimator's
+        # input, then takes the estimator's steps and then the classifier's;
+        # each network keeps its own Adam state across outer iterations
+        instances, gold = gen_2d("moon", 60, seed=2)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=2,
+                                   instance_ids=[inst.id for inst in instances])
+        x = feature_matrix(instances)
+        cfg = TrainConfig(mode="ce-alt", max_outer=2, inner_iters=2, pretrain_epochs=5,
+                          estimator_input=estimator_input, seed=4)
+        result = train(x, ann, cfg)
+
+        state = pretrain(x, ann, cfg)
+        opts = [AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                          weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+                for _ in range(2)]
+        for _ in range(2):
+            label_prior, hidden = reference_forward(state.classifier, x)
+            pair_x = estimator_pair_inputs(x if estimator_input == "feature" else hidden, ann)
+            post = posterior_from_priors(label_prior, reference_forward(state.estimator, pair_x)[0],
+                                         ann)
+            for net, inputs, targets, opt in (
+                    (state.estimator, pair_x, post.reliability_posterior, opts[1]),
+                    (state.classifier, x, post.label_posterior, opts[0])):
+                for _ in range(cfg.inner_iters):
+                    reference_adam_step(net.arrays(),
+                                        reference_backward(net, inputs, targets, float(len(targets))),
+                                        opt)
+
+        assert len(result.trace) == 2
+        for got, want in zip(result.state.classifier.arrays() + result.state.estimator.arrays(),
+                             state.classifier.arrays() + state.estimator.arrays()):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
     def test_em_mode_improves_q_within_iterations(self, moon_setup):
         x, ann, _ = moon_setup
         result = train(x, ann, TrainConfig(mode="em", max_outer=5, seed=5))
@@ -451,7 +487,8 @@ class TestPredict:
                             instance_idx=np.array([0]), annotator_idx=np.array([0]),
                             label_idx=np.array([0]))
         x = np.zeros((2, 2))
-        pred, posterior = predict_labels(state, x, ann)
+        posterior = e_step(state, x, ann).label_posterior
+        pred = posterior.argmax(axis=1)
         assert posterior[1, 0] == posterior[1, 1] == 0.5
         assert pred[1] == 0  # exact tie resolves to the lowest index
         assert posterior[0, 0] > 0.5 and pred[0] == 0
@@ -459,11 +496,9 @@ class TestPredict:
     def test_reliability_scores_shapes_and_range(self, moon_setup):
         x, ann, _ = moon_setup
         result = train(x, ann, TrainConfig(mode="ce-jt", max_outer=2, seed=5))
-        scores = reliability_scores(result.state, x, ann)
-        assert scores.posterior.shape == (ann.n_pairs,)
-        assert scores.prior.shape == (len(x), ann.n_annotators)
-        assert np.all((scores.posterior >= 0) & (scores.posterior <= 1))
-        assert np.all((scores.prior > 0) & (scores.prior < 1))
+        scores = result.posterior.reliability_posterior
+        assert scores.shape == (ann.n_pairs,)
+        assert np.all((scores >= 0) & (scores <= 1))
 
 
 class TestAnnotatorPermutation:
@@ -490,9 +525,6 @@ class TestAnnotatorPermutation:
         np.testing.assert_allclose(moved.label_posterior, base.label_posterior, atol=1e-9)
         np.testing.assert_allclose(moved.reliability_posterior, base.reliability_posterior,
                                    atol=1e-9)
-        prior = reliability_scores(state, x, ann).prior
-        moved_prior = reliability_scores(permuted_state, x, permuted_ann).prior
-        np.testing.assert_allclose(moved_prior[:, perm], prior, atol=1e-9)
 
 
 class TestCheckpoint:
@@ -505,6 +537,7 @@ class TestCheckpoint:
         restored, labels, cfg_back = load_model(path)
         assert labels.labels == ("0", "1")
         assert cfg_back == cfg
-        before, _ = predict_labels(result.state, x, ann)
-        after, _ = predict_labels(restored, x, ann)
-        assert np.array_equal(before, after)
+        before = e_step(result.state, x, ann)
+        after = e_step(restored, x, ann)
+        assert np.array_equal(before.label_posterior, after.label_posterior)
+        assert np.array_equal(before.reliability_posterior, after.reliability_posterior)
