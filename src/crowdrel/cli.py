@@ -114,13 +114,15 @@ def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
     profiles = []
     for part in value.split(","):
         part = part.strip()
-        kind, _, arg = part.partition(":")
+        kind, sep, arg = part.partition(":")
         try:
             if kind == "narrow":
                 profiles.append(simulate.AnnotatorProfile("narrow", domain=int(arg)))
             elif kind == "graded":
                 profiles.append(simulate.AnnotatorProfile("graded", error_prob=float(arg)))
             elif kind in ("broad", "random", "adversarial"):
+                if sep:
+                    raise ValueError(f"{kind} takes no argument")
                 profiles.append(simulate.AnnotatorProfile(kind))
             else:
                 raise ValueError("unknown annotator kind")
@@ -288,10 +290,10 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         _fail(exc)
 
 
-def _aggregator(name: str, n_labels: int):
+def _aggregator(name: str):
     if name not in model.PRETRAIN_SOURCES:
         raise ConfigError(f"unknown aggregator {name!r}")
-    return lambda ann: model.pretrain_labels(ann, n_labels, name)
+    return lambda ann: model.pretrain_labels(ann, name)
 
 
 @main.command("eval")
@@ -325,16 +327,15 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
             elif metric == "iaa":
                 counts = annotations.counts_per_instance()
                 if counts.min() >= 2 and counts.min() == counts.max():
-                    rows.append(("fleiss_kappa",
-                                 repr(evaluate.fleiss_kappa(annotations, len(label_set)))))
+                    rows.append(("fleiss_kappa", repr(evaluate.fleiss_kappa(annotations))))
                 else:
                     rows.append(("krippendorff_alpha",
-                                 repr(evaluate.krippendorff_alpha(annotations, len(label_set)))))
+                                 repr(evaluate.krippendorff_alpha(annotations))))
             elif metric == "baselines":
                 if gold is None:
                     raise ConfigError("baselines requested but no gold labels available")
-                mv = evaluate.f1(baselines.majority_vote(annotations, len(label_set)), gold)
-                ds = evaluate.f1(baselines.dawid_skene(annotations, len(label_set)).hard_labels, gold)
+                mv = evaluate.f1(baselines.majority_vote(annotations), gold)
+                ds = evaluate.f1(baselines.dawid_skene(annotations).hard_labels, gold)
                 rows += [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))]
             else:
                 raise ConfigError(f"unknown metric {metric!r}")
@@ -367,8 +368,7 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
         if denoise_with != "off":
             if gold is None:
                 raise ConfigError("denoise experiment needs gold labels")
-            res = evaluate.denoise_experiment(annotations, scores,
-                                              _aggregator(denoise_with, len(label_set)), gold)
+            res = evaluate.denoise_experiment(annotations, scores, _aggregator(denoise_with), gold)
             rows += [(f"denoise_{denoise_with}_before", repr(res.f1_before.micro)),
                      (f"denoise_{denoise_with}_after", repr(res.f1_after.micro)),
                      (f"denoise_{denoise_with}_delta", repr(res.delta_micro))]

@@ -84,8 +84,10 @@ class Instance:
 class AnnotationSet:
     """Sparse annotation triples (instance, annotator, label) as index arrays.
 
-    At most one triple per (instance, annotator) pair; indices refer to the
-    positions in ``instance_ids`` / ``annotator_ids`` / the label set.
+    The one source of its sizes N, M and K: construction raises DataError
+    unless every index lies in [0, n_instances), [0, n_annotators) or
+    [0, n_labels) and each (instance, annotator) pair occurs at most once.
+    Indices refer to positions in ``instance_ids`` / ``annotator_ids`` / the label set.
     """
 
     n_instances: int
@@ -98,15 +100,19 @@ class AnnotationSet:
     annotator_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("instance_idx", "annotator_idx", "label_idx"):
+        for name, size in (("instance_idx", self.n_instances),
+                           ("annotator_idx", self.n_annotators), ("label_idx", self.n_labels)):
             arr = np.array(getattr(self, name), dtype=np.int64)  # own copy, frozen below
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+            bad = np.flatnonzero((arr < 0) | (arr >= size))
+            if bad.size:
+                raise DataError(f"{name}[{bad[0]}] = {arr[bad[0]]} is outside [0, {size})")
         p = len(self.instance_idx)
         if len(self.annotator_idx) != p or len(self.label_idx) != p:
             raise DataError("triple arrays must have equal length")
-        pairs = set(zip(self.instance_idx.tolist(), self.annotator_idx.tolist()))
-        if len(pairs) != p:
+        keys = np.sort(self.instance_idx * self.n_annotators + self.annotator_idx)
+        if np.any(keys[1:] == keys[:-1]):
             raise DuplicateError("duplicate (instance, annotator) pair")
 
     @property
@@ -385,14 +391,7 @@ def validate(
             problems.append(f"non-finite feature value in instance {inst.id!r}")
     if annotations.n_instances != n:
         problems.append(f"annotation set covers {annotations.n_instances} instances, dataset has {n}")
-    if annotations.n_pairs and annotations.instance_idx.max(initial=-1) >= n:
-        problems.append(f"annotation references instance index {int(annotations.instance_idx.max())} of {n}")
-    if np.any(annotations.label_idx >= annotations.n_labels) or np.any(annotations.label_idx < 0):
-        problems.append("annotation label index out of range")
-    covered = np.zeros(n, dtype=bool)
-    valid = annotations.instance_idx[annotations.instance_idx < n]
-    covered[valid[valid >= 0]] = True
-    for i in np.flatnonzero(~covered):
+    for i in np.flatnonzero(np.bincount(annotations.instance_idx, minlength=n)[:n] == 0):
         problems.append(f"instance {instances[i].id!r} has no annotations")
     if gold is not None:
         for i, t in gold.by_index.items():

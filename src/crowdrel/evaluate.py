@@ -39,7 +39,7 @@ def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
     p, g = pred[mask], gold_arr[mask]
     micro = float((p == g).mean())
     macros = []
-    # a set, not np.unique: numpy 2 loads numpy.ma for np.unique, and training calls this
+    # a set: numpy 2 imports numpy.ma for its unique, and training calls this
     for c in sorted(set(p.tolist()) | set(g.tolist())):
         tp = float(((p == c) & (g == c)).sum())
         fp = float(((p == c) & (g != c)).sum())
@@ -49,9 +49,9 @@ def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
     return F1Scores(micro=micro, macro=float(np.mean(macros)))
 
 
-def fleiss_kappa(annotations: AnnotationSet, n_labels: int) -> float:
+def fleiss_kappa(annotations: AnnotationSet) -> float:
     """Chance-corrected agreement for complete panels (equal ratings per instance)."""
-    counts = vote_counts(annotations, n_labels)
+    counts = vote_counts(annotations)
     per_instance = counts.sum(axis=1)
     n_raters = per_instance[0] if len(per_instance) else 0
     if n_raters < 2 or not np.all(per_instance == n_raters):
@@ -68,9 +68,9 @@ def fleiss_kappa(annotations: AnnotationSet, n_labels: int) -> float:
     return (p_bar - p_e) / (1.0 - p_e)
 
 
-def krippendorff_alpha(annotations: AnnotationSet, n_labels: int) -> float:
+def krippendorff_alpha(annotations: AnnotationSet) -> float:
     """Nominal-distance alpha from the coincidence matrix; handles sparse panels."""
-    counts = vote_counts(annotations, n_labels)
+    counts = vote_counts(annotations)
     m_u = counts.sum(axis=1)
     usable = m_u >= 2
     if not usable.any():
@@ -129,9 +129,9 @@ def _side_stats(instance_idx: np.ndarray, labels: np.ndarray, scores: np.ndarray
     has_gold = gold_arr[instance_idx] >= 0
     correct = has_gold & (labels == gold_arr[instance_idx])
     per_class: dict[int, ClassStats] = {}
-    for c in np.unique(gold_arr[instance_idx[has_gold]]):
+    for c in sorted(set(gold_arr[instance_idx[has_gold]].tolist())):
         in_class = has_gold & (gold_arr[instance_idx] == c)
-        per_class[int(c)] = ClassStats(
+        per_class[c] = ClassStats(
             n_instances=int(in_class.sum()),
             n_correct=int((correct & in_class).sum()),
             mean_reliability=float(scores[in_class].mean()),

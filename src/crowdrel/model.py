@@ -145,6 +145,8 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
     ii, ll = annotations.instance_idx, annotations.label_idx
 
     p1 = np.asarray(reliability_prior, dtype=np.float64)
+    if not (np.all(np.isfinite(label_prior)) and np.all(np.isfinite(p1))):
+        raise FloatingPointError("posterior priors are not finite (NaN or infinite)")
     log_p1 = np.log(np.maximum(p1, PROB_FLOOR))
     log_r0 = np.log(np.maximum(1.0 - p1, PROB_FLOOR)) - np.log(k)
     log_gamma_a = np.logaddexp(log_r0, log_p1)
@@ -152,8 +154,6 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
     scores = np.log(np.maximum(label_prior, PROB_FLOOR))
     scores += np.bincount(ii * k + ll, weights=log_gamma_a - log_r0,
                           minlength=n * k).reshape(n, k)
-    if not np.all(np.isfinite(scores)):
-        raise FloatingPointError("posterior scores are not finite (NaN or infinite priors)")
     scores -= scores.max(axis=1, keepdims=True)
     label_posterior = np.exp(scores)
     label_posterior /= label_posterior.sum(axis=1, keepdims=True)
@@ -229,10 +229,10 @@ def _fit(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
         adam_step(arrays, backward(params, inputs, targets, normalizer), opt)
 
 
-def pretrain_labels(annotations: AnnotationSet, n_labels: int, source: str) -> np.ndarray:
+def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
     if source == "mv":
-        return majority_vote(annotations, n_labels)
-    return dawid_skene(annotations, n_labels).hard_labels
+        return majority_vote(annotations)
+    return dawid_skene(annotations).hard_labels
 
 
 def pretrain(features: np.ndarray, annotations: AnnotationSet,
@@ -250,7 +250,7 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     classifier = init_fnn(features.shape[1], config.classifier_hidden,
                           config.classifier_hidden, k, "softmax",
                           np.random.default_rng(clf_seed))
-    labels = pretrain_labels(annotations, k, config.pretrain_source)
+    labels = pretrain_labels(annotations, config.pretrain_source)
     onehot_targets = np.zeros((len(features), k), dtype=np.float64)
     onehot_targets[np.arange(len(features)), labels] = 1.0
     _fit(classifier, features, onehot_targets, float(len(features)), config.pretrain_epochs,

@@ -67,6 +67,12 @@ def graded_panel(error_probs: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> 
     return [AnnotatorProfile("graded", error_prob=p) for p in error_probs]
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(seed)
+
+
 def _class_counts(n: int, k: int) -> list[int]:
     base, extra = divmod(n, k)
     return [base + (1 if c < extra else 0) for c in range(k)]
@@ -91,7 +97,7 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
     if noise is not None and not 0.0 <= noise < np.inf:
         raise ValueError(f"noise must be finite and >= 0, got {noise}")
     sigma = default_noise if noise is None else noise
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed_sequence(seed))
     counts = _class_counts(n, k)
 
     points, labels = [], []
@@ -164,8 +170,7 @@ def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
         raise ValueError("simulation needs a gold label for every instance")
     n, m = len(truth), len(profiles)
 
-    root = np.random.SeedSequence(seed)
-    streams = root.spawn(m + 1)
+    streams = _seed_sequence(seed).spawn(m + 1)
     columns = [
         _annotate_one(profile, truth, n_labels, np.random.default_rng(streams[j]))
         for j, profile in enumerate(profiles)
@@ -200,7 +205,7 @@ def gen_text_fixture(n: int = 500, n_labels: int = 3,
     """
     if n < n_labels:
         raise ValueError("need at least one document per class")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_seed_sequence(seed))
     keywords = [[f"topic{c}word{t}" for t in range(8)] for c in range(n_labels)]
     fillers = [f"the{t}" for t in range(15)]
     counts = _class_counts(n, n_labels)

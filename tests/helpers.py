@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from crowdrel.baselines import DS_MAX_ITERS, DS_SMOOTHING, DS_TOL
 from crowdrel.data import AnnotationSet
 from crowdrel.neural import PROB_FLOOR, AdamState, FnnParams, PairInput, forward, soft_ce_loss
 
@@ -209,6 +210,62 @@ def krippendorff_alpha_oracle(units: list[list[int]]) -> float:
     if d_exp == 0.0:
         return 1.0
     return 1.0 - d_obs / d_exp
+
+
+def dawid_skene_oracle(ann: AnnotationSet):
+    """Dawid-Skene EM by loops over the pairs.
+
+    Starts from majority proportions, smooths the M step by
+    ``DS_SMOOTHING`` and stops at the first likelihood plateau, soft-label
+    change below ``DS_TOL`` or ``DS_MAX_ITERS`` iterations. Each sum runs
+    over the pairs in order from zero and adds the smoothing or log prior
+    last, as ``dawid_skene`` does: on symmetric panels the exact label ties
+    are broken by rounding, which EM then amplifies, so only the same
+    order gives the same labels. Returns (soft labels (N, K),
+    confusion (M, K, K), log-likelihood trace, iterations).
+    """
+    n, m, k = ann.n_instances, ann.n_annotators, ann.n_labels
+    triples = ann.triples()
+
+    def m_step(soft):
+        priors = soft.sum(axis=0) + DS_SMOOTHING
+        priors /= priors.sum()
+        confusion = np.zeros((m, k, k))
+        for i, j, a in triples:
+            for t in range(k):
+                confusion[j, t, a] += soft[i, t]
+        confusion += DS_SMOOTHING
+        confusion /= confusion.sum(axis=2, keepdims=True)
+        return priors, confusion
+
+    def e_step(priors, confusion):
+        log_conf = np.log(confusion)
+        log_post = np.zeros((n, k))
+        for i, j, a in triples:
+            for t in range(k):
+                log_post[i, t] += log_conf[j, t, a]
+        log_post += np.log(priors)
+        shift = log_post.max(axis=1, keepdims=True)
+        totals = np.exp(log_post - shift).sum(axis=1, keepdims=True)
+        return np.exp(log_post - shift) / totals, float((np.log(totals) + shift).sum())
+
+    soft = np.zeros((n, k))
+    for i, _, a in triples:
+        soft[i, a] += 1.0
+    soft /= soft.sum(axis=1, keepdims=True)
+    priors, confusion = m_step(soft)
+    trace: list[float] = []
+    for iterations in range(1, DS_MAX_ITERS + 1):
+        new_soft, log_lik = e_step(priors, confusion)
+        if trace and log_lik <= trace[-1]:
+            break
+        trace.append(log_lik)
+        delta = np.abs(new_soft - soft).max()
+        soft = new_soft
+        priors, confusion = m_step(soft)
+        if delta < DS_TOL:
+            break
+    return soft, confusion, trace, iterations
 
 
 def q_objective_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,

@@ -143,7 +143,7 @@ def test_criterion_4_em_and_ds_monotonicity():
     result = train(x, ann, TrainConfig(mode="em", seed=0))
     improved = sum(1 for row in result.trace if row.objective_end >= row.objective_start)
     frac = improved / len(result.trace)
-    ds_trace = np.array(dawid_skene(ann, 2).log_likelihood)
+    ds_trace = np.array(dawid_skene(ann).log_likelihood)
     ds_ok = bool(np.all(np.diff(ds_trace) >= -1e-9))
     report(4, frac >= 0.95 and ds_ok,
            f"Q improved in {improved}/{len(result.trace)} outer iterations, "
@@ -167,8 +167,8 @@ def trained_2d():
                 "x": x, "ann": ann, "gold": gold,
                 "reliability": result.posterior.reliability_posterior,
                 "ours": f1(pred, gold).micro,
-                "mv": f1(majority_vote(ann, k), gold).micro,
-                "ds": f1(dawid_skene(ann, k).hard_labels, gold).micro,
+                "mv": f1(majority_vote(ann), gold).micro,
+                "ds": f1(dawid_skene(ann).hard_labels, gold).micro,
             }
     return runs, time.monotonic() - started
 
@@ -225,8 +225,7 @@ def test_criterion_7_denoising_never_hurts(trained_2d):
     deltas = []
     for seed in SEEDS:
         run = runs[("moon", seed)]
-        result = denoise_experiment(run["ann"], run["reliability"],
-                                    lambda a: majority_vote(a, 2), run["gold"])
+        result = denoise_experiment(run["ann"], run["reliability"], majority_vote, run["gold"])
         deltas.append(result.delta_micro)
     ok = all(d >= 0.0 for d in deltas) and any(d > 0.0 for d in deltas)
     report(7, ok, "MV deltas " + ", ".join(f"{d:+.4f}" for d in deltas))
@@ -236,16 +235,16 @@ def test_criterion_8_agreement_statistics():
     triples = ([(0, j, 0) for j in range(3)] + [(1, j, 0) for j in range(3)]
                + [(2, 0, 0), (2, 1, 1), (2, 2, 1)])
     worked = make_annotations(triples, 3, 3, 2)
-    kappa = fleiss_kappa(worked, 2)
+    kappa = fleiss_kappa(worked)
     kappa_expected = fleiss_kappa_oracle(np.array([[3, 0], [3, 0], [1, 2]]))
     kappa_ok = abs(kappa - kappa_expected) <= 1e-9
 
     unanimous = make_annotations([(i, j, i % 3) for i in range(5) for j in range(3)], 5, 3, 3)
-    alpha_perfect = krippendorff_alpha(unanimous, 3)
+    alpha_perfect = krippendorff_alpha(unanimous)
 
     sparse = make_annotations([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 1),
                                (2, 0, 1), (2, 1, 1), (2, 2, 1), (3, 0, 0)], 4, 3, 2)
-    alpha = krippendorff_alpha(sparse, 2)
+    alpha = krippendorff_alpha(sparse)
     alpha_expected = krippendorff_alpha_oracle([[0, 0], [0, 1], [1, 1, 1], [0]])
     alpha_ok = abs(alpha_perfect - 1.0) <= 1e-12 and abs(alpha - alpha_expected) <= 1e-9
     report(8, kappa_ok and alpha_ok,

@@ -86,6 +86,8 @@ class TestSimulateCommand:
         ("panel", "narrow:0,narrow:7", "annotator 1 (N7): domain 7"),
         ("keep_prob", "-1", "keep_prob must be in [0, 1]"),
         ("keep_prob", "1.5", "keep_prob must be in [0, 1]"),
+        ("panel", "broad:3,random", "panel entry 'broad:3': broad takes no argument"),
+        ("seed", "-1", "seed must be >= 0"),
     ])
     def test_out_of_range_input_names_the_key(self, runner, tmp_path, key, value, message):
         cfg = write_config(tmp_path / "run.cfg", **{**BASE, key: value}, out_dir=tmp_path / "out")

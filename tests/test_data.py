@@ -142,6 +142,22 @@ class TestLoadGold:
             load_gold(path, binary_labels)
 
 
+class TestAnnotationSet:
+    @pytest.mark.parametrize("column", ["instance_idx", "annotator_idx", "label_idx"])
+    @pytest.mark.parametrize("value", [-1, 3])
+    def test_rejects_out_of_range_index(self, column, value):
+        # N = M = K = 3, so 3 is one past the end of every index range
+        triples = {"instance_idx": [0, 1, 2], "annotator_idx": [0, 1, 2], "label_idx": [0, 1, 2]}
+        triples[column] = [0, value, 2]
+        with pytest.raises(DataError, match=rf"{column}\[1\] = {value} is outside \[0, 3\)"):
+            AnnotationSet(n_instances=3, n_annotators=3, n_labels=3, **triples)
+
+    def test_rejects_duplicate_pair(self):
+        with pytest.raises(DuplicateError):
+            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
+                          instance_idx=[0, 1, 0], annotator_idx=[1, 0, 1], label_idx=[0, 0, 1])
+
+
 class TestValidate:
     def _fixture(self):
         instances = [Instance(id=f"i{k}", features=np.array([0.0, float(k)])) for k in range(10)]
@@ -158,15 +174,14 @@ class TestValidate:
         assert validate(instances, ann) == []
 
     def test_out_of_range_instance(self):
-        instances, _ = self._fixture()
-        ann = AnnotationSet(
-            n_instances=10, n_annotators=1, n_labels=2,
-            instance_idx=np.array([999] + list(range(10))),
-            annotator_idx=np.zeros(11, dtype=np.int64),
-            label_idx=np.zeros(11, dtype=np.int64),
-        )
-        problems = validate(instances, ann)
-        assert any("999" in p for p in problems)
+        # caught when the set is built, before validate could see it
+        with pytest.raises(DataError, match="999"):
+            AnnotationSet(
+                n_instances=10, n_annotators=1, n_labels=2,
+                instance_idx=np.array([999] + list(range(10))),
+                annotator_idx=np.zeros(11, dtype=np.int64),
+                label_idx=np.zeros(11, dtype=np.int64),
+            )
 
     def test_nan_feature(self):
         instances, ann = self._fixture()

@@ -55,7 +55,7 @@ class TestFleissKappa:
     def test_perfect_agreement(self):
         triples = [(i, j, i % 2) for i in range(6) for j in range(4)]
         ann = make_annotations(triples, 6, 4, 2)
-        assert fleiss_kappa(ann, 2) == pytest.approx(1.0)
+        assert fleiss_kappa(ann) == pytest.approx(1.0)
 
     def test_three_instance_worked_table(self):
         # count table [[3,0],[3,0],[1,2]] over 3 raters
@@ -64,25 +64,25 @@ class TestFleissKappa:
         ann = make_annotations(triples, 3, 3, 2)
         expected = fleiss_kappa_oracle(np.array([[3, 0], [3, 0], [1, 2]]))
         assert expected == pytest.approx(5 / 14)
-        assert fleiss_kappa(ann, 2) == pytest.approx(expected, abs=1e-9)
+        assert fleiss_kappa(ann) == pytest.approx(expected, abs=1e-9)
 
     def test_unequal_counts_point_to_alpha(self):
         ann = make_annotations([(0, 0, 0), (0, 1, 0), (1, 0, 1)], 2, 2, 2)
         with pytest.raises(ValueError, match="krippendorff_alpha"):
-            fleiss_kappa(ann, 2)
+            fleiss_kappa(ann)
 
     def test_moon_panel_value(self):
         instances, gold = gen_2d("moon", 1000, seed=0)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=0,
                                    instance_ids=[inst.id for inst in instances])
-        assert fleiss_kappa(ann, 2) == pytest.approx(0.029, abs=0.01)
+        assert fleiss_kappa(ann) == pytest.approx(0.029, abs=0.01)
 
 
 class TestKrippendorffAlpha:
     def test_perfect_agreement(self):
         triples = [(i, j, i % 3) for i in range(5) for j in range(3)]
         ann = make_annotations(triples, 5, 3, 3)
-        assert krippendorff_alpha(ann, 3) == pytest.approx(1.0)
+        assert krippendorff_alpha(ann) == pytest.approx(1.0)
 
     def test_four_instance_fixture_matches_oracle(self):
         # units: (0,0), (0,1), (1,1,1) and a single unpairable rating
@@ -93,12 +93,12 @@ class TestKrippendorffAlpha:
         ann = make_annotations(triples, 4, 3, 2)
         expected = krippendorff_alpha_oracle([[0, 0], [0, 1], [1, 1, 1], [0]])
         assert expected == pytest.approx(0.5)
-        assert krippendorff_alpha(ann, 2) == pytest.approx(expected, abs=1e-9)
+        assert krippendorff_alpha(ann) == pytest.approx(expected, abs=1e-9)
 
     def test_needs_pairable_values(self):
         ann = make_annotations([(0, 0, 0), (1, 1, 1)], 2, 2, 2)
         with pytest.raises(ValueError):
-            krippendorff_alpha(ann, 2)
+            krippendorff_alpha(ann)
 
     def test_invariant_to_annotator_relabeling(self):
         rng = np.random.default_rng(4)
@@ -109,7 +109,7 @@ class TestKrippendorffAlpha:
         ann = make_annotations(triples, 10, 4, 3)
         perm = [2, 0, 3, 1]
         moved = make_annotations([(i, perm[j], l) for i, j, l in triples], 10, 4, 3)
-        assert krippendorff_alpha(moved, 3) == pytest.approx(krippendorff_alpha(ann, 3), abs=1e-12)
+        assert krippendorff_alpha(moved) == pytest.approx(krippendorff_alpha(ann), abs=1e-12)
 
 
 class TestReliabilityReport:
@@ -174,7 +174,7 @@ class TestDenoise:
                 triples.append((i, j, int(gold[i]) if correct else int(1 - gold[i])))
         ann = make_annotations(triples, 40, 5, 2)
         oracle = (ann.label_idx == gold[ann.instance_idx]).astype(float)
-        result = denoise_experiment(ann, oracle, lambda a: majority_vote(a, 2), gold)
+        result = denoise_experiment(ann, oracle, majority_vote, gold)
         assert result.delta_micro >= 0.0
         assert result.n_removed == 40
 
@@ -214,8 +214,7 @@ class TestDenoise:
     def test_single_annotation_instances_are_skipped(self):
         ann = make_annotations([(0, 0, 0), (1, 0, 1), (1, 1, 0)], 2, 2, 2)
         with pytest.warns(UserWarning, match="single annotation"):
-            result = denoise_experiment(ann, np.array([0.1, 0.5, 0.4]),
-                                        lambda a: majority_vote(a, 2),
+            result = denoise_experiment(ann, np.array([0.1, 0.5, 0.4]), majority_vote,
                                         np.array([0, 1]))
         assert result.n_skipped == 1
         assert result.n_removed == 1

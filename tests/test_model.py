@@ -342,7 +342,7 @@ class TestPretrain:
 
     def test_ds_pretrained_classifier_tracks_ds_score(self, moon_setup):
         x, ann, gold = moon_setup
-        ds_f1 = float((dawid_skene(ann, 2).hard_labels == gold).mean())
+        ds_f1 = float((dawid_skene(ann).hard_labels == gold).mean())
         # converged pretraining lands within two points of its own targets' quality
         state = pretrain(x, ann, TrainConfig(pretrain_source="ds", pretrain_epochs=2000, seed=1))
         clf_f1 = float((forward(state.classifier, x)[0].argmax(axis=1) == gold).mean())
@@ -350,7 +350,7 @@ class TestPretrain:
 
     def test_adversary_agreement_rate_matches_correctness(self, moon_setup):
         x, ann, gold = moon_setup
-        ds_labels = dawid_skene(ann, 2).hard_labels
+        ds_labels = dawid_skene(ann).hard_labels
         adversary = ann.annotator_idx == 4
         agreement = float((ann.label_idx == ds_labels[ann.instance_idx])[adversary].mean())
         correctness = float((ann.label_idx == gold[ann.instance_idx])[adversary].mean())

@@ -141,3 +141,13 @@ class TestTextFixture:
         for inst in instances:
             c = gold.by_index[int(inst.id[1:])]
             assert f"topic{c}word" in inst.text
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: gen_2d("moon", 10, seed=-1),
+    lambda: simulate_annotations(np.array([0, 1]), 2, default_panel(2), seed=-1),
+    lambda: gen_text_fixture(10, 3, seed=-1),
+], ids=["gen_2d", "simulate_annotations", "gen_text_fixture"])
+def test_negative_seed_names_seed(generate):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        generate()
