@@ -166,7 +166,7 @@ def _load_dataset(cfg: dict[str, str], out_dir: Path):
     annotations = data.load_annotations(ann_path, label_set, instance_ids=ids)
     gold = None
     gold_path = (out_dir / "gold.csv") if base else cfg.get("gold")
-    if gold_path and Path(gold_path).exists():
+    if gold_path:
         gold = data.load_gold(gold_path, label_set, instance_ids=ids)
     _validate(instances, annotations, gold)
     return instances, annotations, gold, label_set
@@ -342,27 +342,16 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
 
         files = ["metrics.csv"]
         k = _get(cfg, "report_reliability", 0, int)
+        if k < 0:
+            raise ConfigError(f"report_reliability must be >= 0 (0 is off), got {k}")
         if k > 0:
             if gold is None:
                 raise ConfigError("reliability report needs gold labels")
             report = evaluate.reliability_report(scores, annotations, gold, k)
             (out / "reliability_report.txt").write_text(
                 evaluate.report_to_text(report, label_set.labels), encoding="utf-8")
-            report_rows = []
-            for entry in report.annotators:
-                for side_name in ("top", "bottom"):
-                    side = getattr(entry, side_name)
-                    report_rows.append([entry.annotator_id, side_name,
-                                        len(side.instance_indices), side.n_correct,
-                                        repr(side.mean_reliability), "", "", "", ""])
-                    for c, stats in sorted(side.per_class.items()):
-                        report_rows.append([entry.annotator_id, side_name, "", "", "",
-                                            label_set.labels[c], stats.n_instances,
-                                            stats.n_correct, repr(stats.mean_reliability)])
-            data.write_table(out / "reliability_report.csv",
-                             ["annotator", "side", "n", "n_correct", "mean_reliability",
-                              "class", "class_n", "class_correct", "class_mean_reliability"],
-                             report_rows)
+            data.write_table(out / "reliability_report.csv", evaluate.REPORT_CSV_HEADER,
+                             evaluate.report_to_rows(report, label_set.labels))
             files += ["reliability_report.txt", "reliability_report.csv"]
         denoise_with = _get(cfg, "denoise", "off")
         if denoise_with != "off":

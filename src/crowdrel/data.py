@@ -85,8 +85,9 @@ class AnnotationSet:
     """Sparse annotation triples (instance, annotator, label) as index arrays.
 
     The one source of its sizes N, M and K: construction raises DataError
-    unless every index lies in [0, n_instances), [0, n_annotators) or
-    [0, n_labels) and each (instance, annotator) pair occurs at most once.
+    unless each index array is 1-D and of an integer type (or empty), every
+    index lies in [0, n_instances), [0, n_annotators) or [0, n_labels) and
+    each (instance, annotator) pair occurs at most once.
     Indices refer to positions in ``instance_ids`` / ``annotator_ids`` / the label set.
     """
 
@@ -102,7 +103,12 @@ class AnnotationSet:
     def __post_init__(self) -> None:
         for name, size in (("instance_idx", self.n_instances),
                            ("annotator_idx", self.n_annotators), ("label_idx", self.n_labels)):
-            arr = np.array(getattr(self, name), dtype=np.int64)  # own copy, frozen below
+            raw = np.asarray(getattr(self, name))
+            if raw.ndim != 1:
+                raise DataError(f"{name} must be 1-D, got shape {raw.shape}")
+            if raw.size and not np.issubdtype(raw.dtype, np.integer):
+                raise DataError(f"{name} must hold integers, got dtype {raw.dtype}")
+            arr = raw.astype(np.int64)  # own copy, frozen below
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
             bad = np.flatnonzero((arr < 0) | (arr >= size))

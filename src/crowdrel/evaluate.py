@@ -1,10 +1,12 @@
-"""Metrics and analyses: F1, chance-corrected agreement, reliability
-rankings, and the least-reliable-annotation removal experiment."""
+"""Metrics and analyses: F1, chance-corrected agreement, the reliability
+report (one table of counts per annotator, ranking end and gold class,
+rendered as text or as CSV rows) and the least-reliable-annotation removal
+experiment. Both analyses rank pairs with one helper, ``_rank_within``."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,91 +92,67 @@ def krippendorff_alpha(annotations: AnnotationSet) -> float:
     return float(1.0 - observed_disagreement / expected_disagreement)
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    n_instances: int
-    n_correct: int
-    mean_reliability: float
+def _rank_within(groups: np.ndarray, key: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:
+    """Each pair's 0-based rank in its group by ``key`` (NaN last), then ``tiebreak``."""
+    order = np.lexsort((tiebreak, key, groups))
+    positions = np.arange(len(order))
+    starts = np.where(np.diff(groups[order], prepend=-1) != 0, positions, 0)
+    rank = np.empty_like(positions)
+    rank[order] = positions - np.maximum.accumulate(starts)
+    return rank
 
 
-@dataclass(frozen=True)
-class SideStats:
-    """One end of an annotator's reliability ranking (top-k or bottom-k)."""
-
-    instance_indices: tuple[int, ...]
-    n_correct: int
-    n_with_gold: int
-    mean_reliability: float
-    per_class: dict[int, ClassStats] = field(default_factory=dict)
+_SIDES = ("top", "bottom")
 
 
-@dataclass(frozen=True)
-class AnnotatorReliability:
-    annotator_index: int
-    annotator_id: str
-    n_annotations: int
-    truncated: bool
-    top: SideStats
-    bottom: SideStats
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReliabilityReport:
+    """The ``k`` highest-scored (side 0) and ``k`` lowest-scored (side 1) annotations
+    of each annotator, all of them when it has fewer, as one table of counts.
+
+    ``n``, ``n_correct`` and ``mean_reliability`` are (M, 2, K + 1) arrays
+    indexed [annotator, side, column]. Column c < K covers the side's
+    annotations of instances with gold label c; column K covers the whole
+    side. An empty cell has count 0 and mean NaN.
+    """
+
     k: int
-    annotators: tuple[AnnotatorReliability, ...]
-
-
-def _side_stats(instance_idx: np.ndarray, labels: np.ndarray, scores: np.ndarray,
-                gold_arr: np.ndarray) -> SideStats:
-    has_gold = gold_arr[instance_idx] >= 0
-    correct = has_gold & (labels == gold_arr[instance_idx])
-    per_class: dict[int, ClassStats] = {}
-    for c in sorted(set(gold_arr[instance_idx[has_gold]].tolist())):
-        in_class = has_gold & (gold_arr[instance_idx] == c)
-        per_class[c] = ClassStats(
-            n_instances=int(in_class.sum()),
-            n_correct=int((correct & in_class).sum()),
-            mean_reliability=float(scores[in_class].mean()),
-        )
-    return SideStats(
-        instance_indices=tuple(int(i) for i in instance_idx),
-        n_correct=int(correct.sum()),
-        n_with_gold=int(has_gold.sum()),
-        mean_reliability=float(scores.mean()) if len(scores) else float("nan"),
-        per_class=per_class,
-    )
+    annotator_ids: tuple[str, ...]
+    n: np.ndarray
+    n_correct: np.ndarray
+    mean_reliability: np.ndarray
 
 
 def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
                        gold: GoldLabels | np.ndarray, k: int) -> ReliabilityReport:
     """Rank each annotator's annotations by reliability and profile both ends.
 
-    Ordering ties break toward the lower instance index. When an
-    annotator has fewer than ``k`` annotations, all of them are used and
-    the entry is flagged as truncated.
+    Ordering ties break toward the lower instance index.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
     if len(scores) != annotations.n_pairs:
         raise ValueError("need one reliability score per annotation")
-    gold_arr = _gold_array(gold, annotations.n_instances)
-    entries = []
-    for j in range(annotations.n_annotators):
-        pair_pos = np.flatnonzero(annotations.annotator_idx == j)
-        inst = annotations.instance_idx[pair_pos]
-        take = min(k, len(pair_pos))
-        top_sel = pair_pos[np.lexsort((inst, -scores[pair_pos]))[:take]]
-        bottom_sel = pair_pos[np.lexsort((inst, scores[pair_pos]))[:take]]
-        entries.append(AnnotatorReliability(
-            annotator_index=j,
-            annotator_id=annotations.annotator_ids[j] if annotations.annotator_ids else str(j),
-            n_annotations=len(pair_pos),
-            truncated=len(pair_pos) < k,
-            top=_side_stats(annotations.instance_idx[top_sel],
-                            annotations.label_idx[top_sel], scores[top_sel], gold_arr),
-            bottom=_side_stats(annotations.instance_idx[bottom_sel],
-                               annotations.label_idx[bottom_sel], scores[bottom_sel], gold_arr),
-        ))
-    return ReliabilityReport(k=k, annotators=tuple(entries))
+    m, width = annotations.n_annotators, annotations.n_labels + 1
+    pair_gold = _gold_array(gold, annotations.n_instances)[annotations.instance_idx]
+    if np.any(pair_gold >= annotations.n_labels):
+        raise ValueError(f"gold labels must lie below n_labels = {annotations.n_labels}")
+    cells, pairs = [], []
+    for side, key in enumerate((-scores, scores)):
+        chosen = np.flatnonzero(
+            _rank_within(annotations.annotator_idx, key, annotations.instance_idx) < k)
+        with_gold = chosen[pair_gold[chosen] >= 0]
+        base = (annotations.annotator_idx * 2 + side) * width
+        cells += [base[chosen] + width - 1, base[with_gold] + pair_gold[with_gold]]
+        pairs += [chosen, with_gold]
+    cell, pair = np.concatenate(cells), np.concatenate(pairs)
+    correct = pair_gold[pair] == annotations.label_idx[pair]  # a missing gold (-1) never matches
+    n, n_correct, total = (np.bincount(cell, w, m * 2 * width).reshape(m, 2, width)
+                           for w in (None, correct, scores[pair]))
+    return ReliabilityReport(
+        k, annotations.annotator_ids or tuple(str(j) for j in range(m)), n,
+        n_correct.astype(np.int64), np.divide(total, n, out=np.full(n.shape, np.nan), where=n > 0))
 
 
 @dataclass(frozen=True)
@@ -199,12 +177,8 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
     """
     scores = np.asarray(scores, dtype=np.float64)
     per_instance = annotations.counts_per_instance()
-    order = np.lexsort((annotations.annotator_idx, scores, annotations.instance_idx))
-    # the first pair of each instance's run in the sorted order is its lowest-scored one
-    sorted_instances = annotations.instance_idx[order]
-    first = np.diff(sorted_instances, prepend=-1) != 0
-    drop = np.zeros(annotations.n_pairs, dtype=bool)
-    drop[order] = first & (per_instance[sorted_instances] >= 2)
+    lowest = _rank_within(annotations.instance_idx, scores, annotations.annotator_idx) == 0
+    drop = lowest & (per_instance[annotations.instance_idx] >= 2)
     keep = ~drop
     reduced = AnnotationSet(
         n_instances=annotations.n_instances,
@@ -235,19 +209,36 @@ def denoise_experiment(annotations: AnnotationSet, scores: np.ndarray,
 def report_to_text(report: ReliabilityReport, class_names: Sequence[str]) -> str:
     """Fixed-width rendering of a reliability report, one block per ranking end."""
     lines = []
-    for side_name in ("top", "bottom"):
+    for side, side_name in enumerate(_SIDES):
         lines.append(f"{side_name}-{report.k} instances by per-instance reliability")
         header = ["annotator", "n", "correct", "mean_rel"]
         header += [f"{name}(cor/mean)" for name in class_names]
         lines.append("  ".join(f"{h:>16}" for h in header))
-        for entry in report.annotators:
-            side: SideStats = getattr(entry, side_name)
-            row = [entry.annotator_id, str(len(side.instance_indices)),
-                   str(side.n_correct), f"{side.mean_reliability:.3f}"]
-            for c in range(len(class_names)):
-                stats = side.per_class.get(c)
-                row.append("-" if stats is None
-                           else f"{stats.n_correct}/{stats.mean_reliability:.2f}")
+        for j, annotator_id in enumerate(report.annotator_ids):
+            n, n_correct, mean = (a[j, side] for a in
+                                  (report.n, report.n_correct, report.mean_reliability))
+            row = [annotator_id, str(n[-1]), str(n_correct[-1]), f"{mean[-1]:.3f}"]
+            row += ["-" if n[c] == 0 else f"{n_correct[c]}/{mean[c]:.2f}"
+                    for c in range(len(class_names))]
             lines.append("  ".join(f"{v:>16}" for v in row))
         lines.append("")
     return "\n".join(lines)
+
+
+REPORT_CSV_HEADER = ("annotator", "side", "n", "n_correct", "mean_reliability",
+                     "class", "class_n", "class_correct", "class_mean_reliability")
+
+
+def report_to_rows(report: ReliabilityReport, class_names: Sequence[str]) -> list[list]:
+    """Rows under ``REPORT_CSV_HEADER``: per annotator and side, one total row, then
+    one row per gold class the side covers."""
+    rows: list[list] = []
+    for j, annotator_id in enumerate(report.annotator_ids):
+        for side, side_name in enumerate(_SIDES):
+            n, n_correct, mean = (a[j, side].tolist() for a in
+                                  (report.n, report.n_correct, report.mean_reliability))
+            rows.append([annotator_id, side_name, n[-1], n_correct[-1], repr(mean[-1]),
+                         "", "", "", ""])
+            rows += [[annotator_id, side_name, "", "", "", class_names[c], n[c], n_correct[c],
+                      repr(mean[c])] for c in range(len(class_names)) if n[c]]
+    return rows

@@ -232,7 +232,9 @@ def _fit(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
 def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
     if source == "mv":
         return majority_vote(annotations)
-    return dawid_skene(annotations).hard_labels
+    if source == "ds":
+        return dawid_skene(annotations).hard_labels
+    raise ValueError(f"pretrain source must be one of {PRETRAIN_SOURCES}, got {source!r}")
 
 
 def pretrain(features: np.ndarray, annotations: AnnotationSet,

@@ -333,3 +333,31 @@ def least_reliable_oracle(ann: AnnotationSet, scores: np.ndarray) -> set[int]:
         by_instance.setdefault(int(ann.instance_idx[p]), []).append(p)
     return {min(pairs, key=lambda p: (scores[p], ann.annotator_idx[p]))
             for pairs in by_instance.values() if len(pairs) >= 2}
+
+
+def reliability_report_oracle(scores: np.ndarray, ann: AnnotationSet, gold: np.ndarray,
+                              k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, n_correct, mean_reliability) of reliability_report, by a loop over annotators.
+
+    Each annotator's pairs are sorted on their own, by descending score
+    (top) or ascending score (bottom), ties to the lower instance index,
+    and the first k of each order are profiled.
+    """
+    m, width = ann.n_annotators, ann.n_labels + 1
+    n = np.zeros((m, 2, width), dtype=np.int64)
+    n_correct = np.zeros((m, 2, width), dtype=np.int64)
+    mean = np.full((m, 2, width), np.nan)
+    for j in range(m):
+        pair_pos = np.flatnonzero(ann.annotator_idx == j)
+        inst = ann.instance_idx[pair_pos]
+        for side, key in enumerate((-scores[pair_pos], scores[pair_pos])):
+            sel = pair_pos[np.lexsort((inst, key))[:k]]
+            sel_gold = gold[ann.instance_idx[sel]]
+            correct = (sel_gold >= 0) & (ann.label_idx[sel] == sel_gold)
+            columns = [(c, sel_gold == c) for c in range(ann.n_labels)]
+            for c, in_cell in columns + [(ann.n_labels, np.ones(len(sel), dtype=bool))]:
+                n[j, side, c] = in_cell.sum()
+                n_correct[j, side, c] = (correct & in_cell).sum()
+                if in_cell.any():
+                    mean[j, side, c] = scores[sel][in_cell].mean()
+    return n, n_correct, mean

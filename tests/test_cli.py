@@ -208,6 +208,15 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert f"{name}:{line}: duplicate instance id 'a'" in result.output
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_missing_gold_file_names_the_path(self, runner, tmp_path, command):
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
+        with open(cfg, "a") as fh:
+            fh.write(f"gold = {tmp_path / 'gold_TYPO.csv'}\n")
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "gold_TYPO.csv" in result.output
+
     @pytest.mark.parametrize("bad_file", ["ann.csv", "gold.csv", "out/predictions.csv"])
     def test_unknown_label_names_file_and_line(self, runner, tmp_path, bad_file):
         cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
@@ -259,6 +268,23 @@ class TestEvalCommand:
             rows = list(csv.reader(fh))
         assert rows[0][0] == "annotator"
         assert len(rows) > 10
+        with open(out / "annotations.csv", newline="") as fh:
+            pairs: dict[str, int] = {}
+            for row in list(csv.reader(fh))[1:]:
+                pairs[row[1]] = pairs.get(row[1], 0) + 1
+        totals = [row for row in rows[1:] if row[2]]
+        assert len(totals) == 2 * len(pairs)
+        for row in totals:
+            assert int(row[2]) == min(5, pairs[row[0]])
+
+    def test_negative_report_k_exits_one(self, runner, pipeline_dir):
+        out, cfg = pipeline_dir
+        (out / "reliability_report.txt").unlink(missing_ok=True)
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa",
+                                          "--report-reliability", "-3"])
+        assert result.exit_code == 1, result.output
+        assert "report_reliability" in result.output
+        assert not (out / "reliability_report.txt").exists()
 
 
 class TestFilesDataset:

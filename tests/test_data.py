@@ -152,6 +152,25 @@ class TestAnnotationSet:
         with pytest.raises(DataError, match=rf"{column}\[1\] = {value} is outside \[0, 3\)"):
             AnnotationSet(n_instances=3, n_annotators=3, n_labels=3, **triples)
 
+    @pytest.mark.parametrize("column", ["instance_idx", "annotator_idx", "label_idx"])
+    def test_rejects_fractional_index(self, column):
+        triples = {"instance_idx": [0, 1], "annotator_idx": [0, 1], "label_idx": [0, 1]}
+        triples[column] = [0.9, 1.5]
+        with pytest.raises(DataError, match=f"{column} must hold integers"):
+            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2, **triples)
+
+    @pytest.mark.parametrize("column", ["instance_idx", "annotator_idx", "label_idx"])
+    def test_rejects_index_array_that_is_not_1d(self, column):
+        triples = {"instance_idx": [0, 1], "annotator_idx": [0, 1], "label_idx": [0, 1]}
+        triples[column] = [[0], [1]]
+        with pytest.raises(DataError, match=rf"{column} must be 1-D, got shape \(2, 1\)"):
+            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2, **triples)
+
+    def test_accepts_empty_set(self):
+        ann = AnnotationSet(n_instances=0, n_annotators=0, n_labels=2,
+                            instance_idx=[], annotator_idx=[], label_idx=[])
+        assert ann.n_pairs == 0 and ann.instance_idx.dtype == np.int64
+
     def test_rejects_duplicate_pair(self):
         with pytest.raises(DuplicateError):
             AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,

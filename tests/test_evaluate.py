@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     fleiss_kappa_oracle,
     krippendorff_alpha_oracle,
     least_reliable_oracle,
     make_annotations,
+    reliability_report_oracle,
 )
 from crowdrel.baselines import majority_vote
 from crowdrel.data import GoldLabels
 from crowdrel.evaluate import (
+    REPORT_CSV_HEADER,
     DenoiseResult,
     F1Scores,
     denoise_experiment,
@@ -18,6 +22,7 @@ from crowdrel.evaluate import (
     fleiss_kappa,
     krippendorff_alpha,
     reliability_report,
+    report_to_rows,
     report_to_text,
 )
 from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
@@ -128,39 +133,104 @@ class TestReliabilityReport:
     def test_reliable_annotator_tops_out(self):
         ann, scores, gold = self._setup()
         report = reliability_report(scores, ann, gold, k=3)
-        top = report.annotators[0].top
-        assert top.n_correct == top.n_with_gold == 3
-        assert report.annotators[1].top.n_correct == 0
+        for table in (report.n, report.n_correct, report.mean_reliability):
+            assert table.shape == (2, 2, 3)
+        assert report.n_correct[0, 0, -1] == report.n[0, 0, -1] == 3
+        assert report.n_correct[1, 0, -1] == 0
 
     def test_score_ties_break_by_instance_index(self):
-        ann, scores, gold = self._setup()
-        report = reliability_report(scores, ann, gold, k=3)
-        assert report.annotators[1].top.instance_indices == (0, 1, 2)
-        assert report.annotators[1].bottom.instance_indices == (0, 1, 2)
+        # one annotator, every score tied, always answering 0: right on instances 0 and 1
+        # (gold 0), wrong on 2-4 (gold 1); so which two instances win the tie sets every count
+        ann = make_annotations([(i, 0, 0) for i in range(5)], 5, 1, 2)
+        report = reliability_report(np.full(5, 0.5), ann, np.array([0, 0, 1, 1, 1]), k=2)
+        for side in (0, 1):
+            assert report.n[0, side].tolist() == [2, 0, 2]
+            assert report.n_correct[0, side].tolist() == [2, 0, 2]
 
     def test_truncation_flag(self):
+        # an annotator with fewer than k pairs profiles all of them: n < k marks the truncation
         ann, scores, gold = self._setup()
         report = reliability_report(scores, ann, gold, k=100)
-        assert report.annotators[0].truncated
-        assert len(report.annotators[0].top.instance_indices) == 5
+        assert np.all(report.n[:, :, -1] == 5)
 
     def test_per_class_breakdown(self):
         ann, scores, gold = self._setup()
         report = reliability_report(scores, ann, gold, k=5)
-        per_class = report.annotators[0].top.per_class
-        assert per_class[0].n_instances == 3 and per_class[0].n_correct == 3
-        assert per_class[1].n_instances == 2
+        assert report.n[0, 0, 0] == 3 and report.n_correct[0, 0, 0] == 3
+        assert report.n[0, 0, 1] == 2
+        assert report.mean_reliability[0, 0, 0] == pytest.approx((0.9 + 0.7 + 0.5) / 3)
 
     def test_deterministic_given_scores(self):
         ann, scores, gold = self._setup()
         first = reliability_report(scores, ann, gold, k=4)
         second = reliability_report(scores, ann, gold, k=4)
-        assert first == second
+        for name in ("n", "n_correct", "mean_reliability"):
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+
+    def test_negative_k_is_an_error(self):
+        ann, scores, gold = self._setup()
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            reliability_report(scores, ann, gold, k=-3)
+
+    def test_gold_label_outside_the_label_set_is_an_error(self):
+        # with K = 2, class 2 would otherwise land in the total column
+        ann, scores, _ = self._setup()
+        with pytest.raises(ValueError, match="gold labels must lie below n_labels = 2"):
+            reliability_report(scores, ann, np.array([0, 1, 2, 1, 0]), k=3)
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_loop_oracle(self, data):
+        # sparse panels in any pair order: annotators with no pairs, tied and NaN scores,
+        # instances without a gold label and k from 0 to past the pair count
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(2, 3))
+        triples = [(i, j, data.draw(st.integers(0, k - 1)))
+                   for i in range(n) for j in sorted(data.draw(st.sets(st.integers(0, m - 1))))]
+        if not triples:
+            triples = [(0, 0, 0)]
+        ann = make_annotations(data.draw(st.permutations(triples)), n, m, k)
+        scores = np.array(data.draw(st.lists(
+            st.sampled_from([0.25, 0.5, np.nan]) | st.floats(0, 1),
+            min_size=ann.n_pairs, max_size=ann.n_pairs)))
+        gold = np.array(data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n)))
+        top_k = data.draw(st.integers(0, ann.n_pairs + 2))
+        report = reliability_report(scores, ann, gold, top_k)
+        n_cells, n_correct, mean = reliability_report_oracle(scores, ann, gold, top_k)
+        np.testing.assert_array_equal(report.n, n_cells)
+        np.testing.assert_array_equal(report.n_correct, n_correct)
+        # NaN where a cell is empty or holds a NaN score, on both sides
+        np.testing.assert_allclose(report.mean_reliability, mean, rtol=0, atol=1e-12)
 
     def test_text_rendering_mentions_annotators(self):
         ann, scores, gold = self._setup()
         text = report_to_text(reliability_report(scores, ann, gold, k=2), ("0", "1"))
         assert "a0" in text and "bottom-2" in text
+
+    def test_text_layout(self):
+        ann, scores, gold = self._setup()
+        text = report_to_text(reliability_report(scores, ann, gold, k=1), ("0", "1"))
+        header = ("annotator", "n", "correct", "mean_rel", "0(cor/mean)", "1(cor/mean)")
+        rows = [header, ("a0", "1", "1", "0.900", "1/0.90", "-"),
+                ("a1", "1", "0", "0.200", "0/0.20", "-"),
+                header, ("a0", "1", "1", "0.500", "1/0.50", "-"),
+                ("a1", "1", "0", "0.200", "0/0.20", "-")]
+        lines = ["  ".join(f"{v:>16}" for v in row) for row in rows]
+        assert text == "\n".join(["top-1 instances by per-instance reliability", *lines[:3], "",
+                                  "bottom-1 instances by per-instance reliability", *lines[3:], ""])
+
+    def test_csv_rows(self):
+        ann, scores, gold = self._setup()
+        rows = report_to_rows(reliability_report(scores, ann, gold, k=1), ("no", "yes"))
+        assert len(REPORT_CSV_HEADER) == 9
+        assert rows == [["a0", "top", 1, 1, "0.9", "", "", "", ""],
+                        ["a0", "top", "", "", "", "no", 1, 1, "0.9"],
+                        ["a0", "bottom", 1, 1, "0.5", "", "", "", ""],
+                        ["a0", "bottom", "", "", "", "no", 1, 1, "0.5"],
+                        ["a1", "top", 1, 0, "0.2", "", "", "", ""],
+                        ["a1", "top", "", "", "", "no", 1, 0, "0.2"],
+                        ["a1", "bottom", 1, 0, "0.2", "", "", "", ""],
+                        ["a1", "bottom", "", "", "", "no", 1, 0, "0.2"]]
 
 
 class TestDenoise:

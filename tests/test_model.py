@@ -30,6 +30,7 @@ from crowdrel.model import (
     posterior_from_priors,
     posterior_table,
     pretrain,
+    pretrain_labels,
     q_objective,
     save_model,
     train,
@@ -355,6 +356,13 @@ class TestPretrain:
         agreement = float((ann.label_idx == ds_labels[ann.instance_idx])[adversary].mean())
         correctness = float((ann.label_idx == gold[ann.instance_idx])[adversary].mean())
         assert agreement == pytest.approx(correctness, abs=0.03)
+
+
+    @pytest.mark.parametrize("source", ["majority", "DS", ""])
+    def test_unknown_pretrain_source_is_named(self, source):
+        ann = make_annotations([(0, 0, 0), (0, 1, 1), (1, 0, 1)], 2, 2, 2)
+        with pytest.raises(ValueError, match=f"got {source!r}"):
+            pretrain_labels(ann, source)
 
 
 class TestTrain:
