@@ -40,7 +40,6 @@ from .model import (
     e_step,
     load_model,
     posterior_from_priors,
-    posterior_table,
     pretrain,
     q_objective,
     save_model,

@@ -174,21 +174,26 @@ def _load_dataset(cfg: dict[str, str], out_dir: Path):
 
 def _features(cfg: dict[str, str], instances: list[data.Instance]) -> tuple[np.ndarray, str]:
     kind = _get(cfg, "featurizer", "none")
+    if kind not in HIDDEN_DEFAULTS:
+        raise ConfigError(f"unknown featurizer {kind!r}; expected one of {list(HIDDEN_DEFAULTS)}")
     if kind == "none":
         return data.feature_matrix(instances), kind
-    texts = [inst.text or "" for inst in instances]
+    dense = next((inst.id for inst in instances if inst.text is None), None)
+    if dense is not None:
+        raise ConfigError(f"featurizer {kind!r} needs text instances, but instance {dense!r} "
+                          "has dense features (set instances_format = text-jsonl)")
+    texts = [inst.text for inst in instances]
     if kind == "tfidf":
-        vocab = featurize.fit_tfidf(texts)
+        try:
+            vocab = featurize.fit_tfidf(texts)
+        except ValueError as exc:  # an empty corpus, or one without a token
+            raise ConfigError(f"featurizer 'tfidf': {exc}") from None
         return np.stack([featurize.transform_tfidf(vocab, t) for t in texts]), kind
     table = featurize.load_embeddings(_get(cfg, "embeddings"))
     if kind == "avg-embed":
         return np.stack([featurize.average_embed(table, t) for t in texts]), kind
-    if kind == "concat-avg-embed":
-        return np.stack([
-            featurize.concat_average_embed(table, inst.text or "", inst.text2 or "")
-            for inst in instances
-        ]), kind
-    raise ConfigError(f"unknown featurizer {kind!r}")
+    return np.stack([featurize.concat_average_embed(table, inst.text, inst.text2 or "")
+                     for inst in instances]), kind
 
 
 def _train_config(cfg: dict[str, str], featurizer: str) -> model.TrainConfig:

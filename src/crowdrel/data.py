@@ -189,9 +189,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
-    Dense rows must all have the header's width; malformed rows and
-    repeated ids raise DataError naming the file and line. An empty file
-    yields an empty list.
+    Dense rows must all have the header's width; malformed rows,
+    non-finite features and repeated ids raise DataError naming the file
+    and line. An empty file yields an empty list.
     """
     seen: set[str] = set()
 
@@ -208,6 +208,8 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                 vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise _at(path, line, ParseError(exc)) from None
+            if not np.all(np.isfinite(vec)):
+                raise _at(path, line, DataError(f"non-finite feature value in instance {row[0]!r}"))
             instances.append(Instance(id=new_id(row[0], line), features=vec))
         return instances
     if format == "text-jsonl":
@@ -344,31 +346,38 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
     """Load one score per annotation from CSV with header instance_id,annotator_id,score.
 
     Returns the scores in the pair order of ``annotations``. Ids outside
-    ``annotations``, repeated pairs and unparseable scores are rejected,
-    naming the file and line; so is a pair of ``annotations`` with no row.
+    ``annotations``, a pair that ``annotations`` does not hold, repeated
+    pairs and scores that do not parse to a probability in [0, 1] are
+    rejected, naming the file and line; so is a pair of ``annotations``
+    with no row.
     """
     inst_pos = {v: i for i, v in enumerate(annotations.instance_ids)}
     ann_pos = {v: j for j, v in enumerate(annotations.annotator_ids)}
-    by_pair: dict[tuple[int, int], float] = {}
+    pair_pos = {(i, j): p for p, (i, j, _) in enumerate(annotations.triples())}
+    scores: list[float | None] = [None] * annotations.n_pairs
     for line, row in _table(path, SCORES_HEADER):
         try:
-            pair = (_index_of(inst_pos, row[0], False, "instance"),
-                    _index_of(ann_pos, row[1], False, "annotator"))
-            if pair in by_pair:
+            p = pair_pos.get((_index_of(inst_pos, row[0], False, "instance"),
+                              _index_of(ann_pos, row[1], False, "annotator")))
+            if p is None:
+                raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
+            if scores[p] is not None:
                 raise DuplicateError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
             try:
-                by_pair[pair] = float(row[2])
+                score = float(row[2])
             except ValueError:
                 raise ParseError(f"cannot parse score {row[2]!r}") from None
+            if not 0.0 <= score <= 1.0:  # NaN fails this too
+                raise DataError(f"score {row[2]!r} is not a probability in [0, 1]")
+            scores[p] = score
         except DataError as exc:
             raise _at(path, line, exc) from None
-    scores = np.empty(annotations.n_pairs, dtype=np.float64)
-    for pos, (i, j, _) in enumerate(annotations.triples()):
-        if (i, j) not in by_pair:
-            raise DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "
-                            f"{annotations.annotator_ids[j]})")
-        scores[pos] = by_pair[(i, j)]
-    return scores
+    if None in scores:
+        p = scores.index(None)
+        i, j = annotations.instance_idx[p], annotations.annotator_idx[p]
+        raise DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "
+                        f"{annotations.annotator_ids[j]})")
+    return np.array(scores, dtype=np.float64)
 
 
 def write_scores(path: str | Path, annotations: AnnotationSet, scores: np.ndarray) -> None:

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import DataError, DimensionError, ParseError
+
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
@@ -90,7 +92,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read a whitespace-separated embedding file: one "token v1 ... vd" per line.
 
     All rows must share the same dimension; on duplicate tokens the last
-    occurrence wins and a warning is emitted.
+    occurrence wins and a warning is emitted. A malformed or non-finite row
+    is a DataError naming the file and line, and so is an empty file.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -103,17 +106,21 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise ValueError(f"{path}:{lineno}: no vector components")
+                    raise DimensionError(f"{path}:{lineno}: no vector components")
             elif len(values) != dim:
-                raise ValueError(f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            vec = np.array([float(v) for v in values], dtype=np.float64)
+                raise DimensionError(
+                    f"{path}:{lineno}: expected {dim} components, got {len(values)}")
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}:{lineno}: non-finite embedding value")
+                raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if tok in vectors:
                 warnings.warn(f"duplicate embedding for token {tok!r}; keeping the last occurrence")
             vectors[tok] = vec
     if dim is None:
-        raise ValueError(f"{path}: empty embedding file")
+        raise DataError(f"{path}: empty embedding file")
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 

@@ -13,6 +13,12 @@ against those posteriors either by generalized EM (gradient steps on the
 expected complete log likelihood) or by minimizing soft-target cross
 entropies, alternating or jointly.
 
+Every network update (pretraining, ``ce-alt``, the joint step of EM and
+``ce-jt``) is one ``_fit`` loop of full-batch Adam steps under one optimizer
+state. ``perfbench/child.py`` traces ``forward``, ``backward``, ``adam_step``
+and ``estimator_pair_inputs`` by their names in this module, and
+``predict_labels`` and ``reliability_scores`` are kept only for it.
+
 The label posterior is accumulated in log space with priors floored at
 1e-12, so large annotator counts cannot underflow.
 """
@@ -121,8 +127,8 @@ class JointPosterior:
     and ``reliability_posterior`` the (n_pairs,) posterior that each
     annotation was produced reliably, which is the label posterior at the
     annotated label times the pair's own factor (see
-    ``posterior_from_priors``). ``posterior_table`` spreads both marginals
-    into the full joint when it is wanted.
+    ``posterior_from_priors``). Together they fix the full joint: the
+    reliable mass sits on the annotated label.
     """
 
     label_posterior: np.ndarray
@@ -163,43 +169,23 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
                           reliability_posterior=reliability_posterior)
 
 
-def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
-                    annotations: AnnotationSet) -> np.ndarray:
-    """The (n_pairs, n_labels, 2) joint posterior, built from the two marginals.
-
-    Entry [p, t, r] is the posterior that pair p's instance has label t
-    and the annotation was produced reliably (r=1) or not. Reliable mass
-    sits only on the annotated label: [p, a_p, 1] = rel_p. Since
-    (p0/K + p1) / gamma_p(a_p) = 1 and gamma_p(t) = p0/K elsewhere, the
-    unreliable mass is [p, t, 0] = post[i, t] for t != a_p and
-    post[i, a_p] - rel_p at the annotated label.
-    """
-    post = posterior_from_priors(label_prior, reliability_prior, annotations)
-    rel = post.reliability_posterior
-    pairs = np.arange(annotations.n_pairs)
-    table = np.zeros((annotations.n_pairs, label_prior.shape[1], 2), dtype=np.float64)
-    table[:, :, 0] = post.label_posterior[annotations.instance_idx]
-    table[pairs, annotations.label_idx, 0] -= rel
-    table[pairs, annotations.label_idx, 1] = rel
-    return table
-
-
 def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> PairInput:
     """Each observed pair's instance representation and annotator, as the estimator sees them."""
     return PairInput(representation, annotations.instance_idx, annotations.annotator_idx,
                      annotations.n_annotators)
 
 
-def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
-    """One forward pass of each network under the current parameters.
+def _pair_input(estimator_input: str, features: np.ndarray, hidden: np.ndarray,
+                annotations: AnnotationSet) -> PairInput:
+    """The estimator's pair input: the raw features or the classifier's hidden output."""
+    rep = np.asarray(features, dtype=np.float64) if estimator_input == "feature" else hidden
+    return estimator_pair_inputs(rep, annotations)
 
-    Returns the label prior (N, K), the estimator's pair inputs (built
-    from the raw features or the classifier's hidden output) and the
-    reliability prior (P,).
-    """
+
+def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
+    """One forward pass of each network: label prior (N, K), pair inputs, reliability prior (P,)."""
     label_prior, hidden = forward(state.classifier, features)
-    rep = np.asarray(features, dtype=np.float64) if state.estimator_input == "feature" else hidden
-    pair_x = estimator_pair_inputs(rep, annotations)
+    pair_x = _pair_input(state.estimator_input, features, hidden, annotations)
     reliability_prior, _ = forward(state.estimator, pair_x)
     return label_prior, pair_x, reliability_prior
 
@@ -212,21 +198,22 @@ def e_step(state: ModelState, features: np.ndarray,
 
 
 def _adam_from_config(config: TrainConfig) -> AdamState:
-    return AdamState(
-        learning_rate=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        weight_decay=config.weight_decay,
-        clip_norm=config.clip_norm,
-    )
+    return AdamState(learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
+                     weight_decay=config.weight_decay, clip_norm=config.clip_norm)
 
 
-def _fit(params: FnnParams, inputs: np.ndarray | PairInput, targets: np.ndarray,
-         normalizer: float, steps: int, opt: AdamState) -> None:
-    """``steps`` full-batch Adam steps of one network against fixed targets."""
-    arrays = params.arrays()
+def _fit(groups: list[tuple[FnnParams, np.ndarray | PairInput, np.ndarray, float]],
+         steps: int, opt: AdamState) -> None:
+    """``steps`` full-batch Adam steps against fixed targets, under one optimizer state.
+
+    Each group is (network, inputs, targets, normalizer). A step joins the
+    groups' gradients in list order and updates all their arrays at once,
+    so the groups share one clip norm.
+    """
+    arrays = [a for params, *_ in groups for a in params.arrays()]
     for _ in range(steps):
-        adam_step(arrays, backward(params, inputs, targets, normalizer), opt)
+        adam_step(arrays, [g for params, inputs, targets, normalizer in groups
+                           for g in backward(params, inputs, targets, normalizer)], opt)
 
 
 def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
@@ -246,32 +233,27 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     (1 where the annotation matches the baseline label).
     """
     features = np.asarray(features, dtype=np.float64)
-    k, m = annotations.n_labels, annotations.n_annotators
+    k = annotations.n_labels
     clf_seed, est_seed = np.random.SeedSequence(config.seed).spawn(2)
 
     classifier = init_fnn(features.shape[1], config.classifier_hidden,
                           config.classifier_hidden, k, "softmax",
                           np.random.default_rng(clf_seed))
     labels = pretrain_labels(annotations, config.pretrain_source)
-    onehot_targets = np.zeros((len(features), k), dtype=np.float64)
-    onehot_targets[np.arange(len(features)), labels] = 1.0
-    _fit(classifier, features, onehot_targets, float(len(features)), config.pretrain_epochs,
-         _adam_from_config(config))
+    _fit([(classifier, features, np.eye(k)[labels], float(len(features)))],
+         config.pretrain_epochs, _adam_from_config(config))
 
-    if config.estimator_input == "feature":
-        rep = features
-    else:
-        _, rep = forward(classifier, features)
-    estimator = init_fnn(rep.shape[1] + m, config.estimator_hidden,
+    pair_x = _pair_input(config.estimator_input, features, forward(classifier, features)[1],
+                         annotations)
+    estimator = init_fnn(pair_x.shape[1], config.estimator_hidden,
                          config.estimator_hidden, 1, "sigmoid",
                          np.random.default_rng(est_seed))
-    state = ModelState(classifier=classifier, estimator=estimator,
-                       n_labels=k, n_annotators=m,
-                       estimator_input=config.estimator_input)
     agreement = (annotations.label_idx == labels[annotations.instance_idx]).astype(np.float64)
-    _fit(estimator, estimator_pair_inputs(rep, annotations), agreement,
-         float(annotations.n_pairs), config.pretrain_epochs, _adam_from_config(config))
-    return state
+    _fit([(estimator, pair_x, agreement, float(annotations.n_pairs))],
+         config.pretrain_epochs, _adam_from_config(config))
+    return ModelState(classifier=classifier, estimator=estimator, n_labels=k,
+                      n_annotators=annotations.n_annotators,
+                      estimator_input=config.estimator_input)
 
 
 def q_objective(label_prior: np.ndarray, reliability_prior: np.ndarray,
@@ -323,7 +305,7 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
 
     Each outer iteration freezes the posteriors under the current
     parameters (and, in hidden mode, the estimator's input
-    representation) and runs ``inner_iters`` optimizer steps on the
+    representation) and runs ``inner_iters`` steps of ``_fit`` on the
     mode's objective. Training stops at the iteration cap or when the
     objective improves by less than ``early_stop_tol`` between outer
     iterations; EM's Q, a sum over instances and pairs, is divided by
@@ -346,11 +328,10 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     # EM steps on Q per instance and annotation, so weight decay and
     # clipping act alike at every dataset size; CE steps on per-network means
     norm_t, norm_r = (n + n_pairs, n + n_pairs) if config.mode == "em" else (n, n_pairs)
-    if config.mode == "ce-alt":
-        opt_t, opt_r = _adam_from_config(config), _adam_from_config(config)
-    else:
-        joint_arrays = state.classifier.arrays() + state.estimator.arrays()
-        opt_joint = _adam_from_config(config)
+    # ce-alt steps the estimator (1), then the classifier (0), each under its
+    # own Adam state; EM and ce-jt step both under one state and one clip norm
+    schedule = [[1], [0]] if config.mode == "ce-alt" else [[0, 1]]
+    opts = [_adam_from_config(config) for _ in schedule]
 
     def objective(clf_probs: np.ndarray, est_probs: np.ndarray, post: JointPosterior) -> float:
         if config.mode == "em":
@@ -360,22 +341,16 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
 
     previous_end: float | None = None
     for outer in range(1, config.resolved_max_outer() + 1):
-        label_targets = post.label_posterior
-        rel_targets = post.reliability_posterior
         start = objective(label_prior, rel_prior, post)
-        if config.mode == "ce-alt":
-            _fit(state.estimator, pair_x, rel_targets, norm_r, config.inner_iters, opt_r)
-            _fit(state.classifier, features, label_targets, norm_t, config.inner_iters, opt_t)
-        else:
-            for _ in range(config.inner_iters):
-                grads = (backward(state.classifier, features, label_targets, norm_t)
-                         + backward(state.estimator, pair_x, rel_targets, norm_r))
-                adam_step(joint_arrays, grads, opt_joint)
+        groups = [(state.classifier, features, post.label_posterior, norm_t),
+                  (state.estimator, pair_x, post.reliability_posterior, norm_r)]
+        for networks, opt in zip(schedule, opts):
+            _fit([groups[g] for g in networks], config.inner_iters, opt)
 
-        # the end objective scores the estimator on the frozen inputs; they
-        # are dropped before the next pass builds their replacement
+        # the end objective scores the estimator on the frozen inputs; they and
+        # the groups holding them are dropped before the next pass rebuilds them
         est_probs = forward(state.estimator, pair_x)[0]
-        del pair_x
+        del pair_x, groups
         label_prior, pair_x, rel_prior = _priors(state, features, annotations)
         end = objective(label_prior, est_probs, post)
         post = posterior_from_priors(label_prior, rel_prior, annotations)

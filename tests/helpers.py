@@ -1,7 +1,10 @@
 """Independent oracles shared by the unit and acceptance tests.
 
 Everything here recomputes expected values by direct enumeration or
-textbook formulas, deliberately avoiding the code paths under test.
+textbook formulas, deliberately avoiding the code paths under test. The
+one exception, ``posterior_table``, spreads ``posterior_from_priors``'s
+two marginals into the full (pair, label, reliable) joint, so that both
+can be held against the enumerated joint and fed to the loop oracles.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import numpy as np
 
 from crowdrel.baselines import DS_MAX_ITERS, DS_SMOOTHING, DS_TOL
 from crowdrel.data import AnnotationSet
+from crowdrel.model import posterior_from_priors
 from crowdrel.neural import PROB_FLOOR, AdamState, FnnParams, PairInput, forward, soft_ce_loss
 
 
@@ -266,6 +270,27 @@ def dawid_skene_oracle(ann: AnnotationSet):
         if delta < DS_TOL:
             break
     return soft, confusion, trace, iterations
+
+
+def posterior_table(label_prior: np.ndarray, reliability_prior: np.ndarray,
+                    annotations: AnnotationSet) -> np.ndarray:
+    """The (n_pairs, n_labels, 2) joint posterior, built from ``posterior_from_priors``'s marginals.
+
+    Entry [p, t, r] is the posterior that pair p's instance has label t
+    and the annotation was produced reliably (r=1) or not. Reliable mass
+    sits only on the annotated label: [p, a_p, 1] = rel_p. Since
+    (p0/K + p1) / gamma_p(a_p) = 1 and gamma_p(t) = p0/K elsewhere, the
+    unreliable mass is [p, t, 0] = post[i, t] for t != a_p and
+    post[i, a_p] - rel_p at the annotated label.
+    """
+    post = posterior_from_priors(label_prior, reliability_prior, annotations)
+    rel = post.reliability_posterior
+    pairs = np.arange(annotations.n_pairs)
+    table = np.zeros((annotations.n_pairs, label_prior.shape[1], 2), dtype=np.float64)
+    table[:, :, 0] = post.label_posterior[annotations.instance_idx]
+    table[pairs, annotations.label_idx, 0] -= rel
+    table[pairs, annotations.label_idx, 1] = rel
+    return table
 
 
 def q_objective_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,

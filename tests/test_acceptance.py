@@ -18,6 +18,7 @@ from helpers import (
     krippendorff_alpha_oracle,
     make_annotations,
     max_relative_error,
+    posterior_table,
     random_annotation_setup,
 )
 from crowdrel.baselines import dawid_skene, majority_vote
@@ -34,7 +35,6 @@ from crowdrel.featurize import fit_tfidf, transform_tfidf
 from crowdrel.model import (
     TrainConfig,
     posterior_from_priors,
-    posterior_table,
     train,
 )
 from crowdrel.neural import PairInput, backward, init_fnn

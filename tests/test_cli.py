@@ -190,6 +190,62 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert "non-finite feature value in instance 'a'" in result.output
 
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    def test_non_finite_feature_names_file_and_line(self, runner, tmp_path, value):
+        cfg = dense_files_config(tmp_path, f"id,x0,x1\na,0.1,0.2\nb,{value},0.4\n",
+                                 self.ANNOTATIONS)
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "inst.csv:3: non-finite feature value in instance 'b'" in result.output
+
+    def text_config(self, tmp_path: Path, **items) -> Path:
+        """The two-document text dataset, featurized as ``items`` say."""
+        docs = "".join(json.dumps({"id": i, "text": f"words about {i}"}) + "\n" for i in "ab")
+        (tmp_path / "docs.jsonl").write_text(docs)
+        cfg = dense_files_config(tmp_path, "", self.ANNOTATIONS)
+        with open(cfg, "a") as fh:
+            fh.write(f"instances = {tmp_path / 'docs.jsonl'}\ninstances_format = text-jsonl\n")
+            fh.writelines(f"{key} = {value}\n" for key, value in items.items())
+        return cfg
+
+    @pytest.mark.parametrize("content, message", [
+        ("words 0.1 0.2\nabout 0.3 zz\n", "emb.txt:2: could not convert string to float"),
+        ("words 0.1 0.2\nabout 0.3\n", "emb.txt:2: expected 2 components, got 1"),
+        ("words 0.1 0.2\nabout nan 0.3\n", "emb.txt:2: non-finite embedding value"),
+        ("words\n", "emb.txt:1: no vector components"),
+        ("", "emb.txt: empty embedding file"),
+    ])
+    def test_bad_embeddings_file_exits_one(self, runner, tmp_path, content, message):
+        (tmp_path / "emb.txt").write_text(content)
+        cfg = self.text_config(tmp_path, featurizer="avg-embed", embeddings=tmp_path / "emb.txt")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+
+    @pytest.mark.parametrize("featurizer", ["tfidf", "avg-embed"])
+    def test_text_featurizer_on_dense_instances_exits_one(self, runner, tmp_path, featurizer):
+        (tmp_path / "emb.txt").write_text("words 0.1 0.2\n")
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
+        with open(cfg, "a") as fh:
+            fh.write(f"featurizer = {featurizer}\nembeddings = {tmp_path / 'emb.txt'}\n")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert f"featurizer {featurizer!r} needs text instances" in result.output
+
+    def test_tfidf_on_a_corpus_without_tokens_exits_one(self, runner, tmp_path):
+        cfg = self.text_config(tmp_path, featurizer="tfidf")
+        (tmp_path / "docs.jsonl").write_text('{"id": "a", "text": "!?"}\n{"id": "b", "text": ""}\n')
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "featurizer 'tfidf': corpus contains no tokens" in result.output
+
+    def test_unknown_featurizer_is_named_before_embeddings_are_read(self, runner, tmp_path):
+        cfg = self.text_config(tmp_path, featurizer="glove", embeddings=tmp_path / "absent.txt")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "unknown featurizer 'glove'" in result.output
+        assert "absent.txt" not in result.output
+
     @pytest.mark.parametrize("fmt", ["dense-csv", "text-jsonl"])
     def test_repeated_instance_id_names_file_and_line(self, runner, tmp_path, fmt):
         if fmt == "dense-csv":
@@ -352,10 +408,16 @@ class TestFilesDataset:
         ("i0,bogus,0.5", "unknown annotator id 'bogus'"),
         ("i0,a0,high", "cannot parse score 'high'"),
         ("i1,a0,0.7", "duplicate score for instance 'i1' by 'a0'"),
+        ("i0,a1,0.9", "no annotation for instance 'i0' by 'a1'"),
+        ("i0,a0,nan", "score 'nan' is not a probability in [0, 1]"),
+        ("i0,a0,inf", "score 'inf' is not a probability in [0, 1]"),
+        ("i0,a0,-3", "score '-3' is not a probability in [0, 1]"),
+        ("i0,a0,1.5", "score '1.5' is not a probability in [0, 1]"),
     ])
     def test_bad_reliability_row_names_file_and_line(self, runner, tmp_path, bad_row, message):
+        # a1 annotates i1 only, so (i0, a1) is a pair of known ids without an annotation
         cfg = dense_files_config(tmp_path, "id,x0\ni0,0.1\ni1,0.2\n",
-                                 "instance_id,annotator_id,label\ni0,a0,0\ni1,a0,1\n")
+                                 "instance_id,annotator_id,label\ni0,a0,0\ni1,a0,1\ni1,a1,1\n")
         out = tmp_path / "out"
         out.mkdir()
         (out / "predictions.csv").write_text("instance_id,label\ni0,0\ni1,1\n")

@@ -71,6 +71,13 @@ class TestLoadInstances:
         with pytest.raises(ParseError, match=":3"):
             load_instances(path, "dense-csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+    def test_non_finite_feature_reports_line(self, tmp_path, value):
+        path = tmp_path / "x.csv"
+        path.write_text(f"id,x0\na,0.1\nb,{value}\n")
+        with pytest.raises(DataError, match=r"x\.csv:3: non-finite feature value in instance 'b'"):
+            load_instances(path, "dense-csv")
+
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("id,x0,x1\na,0.1,0.2\nb,0.3\n")
@@ -248,12 +255,19 @@ class TestRoundTrip:
     @given(ids=st.lists(any_text), width=st.integers(0, 3), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_dense_csv_instances(self, tmp_path_factory, ids, width, data):
+        # half the draws hold finite values only, so both outcomes are exercised
+        values = st.floats() if data.draw(st.booleans()) else st.floats(allow_nan=False,
+                                                                         allow_infinity=False)
         instances = [Instance(id=i, features=np.array(data.draw(st.lists(
-            st.floats(), min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
+            values, min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
         base = tmp_path_factory.mktemp("rt")
         write_instances(base / "x.csv", instances)
         if len(set(ids)) < len(ids):
-            with pytest.raises(DuplicateError, match="duplicate instance id"):
+            with pytest.raises(DataError, match="duplicate instance id|non-finite feature"):
+                load_instances(base / "x.csv", "dense-csv")
+            return
+        if not all(np.all(np.isfinite(inst.features)) for inst in instances):
+            with pytest.raises(DataError, match="non-finite feature value"):
                 load_instances(base / "x.csv", "dense-csv")
             return
         loaded = load_instances(base / "x.csv", "dense-csv")
@@ -294,7 +308,9 @@ class TestRoundTrip:
             instance_ids=tuple(inst_ids), annotator_ids=tuple(ann_ids),
         )
         gold = GoldLabels(data.draw(st.dictionaries(st.integers(0, len(inst_ids) - 1), label)))
-        scores = np.array([data.draw(st.floats()) for _ in chosen], dtype=np.float64)
+        # half the draws hold probabilities only, so both outcomes are exercised
+        score = st.floats() if data.draw(st.booleans()) else st.floats(0.0, 1.0)
+        scores = np.array([data.draw(score) for _ in chosen], dtype=np.float64)
         base = tmp_path_factory.mktemp("rt")
         write_annotations(base / "ann.csv", ann, label_set)
         write_gold(base / "gold.csv", gold, label_set, inst_ids)
@@ -305,6 +321,10 @@ class TestRoundTrip:
         assert (loaded.instance_ids, loaded.annotator_ids) == (ann.instance_ids, ann.annotator_ids)
         loaded_gold = load_gold(base / "gold.csv", label_set, instance_ids=inst_ids)
         assert loaded_gold == gold
+        if not np.all((scores >= 0.0) & (scores <= 1.0)):
+            with pytest.raises(DataError, match=r"rel\.csv:\d+: score .* is not a probability"):
+                load_scores(base / "rel.csv", loaded)
+            return
         loaded_scores = load_scores(base / "rel.csv", loaded)
         assert same_floats(loaded_scores, scores)
         write_annotations(base / "ann2.csv", loaded, label_set)

@@ -12,6 +12,7 @@ from helpers import (
     dense_pair_input,
     emission_prob,
     make_annotations,
+    posterior_table,
     q_objective_oracle,
     random_annotation_setup,
     reference_adam_step,
@@ -21,6 +22,7 @@ from helpers import (
 from crowdrel.baselines import dawid_skene
 from crowdrel.data import AnnotationSet, LabelSet, feature_matrix
 from crowdrel.model import (
+    MODES,
     ModelState,
     TrainConfig,
     ce_losses,
@@ -28,7 +30,6 @@ from crowdrel.model import (
     estimator_pair_inputs,
     load_model,
     posterior_from_priors,
-    posterior_table,
     pretrain,
     pretrain_labels,
     q_objective,
@@ -426,38 +427,72 @@ class TestTrain:
             assert len(four.trace) == len(once.trace)
 
     @pytest.mark.parametrize("estimator_input", ["hidden", "feature"])
-    def test_ce_alt_matches_hand_rolled_schedule(self, estimator_input):
-        # each outer iteration freezes the posteriors and the estimator's
-        # input, then takes the estimator's steps and then the classifier's;
-        # each network keeps its own Adam state across outer iterations
+    @pytest.mark.parametrize("mode", MODES)
+    def test_every_mode_matches_hand_rolled_schedule(self, mode, estimator_input):
+        # pretraining fits the classifier to one-hot DS labels, then the
+        # estimator to agreement with them, each under its own Adam state.
+        # Each outer iteration freezes the posteriors and the estimator's
+        # input. ce-alt then steps the estimator and then the classifier, each
+        # under its own state; EM and ce-jt step both under one state over the
+        # classifier's and then the estimator's arrays. Every state lives
+        # across outer iterations.
         instances, gold = gen_2d("moon", 60, seed=2)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=2,
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
-        cfg = TrainConfig(mode="ce-alt", max_outer=2, inner_iters=2, pretrain_epochs=5,
-                          estimator_input=estimator_input, seed=4)
+        # the classifier's hidden layer is as wide as the features, so an
+        # estimator fed the wrong one differs in its values, not in its shape;
+        # clipping fires on every step, so a joint step under two Adam states
+        # (two clip norms) differs from one under a single state
+        cfg = TrainConfig(mode=mode, max_outer=2, inner_iters=2, pretrain_epochs=5,
+                          classifier_hidden=2, clip_norm=0.01, estimator_input=estimator_input,
+                          seed=4)
         result = train(x, ann, cfg)
 
-        state = pretrain(x, ann, cfg)
-        opts = [AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-                          weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
-                for _ in range(2)]
+        def adam():
+            return AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
+                             weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+
+        def steps(groups, n_steps, opt):
+            arrays = [a for net, *_ in groups for a in net.arrays()]
+            for _ in range(n_steps):
+                grads = [g for net, inputs, targets, norm in groups
+                         for g in reference_backward(net, inputs, targets, norm)]
+                reference_adam_step(arrays, grads, opt)
+
+        def pair_input(classifier):
+            hidden = reference_forward(classifier, x)[1]
+            return estimator_pair_inputs(x if estimator_input == "feature" else hidden, ann)
+
+        n, p = float(len(x)), float(ann.n_pairs)
+        clf_seed, est_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+        classifier = init_fnn(2, cfg.classifier_hidden, cfg.classifier_hidden, 2, "softmax",
+                              np.random.default_rng(clf_seed))
+        ds_labels = dawid_skene(ann).hard_labels
+        steps([(classifier, x, np.eye(2)[ds_labels], n)], cfg.pretrain_epochs, adam())
+        pair_x = pair_input(classifier)
+        estimator = init_fnn(pair_x.shape[1], cfg.estimator_hidden, cfg.estimator_hidden, 1,
+                             "sigmoid", np.random.default_rng(est_seed))
+        agreement = (ann.label_idx == ds_labels[ann.instance_idx]).astype(np.float64)
+        steps([(estimator, pair_x, agreement, p)], cfg.pretrain_epochs, adam())
+
+        norm_t, norm_r = (n + p, n + p) if mode == "em" else (n, p)
+        opts = [adam(), adam()]
         for _ in range(2):
-            label_prior, hidden = reference_forward(state.classifier, x)
-            pair_x = estimator_pair_inputs(x if estimator_input == "feature" else hidden, ann)
-            post = posterior_from_priors(label_prior, reference_forward(state.estimator, pair_x)[0],
-                                         ann)
-            for net, inputs, targets, opt in (
-                    (state.estimator, pair_x, post.reliability_posterior, opts[1]),
-                    (state.classifier, x, post.label_posterior, opts[0])):
-                for _ in range(cfg.inner_iters):
-                    reference_adam_step(net.arrays(),
-                                        reference_backward(net, inputs, targets, float(len(targets))),
-                                        opt)
+            pair_x = pair_input(classifier)
+            post = posterior_from_priors(reference_forward(classifier, x)[0],
+                                         reference_forward(estimator, pair_x)[0], ann)
+            clf = (classifier, x, post.label_posterior, norm_t)
+            est = (estimator, pair_x, post.reliability_posterior, norm_r)
+            if mode == "ce-alt":
+                steps([est], cfg.inner_iters, opts[0])
+                steps([clf], cfg.inner_iters, opts[1])
+            else:
+                steps([clf, est], cfg.inner_iters, opts[0])
 
         assert len(result.trace) == 2
         for got, want in zip(result.state.classifier.arrays() + result.state.estimator.arrays(),
-                             state.classifier.arrays() + state.estimator.arrays()):
+                             classifier.arrays() + estimator.arrays()):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     def test_em_mode_improves_q_within_iterations(self, moon_setup):
