@@ -2,8 +2,11 @@
 
 A run is driven by a declarative key=value config file; command-line
 flags override file values. Every command writes a manifest carrying the
-hash of the effective config so artifacts are traceable. Exit codes:
-0 success, 1 configuration/validation problem, 2 runtime failure.
+hash of the effective config so artifacts are traceable. Bad input,
+whether a file row, a config value or an argument a library function
+rejects, raises ``DataError`` where it is checked. Exit codes: 0
+success; 1 for a DataError or an input path that is missing or a
+directory; 2 for anything else, such as a FloatingPointError in training.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import click
 import numpy as np
 
 from . import baselines, data, evaluate, featurize, model, simulate
+from .data import DataError
 
 OUT_DIR_ENV = "CROWDREL_OUT"
 
@@ -47,10 +51,6 @@ CONFIG_KEYS = frozenset(TRAIN_KEYS) | {
 }
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def parse_config(path: str | Path) -> dict[str, str]:
     cfg: dict[str, str] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -58,10 +58,10 @@ def parse_config(path: str | Path) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key = value")
+            raise DataError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
         cfg[key] = value
     return cfg
 
@@ -74,12 +74,12 @@ def config_hash(cfg: dict[str, str]) -> str:
 def _get(cfg: dict[str, str], key: str, default=None, cast=str):
     if key not in cfg:
         if default is None:
-            raise ConfigError(f"missing config key {key!r}")
+            raise DataError(f"missing config key {key!r}")
         return default
     try:
         return cast(cfg[key])
     except (TypeError, ValueError):
-        raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r} as {cast.__name__}") from None
+        raise DataError(f"config key {key!r}: cannot parse {cfg[key]!r} as {cast.__name__}") from None
 
 
 def _resolve_out_dir(cfg: dict[str, str], flag: str | None) -> Path:
@@ -100,10 +100,10 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict[str, str], files: lis
 
 
 def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
-              gold: data.GoldLabels | None) -> None:
+              gold: data.GoldLabels) -> None:
     problems = data.validate(instances, annotations, gold)
     if problems:
-        raise data.DataError("; ".join(problems))
+        raise DataError("; ".join(problems))
 
 
 def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
@@ -122,12 +122,12 @@ def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
                 profiles.append(simulate.AnnotatorProfile("graded", error_prob=float(arg)))
             elif kind in ("broad", "random", "adversarial"):
                 if sep:
-                    raise ValueError(f"{kind} takes no argument")
+                    raise DataError(f"{kind} takes no argument")
                 profiles.append(simulate.AnnotatorProfile(kind))
             else:
-                raise ValueError("unknown annotator kind")
-        except ValueError as exc:
-            raise ConfigError(f"panel entry {part!r}: {exc}") from None
+                raise DataError("unknown annotator kind")
+        except ValueError as exc:  # a DataError, or an argument that does not parse
+            raise DataError(f"panel entry {part!r}: {exc}") from None
     return profiles
 
 
@@ -148,46 +148,42 @@ def _label_set(cfg: dict[str, str]) -> data.LabelSet:
 
 
 def _load_dataset(cfg: dict[str, str], out_dir: Path):
-    """Return (instances, annotations, gold, label_set) from files or a prior simulate run."""
+    """Return (instances, annotations, gold, label_set) from files or a prior simulate run.
+
+    ``gold`` is the gold label index of each instance, -1 where it has none
+    (everywhere when no gold file is named).
+    """
     label_set = _label_set(cfg)
-    kind = _get(cfg, "dataset", "moon")
-    if kind in simulate.DATASET_KINDS:
-        base = out_dir
-        instances = data.load_instances(base / "instances.csv", "dense-csv")
-        fmt_note = "run `crowdrel simulate` first or set dataset=files"
-        if not instances:
-            raise ConfigError(f"no instances found in {base}; {fmt_note}")
+    if _get(cfg, "dataset", "moon") in simulate.DATASET_KINDS:
+        instances = data.load_instances(out_dir / "instances.csv", "dense-csv")
+        ann_path, gold_path = out_dir / "annotations.csv", out_dir / "gold.csv"
     else:
         instances = data.load_instances(_get(cfg, "instances"),
                                         _get(cfg, "instances_format", "dense-csv"))
-        base = None
+        ann_path, gold_path = _get(cfg, "annotations"), cfg.get("gold")
     ids = [inst.id for inst in instances]
-    ann_path = (out_dir / "annotations.csv") if base else _get(cfg, "annotations")
     annotations = data.load_annotations(ann_path, label_set, instance_ids=ids)
-    gold = None
-    gold_path = (out_dir / "gold.csv") if base else cfg.get("gold")
-    if gold_path:
-        gold = data.load_gold(gold_path, label_set, instance_ids=ids)
+    gold = data.load_gold(gold_path, label_set, instance_ids=ids) if gold_path else data.GoldLabels()
     _validate(instances, annotations, gold)
-    return instances, annotations, gold, label_set
+    return instances, annotations, gold.to_array(len(instances)), label_set
 
 
 def _features(cfg: dict[str, str], instances: list[data.Instance]) -> tuple[np.ndarray, str]:
     kind = _get(cfg, "featurizer", "none")
     if kind not in HIDDEN_DEFAULTS:
-        raise ConfigError(f"unknown featurizer {kind!r}; expected one of {list(HIDDEN_DEFAULTS)}")
+        raise DataError(f"unknown featurizer {kind!r}; expected one of {list(HIDDEN_DEFAULTS)}")
     if kind == "none":
         return data.feature_matrix(instances), kind
     dense = next((inst.id for inst in instances if inst.text is None), None)
     if dense is not None:
-        raise ConfigError(f"featurizer {kind!r} needs text instances, but instance {dense!r} "
-                          "has dense features (set instances_format = text-jsonl)")
+        raise DataError(f"featurizer {kind!r} needs text instances, but instance {dense!r} "
+                        "has dense features (set instances_format = text-jsonl)")
     texts = [inst.text for inst in instances]
     if kind == "tfidf":
         try:
             vocab = featurize.fit_tfidf(texts)
-        except ValueError as exc:  # an empty corpus, or one without a token
-            raise ConfigError(f"featurizer 'tfidf': {exc}") from None
+        except DataError as exc:  # a corpus without a token
+            raise DataError(f"featurizer 'tfidf': {exc}") from None
         return np.stack([featurize.transform_tfidf(vocab, t) for t in texts]), kind
     table = featurize.load_embeddings(_get(cfg, "embeddings"))
     if kind == "avg-embed":
@@ -200,15 +196,12 @@ def _train_config(cfg: dict[str, str], featurizer: str) -> model.TrainConfig:
     settings = dict(zip(("classifier_hidden", "estimator_hidden"), HIDDEN_DEFAULTS[featurizer]))
     settings.update(("pretrain_source" if key == "pretrain" else key, _get(cfg, key, cast=cast))
                     for key, cast in TRAIN_KEYS.items() if key in cfg)
-    try:
-        return model.TrainConfig(**settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return model.TrainConfig(**settings)
 
 
 def _fail(exc: Exception) -> None:
     click.echo(f"error: {exc}", err=True)
-    validation = (ConfigError, data.DataError, FileNotFoundError)
+    validation = (DataError, FileNotFoundError, IsADirectoryError)
     sys.exit(1 if isinstance(exc, validation) else 2)
 
 
@@ -231,22 +224,15 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
     try:
         cfg = _merge(config_path, {"dataset": dataset, "n": n, "noise": noise,
                                    "panel": panel, "keep_prob": keep_prob, "seed": seed})
-        kind = _get(cfg, "dataset", "moon")
-        if kind not in simulate.DATASET_KINDS:
-            raise ConfigError(f"simulate needs a generated dataset kind, got {kind!r}")
         seed_v = _get(cfg, "seed", 0, int)
-        n_v = _get(cfg, "n", 1000, int)
         noise_v = _get(cfg, "noise", cast=float) if "noise" in cfg else None
-        keep_prob_v = _get(cfg, "keep_prob", 1.0, float)
+        instances, gold = simulate.gen_2d(_get(cfg, "dataset", "moon"), _get(cfg, "n", 1000, int),
+                                          noise_v, seed_v)
         label_set = _label_set(cfg)
         profiles = _parse_panel(_get(cfg, "panel"), len(label_set))
-        try:  # the generators raise ValueError only for out-of-range arguments
-            instances, gold = simulate.gen_2d(kind, n_v, noise_v, seed_v)
-            annotations = simulate.simulate_annotations(
-                gold, len(label_set), profiles, seed_v,
-                instance_ids=[inst.id for inst in instances], keep_prob=keep_prob_v)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        annotations = simulate.simulate_annotations(
+            gold, len(label_set), profiles, seed_v, instance_ids=[inst.id for inst in instances],
+            keep_prob=_get(cfg, "keep_prob", 1.0, float))
         _validate(instances, annotations, gold)
         out = _resolve_out_dir(cfg, out_dir)
         data.write_instances(out / "instances.csv", instances)
@@ -275,8 +261,7 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         instances, annotations, gold, label_set = _load_dataset(cfg, out)
         features, featurizer = _features(cfg, instances)
         train_cfg = _train_config(cfg, featurizer)
-        gold_arr = gold.to_array(len(instances)) if gold is not None else None
-        result = model.train(features, annotations, train_cfg, gold=gold_arr)
+        result = model.train(features, annotations, train_cfg, gold=gold)
 
         model.save_model(out / "model.json", result.state, label_set, train_cfg)
         data.write_table(out / "trace.csv", ["outer", "objective_start", "objective_end", "f1"],
@@ -293,12 +278,6 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         click.echo(f"trained {train_cfg.mode} for {len(result.trace)} outer iterations; artifacts in {out}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
-
-
-def _aggregator(name: str):
-    if name not in model.PRETRAIN_SOURCES:
-        raise ConfigError(f"unknown aggregator {name!r}")
-    return lambda ann: model.pretrain_labels(ann, name)
 
 
 @main.command("eval")
@@ -318,15 +297,13 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
         pred = data.load_gold(out / "predictions.csv", label_set,
                               instance_ids=annotations.instance_ids).to_array(len(instances))
         if np.any(pred < 0):
-            raise ConfigError("predictions.csv does not cover every instance")
+            raise DataError("predictions.csv does not cover every instance")
         scores = data.load_scores(out / "reliability.csv", annotations)
 
         rows: list[tuple[str, str]] = []
         wanted = [m.strip() for m in _get(cfg, "metrics", "f1,iaa").split(",") if m.strip()]
         for metric in wanted:
             if metric == "f1":
-                if gold is None:
-                    raise ConfigError("f1 requested but no gold labels available")
                 s = evaluate.f1(pred, gold)
                 rows += [("f1_micro", repr(s.micro)), ("f1_macro", repr(s.macro))]
             elif metric == "iaa":
@@ -337,21 +314,19 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
                     rows.append(("krippendorff_alpha",
                                  repr(evaluate.krippendorff_alpha(annotations))))
             elif metric == "baselines":
-                if gold is None:
-                    raise ConfigError("baselines requested but no gold labels available")
                 mv = evaluate.f1(baselines.majority_vote(annotations), gold)
                 ds = evaluate.f1(baselines.dawid_skene(annotations).hard_labels, gold)
                 rows += [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))]
             else:
-                raise ConfigError(f"unknown metric {metric!r}")
+                raise DataError(f"unknown metric {metric!r}")
 
         files = ["metrics.csv"]
         k = _get(cfg, "report_reliability", 0, int)
         if k < 0:
-            raise ConfigError(f"report_reliability must be >= 0 (0 is off), got {k}")
+            raise DataError(f"report_reliability must be >= 0 (0 is off), got {k}")
         if k > 0:
-            if gold is None:
-                raise ConfigError("reliability report needs gold labels")
+            if not np.any(gold >= 0):
+                raise DataError("reliability report needs gold labels")
             report = evaluate.reliability_report(scores, annotations, gold, k)
             (out / "reliability_report.txt").write_text(
                 evaluate.report_to_text(report, label_set.labels), encoding="utf-8")
@@ -360,9 +335,8 @@ def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
             files += ["reliability_report.txt", "reliability_report.csv"]
         denoise_with = _get(cfg, "denoise", "off")
         if denoise_with != "off":
-            if gold is None:
-                raise ConfigError("denoise experiment needs gold labels")
-            res = evaluate.denoise_experiment(annotations, scores, _aggregator(denoise_with), gold)
+            res = evaluate.denoise_experiment(
+                annotations, scores, lambda ann: model.pretrain_labels(ann, denoise_with), gold)
             rows += [(f"denoise_{denoise_with}_before", repr(res.f1_before.micro)),
                      (f"denoise_{denoise_with}_after", repr(res.f1_after.micro)),
                      (f"denoise_{denoise_with}_delta", repr(res.delta_micro))]

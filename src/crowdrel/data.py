@@ -20,7 +20,12 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Base class for dataset loading/validation failures."""
+    """Bad input: a value from outside the program failed the check that raised it.
+
+    The one exception type for bad files, config values and library
+    arguments; the subclasses below name the kind of fault. The CLI maps it
+    to exit code 1.
+    """
 
 
 class ParseError(DataError):
@@ -141,8 +146,9 @@ class GoldLabels:
     def __len__(self) -> int:
         return len(self.by_index)
 
-    def to_array(self, n_instances: int, missing: int = -1) -> np.ndarray:
-        out = np.full(n_instances, missing, dtype=np.int64)
+    def to_array(self, n_instances: int) -> np.ndarray:
+        """Label index per instance, -1 where it has no gold label."""
+        out = np.full(n_instances, -1, dtype=np.int64)
         for i, t in self.by_index.items():
             out[i] = t
         return out
@@ -395,6 +401,8 @@ def validate(
     """Cross-check a dataset; returns a list of violations (empty means valid)."""
     problems: list[str] = []
     n = len(instances)
+    if n == 0:
+        problems.append("dataset has no instances")
     kinds = {(inst.features is not None) for inst in instances}
     if len(kinds) > 1:
         problems.append("mixed payload kinds: some instances have features, some have text")

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import vote_counts
-from .data import AnnotationSet, GoldLabels
+from .data import AnnotationSet, DataError, GoldLabels
 
 
 def _gold_array(gold: GoldLabels | np.ndarray, n: int) -> np.ndarray:
@@ -37,7 +37,7 @@ def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
     gold_arr = _gold_array(gold, len(pred))
     mask = gold_arr >= 0
     if not mask.any():
-        raise ValueError("no gold labels to evaluate against")
+        raise DataError("no gold labels to evaluate against")
     p, g = pred[mask], gold_arr[mask]
     micro = float((p == g).mean())
     macros = []
@@ -57,7 +57,7 @@ def fleiss_kappa(annotations: AnnotationSet) -> float:
     per_instance = counts.sum(axis=1)
     n_raters = per_instance[0] if len(per_instance) else 0
     if n_raters < 2 or not np.all(per_instance == n_raters):
-        raise ValueError(
+        raise DataError(
             "fleiss_kappa needs the same number of annotations on every instance "
             "(>= 2); use krippendorff_alpha for incomplete panels"
         )
@@ -76,7 +76,7 @@ def krippendorff_alpha(annotations: AnnotationSet) -> float:
     m_u = counts.sum(axis=1)
     usable = m_u >= 2
     if not usable.any():
-        raise ValueError("krippendorff_alpha needs at least one instance with >= 2 annotations")
+        raise DataError("krippendorff_alpha needs at least one instance with >= 2 annotations")
     counts = counts[usable]
     m_u = m_u[usable]
 
@@ -130,7 +130,7 @@ def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
     Ordering ties break toward the lower instance index.
     """
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise DataError(f"k must be >= 0, got {k}")
     scores = np.asarray(scores, dtype=np.float64)
     if len(scores) != annotations.n_pairs:
         raise ValueError("need one reliability score per annotation")

@@ -40,11 +40,11 @@ class Vocabulary:
 def fit_tfidf(corpus: list[str]) -> Vocabulary:
     """Build a vocabulary with document frequencies from a corpus of texts.
 
-    Token indices follow first occurrence across the corpus. Raises if the
-    corpus is empty or contains no tokens at all.
+    Token indices follow first occurrence across the corpus. Raises
+    DataError if the corpus is empty or contains no tokens at all.
     """
     if not corpus:
-        raise ValueError("empty corpus")
+        raise DataError("empty corpus")
     index: dict[str, int] = {}
     df: list[int] = []
     for text in corpus:
@@ -57,7 +57,7 @@ def fit_tfidf(corpus: list[str]) -> Vocabulary:
             else:
                 df[pos] += 1
     if not index:
-        raise ValueError("corpus contains no tokens")
+        raise DataError("corpus contains no tokens")
     return Vocabulary(index=index, doc_freq=np.array(df, dtype=np.int64), n_documents=len(corpus))
 
 

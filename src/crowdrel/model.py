@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import dawid_skene, majority_vote
-from .data import AnnotationSet, LabelSet
+from .data import AnnotationSet, DataError, LabelSet
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -80,11 +80,11 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.pretrain_source not in PRETRAIN_SOURCES:
-            raise ValueError(f"pretrain_source must be one of {PRETRAIN_SOURCES}")
+            raise DataError(f"pretrain_source must be one of {PRETRAIN_SOURCES}")
         if self.estimator_input not in ESTIMATOR_INPUTS:
-            raise ValueError(f"estimator_input must be one of {ESTIMATOR_INPUTS}")
+            raise DataError(f"estimator_input must be one of {ESTIMATOR_INPUTS}")
         for name, ok, rule in (
                 ("inner_iters", self.inner_iters >= 1, ">= 1"),
                 ("max_outer", self.max_outer is None or self.max_outer >= 0, ">= 0"),
@@ -99,7 +99,7 @@ class TrainConfig:
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")):
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise DataError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def resolved_max_outer(self) -> int:
         if self.max_outer is not None:
@@ -221,7 +221,7 @@ def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
         return majority_vote(annotations)
     if source == "ds":
         return dawid_skene(annotations).hard_labels
-    raise ValueError(f"pretrain source must be one of {PRETRAIN_SOURCES}, got {source!r}")
+    raise DataError(f"aggregator must be one of {PRETRAIN_SOURCES}, got {source!r}")
 
 
 def pretrain(features: np.ndarray, annotations: AnnotationSet,
@@ -407,7 +407,7 @@ def save_model(path: str | Path, state: ModelState, label_set: LabelSet,
 def load_model(path: str | Path) -> tuple[ModelState, LabelSet, TrainConfig]:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported model checkpoint version {payload.get('format_version')!r}")
+        raise DataError(f"unsupported model checkpoint version {payload.get('format_version')!r}")
     state = ModelState(
         classifier=fnn_from_dict(payload["classifier"]),
         estimator=fnn_from_dict(payload["estimator"]),

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnnotationSet, GoldLabels, Instance
+from .data import AnnotationSet, DataError, GoldLabels, Instance
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
@@ -41,12 +41,12 @@ class AnnotatorProfile:
 
     def __post_init__(self) -> None:
         if self.kind not in ("narrow", "broad", "random", "adversarial", "graded"):
-            raise ValueError(f"unknown annotator kind {self.kind!r}")
+            raise DataError(f"unknown annotator kind {self.kind!r}")
         if self.kind == "narrow" and (self.domain is None or self.domain < 0):
-            raise ValueError("narrow annotator needs a domain class")
+            raise DataError("narrow annotator needs a domain class")
         if self.kind == "graded":
             if self.error_prob is None or not 0.0 <= self.error_prob <= 1.0:
-                raise ValueError("graded annotator needs error_prob in [0, 1]")
+                raise DataError("graded annotator needs error_prob in [0, 1]")
 
     def short_name(self) -> str:
         if self.kind == "narrow":
@@ -69,7 +69,7 @@ def graded_panel(error_probs: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
     if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+        raise DataError(f"seed must be >= 0, got {seed}")
     return np.random.SeedSequence(seed)
 
 
@@ -90,12 +90,12 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
     lowest class indices: 1000 points give 500/500 or 334/333/333).
     """
     if kind not in DATASET_KINDS:
-        raise ValueError(f"dataset kind must be one of {tuple(DATASET_KINDS)}")
+        raise DataError(f"dataset kind must be one of {tuple(DATASET_KINDS)}")
     k, default_noise = DATASET_KINDS[kind]
     if n < k:
-        raise ValueError(f"n must be at least {k} for {kind}, got {n}")
+        raise DataError(f"n must be at least {k} for {kind}, got {n}")
     if noise is not None and not 0.0 <= noise < np.inf:
-        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+        raise DataError(f"noise must be finite and >= 0, got {noise}")
     sigma = default_noise if noise is None else noise
     rng = np.random.default_rng(_seed_sequence(seed))
     counts = _class_counts(n, k)
@@ -158,16 +158,16 @@ def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
     guaranteeing each instance keeps at least one.
     """
     if not profiles:
-        raise ValueError("need at least one annotator profile")
+        raise DataError("need at least one annotator profile")
     for j, profile in enumerate(profiles):
         if profile.kind == "narrow" and profile.domain >= n_labels:
-            raise ValueError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
-                             f"is not one of the {n_labels} labels")
+            raise DataError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
+                            f"is not one of the {n_labels} labels")
     if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
+        raise DataError(f"keep_prob must be in [0, 1], got {keep_prob}")
     truth = gold.to_array(len(gold)) if isinstance(gold, GoldLabels) else np.asarray(gold)
     if np.any(truth < 0):
-        raise ValueError("simulation needs a gold label for every instance")
+        raise DataError("simulation needs a gold label for every instance")
     n, m = len(truth), len(profiles)
 
     streams = _seed_sequence(seed).spawn(m + 1)
@@ -204,7 +204,7 @@ def gen_text_fixture(n: int = 500, n_labels: int = 3,
     classes cleanly separable.
     """
     if n < n_labels:
-        raise ValueError("need at least one document per class")
+        raise DataError("need at least one document per class")
     rng = np.random.default_rng(_seed_sequence(seed))
     keywords = [[f"topic{c}word{t}" for t in range(8)] for c in range(n_labels)]
     fillers = [f"the{t}" for t in range(15)]

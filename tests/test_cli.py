@@ -264,6 +264,29 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert f"{name}:{line}: duplicate instance id 'a'" in result.output
 
+    @pytest.mark.parametrize("instances_format", ["dense-csv", "text-jsonl"])
+    def test_empty_dataset_exits_one(self, runner, tmp_path, instances_format):
+        if instances_format == "dense-csv":
+            cfg = dense_files_config(tmp_path, "id,x0,x1\n", "instance_id,annotator_id,label\n")
+        else:
+            (tmp_path / "emb.txt").write_text("words 0.1 0.2\n")
+            cfg = self.text_config(tmp_path, featurizer="avg-embed", embeddings=tmp_path / "emb.txt")
+            (tmp_path / "docs.jsonl").write_text("")
+            (tmp_path / "ann.csv").write_text("instance_id,annotator_id,label\n")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "dataset has no instances" in result.output
+
+    @pytest.mark.parametrize("key", ["instances", "annotations", "gold"])
+    def test_directory_as_input_path_exits_one(self, runner, tmp_path, key):
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
+        (tmp_path / "somedir").mkdir()
+        with open(cfg, "a") as fh:
+            fh.write(f"{key} = {tmp_path / 'somedir'}\n")  # the last value of a key wins
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "Is a directory" in result.output and "somedir" in result.output
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_missing_gold_file_names_the_path(self, runner, tmp_path, command):
         cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
@@ -426,6 +449,48 @@ class TestFilesDataset:
         result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa"])
         assert result.exit_code == 1, result.output
         assert f"reliability.csv:3: {message}" in result.output
+
+    def eval_config(self, tmp_path: Path, annotations: str, gold: str) -> Path:
+        """Two instances with ``annotations`` and ``gold``, predictions and a score per pair."""
+        cfg = dense_files_config(tmp_path, "id,x0\ni0,0.1\ni1,0.2\n",
+                                 "instance_id,annotator_id,label\n" + annotations)
+        (tmp_path / "gold.csv").write_text("instance_id,label\n" + gold)
+        with open(cfg, "a") as fh:
+            fh.write(f"gold = {tmp_path / 'gold.csv'}\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "predictions.csv").write_text("instance_id,label\ni0,0\ni1,1\n")
+        (out / "reliability.csv").write_text("instance_id,annotator_id,score\n" + "".join(
+            row.rsplit(",", 1)[0] + ",0.5\n" for row in annotations.splitlines()))
+        return cfg
+
+    def test_default_metrics_with_no_instance_annotated_twice_exits_one(self, runner, tmp_path):
+        cfg = self.eval_config(tmp_path, "i0,a0,0\ni1,a1,1\n", "i0,0\ni1,1\n")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "krippendorff_alpha needs at least one instance with >= 2 annotations" in result.output
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--metrics", "f1"], "no gold labels to evaluate against"),
+        (["--metrics", "baselines"], "no gold labels to evaluate against"),
+        (["--metrics", "iaa", "--denoise", "mv"], "no gold labels to evaluate against"),
+        (["--metrics", "iaa", "--report-reliability", "3"], "reliability report needs gold labels"),
+    ], ids=["f1", "baselines", "denoise", "report"])
+    def test_header_only_gold_file_exits_one(self, runner, tmp_path, args, message):
+        cfg = self.eval_config(tmp_path, "i0,a0,0\ni0,a1,0\ni1,a0,1\ni1,a1,0\n", "")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg)] + args)
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+        assert not (tmp_path / "out" / "reliability_report.txt").exists()
+
+    def test_unknown_denoise_aggregator_exits_one(self, runner, tmp_path):
+        cfg = self.eval_config(tmp_path, "i0,a0,0\ni0,a1,0\ni1,a0,1\ni1,a1,0\n", "i0,0\ni1,1\n")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa",
+                                          "--denoise", "median"])
+        assert result.exit_code == 1, result.output
+        assert "aggregator must be one of ('mv', 'ds'), got 'median'" in result.output
 
     def test_unknown_metric_fails_validation(self, runner, pipeline_dir):
         _, cfg = pipeline_dir

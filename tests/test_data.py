@@ -24,6 +24,8 @@ from crowdrel.data import (
     write_instances_jsonl,
     write_scores,
 )
+from crowdrel.evaluate import reliability_report
+from crowdrel.neural import AdamState, PairInput, adam_step, forward, init_fnn
 
 
 @pytest.fixture
@@ -215,6 +217,11 @@ class TestValidate:
         problems = validate(instances, ann)
         assert len(problems) == 1 and "non-finite" in problems[0]
 
+    def test_empty_dataset(self):
+        empty = AnnotationSet(n_instances=0, n_annotators=0, n_labels=2,
+                              instance_idx=[], annotator_idx=[], label_idx=[])
+        assert validate([], empty) == ["dataset has no instances"]
+
 
 ids_st = st.lists(st.text(st.characters(categories=("L", "Nd"), include_characters=",\" "),
                           min_size=1, max_size=8),
@@ -340,6 +347,24 @@ class TestRoundTrip:
         second = load_annotations(path, binary_labels)
         assert first.instance_ids == second.instance_ids == ("z", "a")
         assert first.triples() == second.triples()
+
+
+TWO_PAIRS = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
+                          instance_idx=[0, 1], annotator_idx=[0, 0], label_idx=[0, 1])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PairInput(np.zeros((2, 1)), [0, 2], [0, 0], 1),
+    lambda: forward(init_fnn(2, 1, 1, 2, "softmax", np.random.default_rng(0)), np.zeros((1, 3))),
+    lambda: adam_step([np.zeros(2)], [], AdamState()),
+    lambda: reliability_report(np.zeros(1), TWO_PAIRS, np.array([0, 1]), 1),
+    lambda: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, 2]), 1),
+], ids=["pair-index", "input-width", "adam-list-lengths", "score-count", "gold-range"])
+def test_internal_invariants_are_not_data_errors(call):
+    # a broken invariant is a fault of the program, not of its input
+    with pytest.raises(ValueError) as info:
+        call()
+    assert not isinstance(info.value, DataError)
 
 
 def test_feature_matrix_requires_dense():

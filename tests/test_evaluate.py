@@ -11,7 +11,7 @@ from helpers import (
     reliability_report_oracle,
 )
 from crowdrel.baselines import majority_vote
-from crowdrel.data import GoldLabels
+from crowdrel.data import DataError, GoldLabels
 from crowdrel.evaluate import (
     REPORT_CSV_HEADER,
     DenoiseResult,
@@ -42,7 +42,7 @@ class TestF1:
         assert f1(np.array([1, 0]), np.array([0, 1])).micro == 0.0
 
     def test_empty_gold_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="no gold labels"):
             f1(np.array([0, 1]), np.array([-1, -1]))
 
     def test_partial_gold_uses_covered_instances(self):
@@ -73,7 +73,7 @@ class TestFleissKappa:
 
     def test_unequal_counts_point_to_alpha(self):
         ann = make_annotations([(0, 0, 0), (0, 1, 0), (1, 0, 1)], 2, 2, 2)
-        with pytest.raises(ValueError, match="krippendorff_alpha"):
+        with pytest.raises(DataError, match="krippendorff_alpha"):
             fleiss_kappa(ann)
 
     def test_moon_panel_value(self):
@@ -102,7 +102,7 @@ class TestKrippendorffAlpha:
 
     def test_needs_pairable_values(self):
         ann = make_annotations([(0, 0, 0), (1, 1, 1)], 2, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=">= 2 annotations"):
             krippendorff_alpha(ann)
 
     def test_invariant_to_annotator_relabeling(self):
@@ -169,7 +169,7 @@ class TestReliabilityReport:
 
     def test_negative_k_is_an_error(self):
         ann, scores, gold = self._setup()
-        with pytest.raises(ValueError, match="k must be >= 0"):
+        with pytest.raises(DataError, match="k must be >= 0"):
             reliability_report(scores, ann, gold, k=-3)
 
     def test_gold_label_outside_the_label_set_is_an_error(self):

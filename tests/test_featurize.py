@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crowdrel.data import DataError
 from crowdrel.featurize import (
     EmbeddingTable,
     average_embed,
@@ -32,9 +33,9 @@ class TestFitTfidf:
         np.testing.assert_allclose(vocab.idf, 1.0)
 
     def test_empty_corpus_errors(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="empty corpus"):
             fit_tfidf([])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="corpus contains no tokens"):
             fit_tfidf(["", "?!"])
 
     def test_index_follows_first_occurrence(self):

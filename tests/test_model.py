@@ -20,7 +20,7 @@ from helpers import (
     reference_forward,
 )
 from crowdrel.baselines import dawid_skene
-from crowdrel.data import AnnotationSet, LabelSet, feature_matrix
+from crowdrel.data import AnnotationSet, DataError, LabelSet, feature_matrix
 from crowdrel.model import (
     MODES,
     ModelState,
@@ -362,7 +362,7 @@ class TestPretrain:
     @pytest.mark.parametrize("source", ["majority", "DS", ""])
     def test_unknown_pretrain_source_is_named(self, source):
         ann = make_annotations([(0, 0, 0), (0, 1, 1), (1, 0, 1)], 2, 2, 2)
-        with pytest.raises(ValueError, match=f"got {source!r}"):
+        with pytest.raises(DataError, match=rf"aggregator must be one of .*, got {source!r}"):
             pretrain_labels(ann, source)
 
 
@@ -508,11 +508,11 @@ class TestTrain:
         assert TrainConfig(mode="ce-jt", max_outer=7).resolved_max_outer() == 7
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             TrainConfig(mode="sgd")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             TrainConfig(inner_iters=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             TrainConfig(pretrain_source="glad")
 
 
@@ -584,3 +584,9 @@ class TestCheckpoint:
         after = e_step(restored, x, ann)
         assert np.array_equal(before.label_posterior, after.label_posterior)
         assert np.array_equal(before.reliability_posterior, after.reliability_posterior)
+
+    def test_unknown_checkpoint_version_is_a_data_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"format_version": 2}')
+        with pytest.raises(DataError, match="unsupported model checkpoint version 2"):
+            load_model(path)

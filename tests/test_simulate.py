@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crowdrel.data import feature_matrix, validate
+from crowdrel.data import DataError, feature_matrix, validate
 from crowdrel.simulate import (
     AnnotatorProfile,
     default_panel,
@@ -35,11 +35,11 @@ class TestGen2d:
         assert not np.array_equal(feature_matrix(a_inst), feature_matrix(b_inst))
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             gen_2d("three-class", 2)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             gen_2d("spiral", 100)
 
 
@@ -84,11 +84,11 @@ class TestAnnotatorProfiles:
         np.testing.assert_allclose(freqs, 1 / 3, atol=0.02)
 
     def test_profile_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             AnnotatorProfile("narrow")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             AnnotatorProfile("graded", error_prob=1.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             AnnotatorProfile("wizard")
 
 
@@ -118,11 +118,11 @@ class TestSimulateAnnotations:
         assert ann.counts_per_instance().min() >= 1
 
     def test_requires_full_gold(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             simulate_annotations(np.array([0, -1]), 2, default_panel(2), seed=0)
 
     def test_requires_profiles(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError):
             simulate_annotations(np.array([0, 1]), 2, [], seed=0)
 
 
@@ -149,5 +149,5 @@ class TestTextFixture:
     lambda: gen_text_fixture(10, 3, seed=-1),
 ], ids=["gen_2d", "simulate_annotations", "gen_text_fixture"])
 def test_negative_seed_names_seed(generate):
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         generate()
