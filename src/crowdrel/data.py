@@ -23,25 +23,8 @@ class DataError(ValueError):
     """Bad input: a value from outside the program failed the check that raised it.
 
     The one exception type for bad files, config values and library
-    arguments; the subclasses below name the kind of fault. The CLI maps it
-    to exit code 1.
+    arguments; its message names the fault. The CLI maps it to exit code 1.
     """
-
-
-class ParseError(DataError):
-    pass
-
-
-class DimensionError(DataError):
-    pass
-
-
-class LabelError(DataError):
-    pass
-
-
-class DuplicateError(DataError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -64,7 +47,7 @@ class LabelSet:
         try:
             return self._index[label]  # type: ignore[attr-defined]
         except KeyError:
-            raise LabelError(f"unknown label {label!r}; expected one of {list(self.labels)}") from None
+            raise DataError(f"unknown label {label!r}; expected one of {list(self.labels)}") from None
 
 
 @dataclass(frozen=True)
@@ -124,7 +107,7 @@ class AnnotationSet:
             raise DataError("triple arrays must have equal length")
         keys = np.sort(self.instance_idx * self.n_annotators + self.annotator_idx)
         if np.any(keys[1:] == keys[:-1]):
-            raise DuplicateError("duplicate (instance, annotator) pair")
+            raise DataError("duplicate (instance, annotator) pair")
 
     @property
     def n_pairs(self) -> int:
@@ -154,9 +137,9 @@ class GoldLabels:
         return out
 
 
-def _at(path: str | Path, line: int, exc: DataError) -> DataError:
-    """``exc`` again, its message led by the ``path:line`` of the row that raised it."""
-    return type(exc)(f"{path}:{line}: {exc}")
+def _at(path: str | Path, line: int, exc: ValueError) -> DataError:
+    """A DataError with ``exc``'s message, led by the ``path:line`` of the row that raised it."""
+    return DataError(f"{path}:{line}: {exc}")
 
 
 def _table(path: str | Path, header: Sequence[str],
@@ -173,13 +156,13 @@ def _table(path: str | Path, header: Sequence[str],
         if found is None:
             return
         if found[:len(header)] != list(header) or (len(found) != len(header) and not more):
-            raise ParseError(f"{path}: header must be {','.join(header)}{',...' if more else ''}")
+            raise DataError(f"{path}: header must be {','.join(header)}{',...' if more else ''}")
         width = len(found)
         for row in reader:
             if not row:
                 continue
             if len(row) != width:
-                raise DimensionError(
+                raise DataError(
                     f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}")
             yield reader.line_num, row
 
@@ -203,7 +186,7 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
 
     def new_id(key: str, line: int) -> str:
         if key in seen:
-            raise DuplicateError(f"{path}:{line}: duplicate instance id {key!r}")
+            raise DataError(f"{path}:{line}: duplicate instance id {key!r}")
         seen.add(key)
         return key
 
@@ -213,7 +196,7 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
             try:
                 vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
             except ValueError as exc:
-                raise _at(path, line, ParseError(exc)) from None
+                raise _at(path, line, exc) from None
             if not np.all(np.isfinite(vec)):
                 raise _at(path, line, DataError(f"non-finite feature value in instance {row[0]!r}"))
             instances.append(Instance(id=new_id(row[0], line), features=vec))
@@ -227,9 +210,9 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
                 if "id" not in obj or "text" not in obj:
-                    raise ParseError(f"{path}:{lineno}: object needs 'id' and 'text'")
+                    raise DataError(f"{path}:{lineno}: object needs 'id' and 'text'")
                 instances.append(Instance(id=new_id(str(obj["id"]), lineno),
                                           text=str(obj["text"]),
                                           text2=str(obj["text2"]) if "text2" in obj else None))
@@ -296,7 +279,7 @@ def load_annotations(
             i = _index_of(inst_seen, row[0], instance_ids is None, "instance")
             j = _index_of(ann_seen, row[1], annotator_ids is None, "annotator")
             if (i, j) in pairs:
-                raise DuplicateError(f"duplicate annotation for instance {row[0]!r} by {row[1]!r}")
+                raise DataError(f"duplicate annotation for instance {row[0]!r} by {row[1]!r}")
             ll.append(label_set.index(row[2]))
         except DataError as exc:
             raise _at(path, line, exc) from None
@@ -335,7 +318,7 @@ def load_gold(
         try:
             i = _index_of(seen, row[0], instance_ids is None, "instance")
             if i in by_index:
-                raise DuplicateError(f"duplicate gold label for instance {row[0]!r}")
+                raise DataError(f"duplicate gold label for instance {row[0]!r}")
             by_index[i] = label_set.index(row[1])
         except DataError as exc:
             raise _at(path, line, exc) from None
@@ -368,11 +351,11 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
             if p is None:
                 raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
             if scores[p] is not None:
-                raise DuplicateError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
+                raise DataError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
             try:
                 score = float(row[2])
             except ValueError:
-                raise ParseError(f"cannot parse score {row[2]!r}") from None
+                raise DataError(f"cannot parse score {row[2]!r}") from None
             if not 0.0 <= score <= 1.0:  # NaN fails this too
                 raise DataError(f"score {row[2]!r} is not a probability in [0, 1]")
             scores[p] = score

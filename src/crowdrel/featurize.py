@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError, DimensionError, ParseError
+from .data import DataError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -106,14 +106,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             if dim is None:
                 dim = len(values)
                 if dim == 0:
-                    raise DimensionError(f"{path}:{lineno}: no vector components")
+                    raise DataError(f"{path}:{lineno}: no vector components")
             elif len(values) != dim:
-                raise DimensionError(
+                raise DataError(
                     f"{path}:{lineno}: expected {dim} components, got {len(values)}")
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from None
+                raise DataError(f"{path}:{lineno}: {exc}") from None
             if not np.all(np.isfinite(vec)):
                 raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if tok in vectors:

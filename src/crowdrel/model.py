@@ -19,6 +19,9 @@ state. ``perfbench/child.py`` traces ``forward``, ``backward``, ``adam_step``
 and ``estimator_pair_inputs`` by their names in this module, and
 ``predict_labels`` and ``reliability_scores`` are kept only for it.
 
+This module alone writes and reads the checkpoint, ``model.json``; one
+format version covers the whole file, and ``load_model`` checks all of it.
+
 The label posterior is accumulated in log space with priors floored at
 1e-12, so large annotator counts cannot underflow.
 """
@@ -26,7 +29,8 @@ The label posterior is accumulated in log space with priors floored at
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +45,6 @@ from .neural import (
     PairInput,
     adam_step,
     backward,
-    fnn_from_dict,
-    fnn_to_dict,
     forward,
     init_fnn,
     soft_ce_loss,
@@ -51,6 +53,7 @@ from .neural import (
 MODES = ("em", "ce-alt", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
 ESTIMATOR_INPUTS = ("hidden", "feature")
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -59,7 +62,8 @@ class TrainConfig:
 
     ``max_outer`` defaults to 500 for EM and 20 for the cross-entropy
     modes when left as None. The inner loop always runs ``inner_iters``
-    full-batch optimizer steps per outer iteration.
+    full-batch optimizer steps per outer iteration. A config key sets
+    each field; Adam's moment decay rates are constants of ``neural``.
     """
 
     mode: str = "ce-jt"
@@ -72,19 +76,20 @@ class TrainConfig:
     estimator_hidden: int = 5
     estimator_input: str = "hidden"
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.001
     clip_norm: float = 5.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise DataError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.pretrain_source not in PRETRAIN_SOURCES:
-            raise DataError(f"pretrain_source must be one of {PRETRAIN_SOURCES}")
-        if self.estimator_input not in ESTIMATOR_INPUTS:
-            raise DataError(f"estimator_input must be one of {ESTIMATOR_INPUTS}")
+        for f in fields(self):  # types before ranges; annotations are strings, e.g. "int | None"
+            value, (kind, *optional) = getattr(self, f.name), f.type.split(" | ")
+            kind = {"str": str, "int": Integral, "float": Real}[kind]
+            if isinstance(value, bool) or not (isinstance(value, kind) or value is None and optional):
+                raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
+        for name, choices in (("mode", MODES), ("pretrain_source", PRETRAIN_SOURCES),
+                              ("estimator_input", ESTIMATOR_INPUTS)):
+            if getattr(self, name) not in choices:
+                raise DataError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for name, ok, rule in (
                 ("inner_iters", self.inner_iters >= 1, ">= 1"),
                 ("max_outer", self.max_outer is None or self.max_outer >= 0, ">= 0"),
@@ -95,9 +100,7 @@ class TrainConfig:
                 ("early_stop_tol", self.early_stop_tol > 0, "positive"),
                 ("learning_rate", 0 < self.learning_rate < np.inf, "finite and positive"),
                 ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0 (0 is off)"),
-                ("clip_norm", 0 <= self.clip_norm < np.inf, "finite and >= 0 (0 is off)"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)")):
+                ("clip_norm", 0 <= self.clip_norm < np.inf, "finite and >= 0 (0 is off)")):
             if not ok:
                 raise DataError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
@@ -109,14 +112,11 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """Trained (or pre-trained) networks plus the wiring they assume."""
+    """Trained (or pre-trained) networks and the estimator input they were trained on."""
 
     classifier: FnnParams
     estimator: FnnParams
-    n_labels: int
-    n_annotators: int
     estimator_input: str
-    outer_iteration: int = 0
 
 
 @dataclass
@@ -198,8 +198,7 @@ def e_step(state: ModelState, features: np.ndarray,
 
 
 def _adam_from_config(config: TrainConfig) -> AdamState:
-    return AdamState(learning_rate=config.learning_rate, beta1=config.beta1, beta2=config.beta2,
-                     weight_decay=config.weight_decay, clip_norm=config.clip_norm)
+    return AdamState(config.learning_rate, config.weight_decay, config.clip_norm)
 
 
 def _fit(groups: list[tuple[FnnParams, np.ndarray | PairInput, np.ndarray, float]],
@@ -251,8 +250,7 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     agreement = (annotations.label_idx == labels[annotations.instance_idx]).astype(np.float64)
     _fit([(estimator, pair_x, agreement, float(annotations.n_pairs))],
          config.pretrain_epochs, _adam_from_config(config))
-    return ModelState(classifier=classifier, estimator=estimator, n_labels=k,
-                      n_annotators=annotations.n_annotators,
+    return ModelState(classifier=classifier, estimator=estimator,
                       estimator_input=config.estimator_input)
 
 
@@ -357,7 +355,6 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
 
         score = f1(post.label_posterior.argmax(axis=1), gold).micro if has_gold else None
         trace.append(TraceRow(outer=outer, objective_start=start, objective_end=end, f1=score))
-        state.outer_iteration = outer
         if previous_end is not None:
             if config.mode == "em":
                 # Q sums over instances and pairs; the CE losses are already means
@@ -390,30 +387,72 @@ def reliability_scores(state: ModelState, features: np.ndarray,
 
 def save_model(path: str | Path, state: ModelState, label_set: LabelSet,
                config: TrainConfig) -> None:
-    payload = {
-        "format_version": 1,
-        "labels": list(label_set.labels),
-        "config": asdict(config),
-        "n_labels": state.n_labels,
-        "n_annotators": state.n_annotators,
-        "estimator_input": state.estimator_input,
-        "outer_iteration": state.outer_iteration,
-        "classifier": fnn_to_dict(state.classifier),
-        "estimator": fnn_to_dict(state.estimator),
-    }
+    """Write the checkpoint of ``state``, which ``config`` built; ``load_model`` reads it."""
+    payload = {"format_version": CHECKPOINT_VERSION, "labels": list(label_set.labels),
+               "config": asdict(config)}
+    for name, net in (("classifier", state.classifier), ("estimator", state.estimator)):
+        layers = zip(net.weights, net.biases)
+        payload[name] = {"head": net.head, "layers": [
+            {"weights": w.ravel().tolist(), "biases": b.tolist()} for w, b in layers]}
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _fields(obj, what: str, *keys: str) -> list:
+    """The values of ``keys`` in a JSON object that has exactly those keys; else DataError."""
+    if not isinstance(obj, dict) or set(obj) != set(keys):
+        raise DataError(f"{what} must be a JSON object with the keys {sorted(keys)}")
+    return [obj[key] for key in keys]
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """A JSON list of finite numbers as a float64 vector; DataError for anything else."""
+    array = np.array(values)  # a ragged list raises ValueError
+    if array.ndim != 1 or array.dtype.kind not in "if" or not np.all(np.isfinite(array)):
+        raise DataError(f"{what} must hold lists of finite numbers")
+    return array.astype(np.float64)
+
+
+def _network(payload, what: str, head: str, hidden: int, n_outputs: int) -> FnnParams:
+    """``head`` over three chained finite layers, ``hidden``, ``hidden`` and ``n_outputs`` wide."""
+    found, layers = _fields(payload, what, "head", "layers")
+    if found != head or not isinstance(layers, list) or len(layers) != 3:
+        raise DataError(f"{what} must have the head {head!r} and a list of three layers")
+    weights, biases = [], []
+    for number, (layer, width) in enumerate(zip(layers, (hidden, hidden, n_outputs)), start=1):
+        where = f"{what} layer {number}"
+        w, b = (_floats(v, where) for v in _fields(layer, where, "weights", "biases"))
+        rows = len(biases[-1]) if biases else len(w) // width
+        if len(b) != width or len(w) != rows * width:
+            raise DataError(f"{where} must have {width} biases and {rows} x {width} weights, "
+                            f"got {len(b)} and {len(w)}")
+        weights.append(w.reshape(rows, width))
+        biases.append(b)
+    return FnnParams(weights=weights, biases=biases, head=head)
+
+
 def load_model(path: str | Path) -> tuple[ModelState, LabelSet, TrainConfig]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format_version") != 1:
-        raise DataError(f"unsupported model checkpoint version {payload.get('format_version')!r}")
-    state = ModelState(
-        classifier=fnn_from_dict(payload["classifier"]),
-        estimator=fnn_from_dict(payload["estimator"]),
-        n_labels=payload["n_labels"],
-        n_annotators=payload["n_annotators"],
-        estimator_input=payload["estimator_input"],
-        outer_iteration=payload["outer_iteration"],
-    )
-    return state, LabelSet(tuple(payload["labels"])), TrainConfig(**payload["config"])
+    """Read a checkpoint that ``save_model`` wrote: (state, label set, config).
+
+    A network is its head and three layers, each its row-major weights and
+    its biases. Anything malformed, another format version included, raises
+    one DataError that names ``path``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        version = payload.get("format_version") if isinstance(payload, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise DataError(f"unsupported model checkpoint version {version!r}, "
+                            f"expected {CHECKPOINT_VERSION}")
+        _, labels, config, classifier, estimator = _fields(
+            payload, "checkpoint", "format_version", "labels", "config", "classifier", "estimator")
+        if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+            raise DataError(f"labels must be a list of strings, got {labels!r}")
+        label_set = LabelSet(tuple(labels))
+        config = TrainConfig(*_fields(config, "config", *(f.name for f in fields(TrainConfig))))
+        state = ModelState(
+            _network(classifier, "classifier", "softmax", config.classifier_hidden, len(labels)),
+            _network(estimator, "estimator", "sigmoid", config.estimator_hidden, 1),
+            config.estimator_input)
+    except (ValueError, RecursionError) as exc:  # a DataError, bad UTF-8 JSON, deep nests, ragged lists
+        raise DataError(f"{path}: {exc}") from None
+    return state, label_set, config

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -299,14 +300,12 @@ class AdamState:
     One state drives one parameter list; joint updates over several
     networks share a single state (and therefore a single clip norm).
     ``m`` and ``v`` are flat vectors over the list's arrays, in order.
+    The three settings come from ``TrainConfig``, which holds their defaults.
     """
 
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 0.001
-    clip_norm: float = 5.0
-    eps: float = 1e-8
+    learning_rate: float
+    weight_decay: float
+    clip_norm: float
     step_count: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -332,39 +331,17 @@ def adam_step(params: list[np.ndarray], grads: list[np.ndarray], state: AdamStat
     if state.clip_norm and total > state.clip_norm:
         g *= state.clip_norm / total
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    step = state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    step = state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     start = 0
     for p in params:
         p -= step[start:start + p.size].reshape(p.shape)
         start += p.size
     return params
 
-
-def fnn_to_dict(params: FnnParams) -> dict:
-    """JSON-ready checkpoint: layer shapes and row-major values, versioned."""
-    return {
-        "format_version": 1,
-        "head": params.head,
-        "layers": [
-            {"shape": list(w.shape), "weights": w.ravel().tolist(), "biases": b.tolist()}
-            for w, b in zip(params.weights, params.biases)
-        ],
-    }
-
-
-def fnn_from_dict(payload: dict) -> FnnParams:
-    if payload.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version {payload.get('format_version')!r}")
-    weights, biases = [], []
-    for layer in payload["layers"]:
-        shape = tuple(layer["shape"])
-        weights.append(np.array(layer["weights"], dtype=np.float64).reshape(shape))
-        biases.append(np.array(layer["biases"], dtype=np.float64))
-    return FnnParams(weights=weights, biases=biases, head=payload["head"])

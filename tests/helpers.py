@@ -14,7 +14,17 @@ import numpy as np
 from crowdrel.baselines import DS_MAX_ITERS, DS_SMOOTHING, DS_TOL
 from crowdrel.data import AnnotationSet
 from crowdrel.model import posterior_from_priors
-from crowdrel.neural import PROB_FLOOR, AdamState, FnnParams, PairInput, forward, soft_ce_loss
+from crowdrel.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    PROB_FLOOR,
+    AdamState,
+    FnnParams,
+    PairInput,
+    forward,
+    soft_ce_loss,
+)
 
 
 def make_annotations(triples: list[tuple[int, int, int]], n_instances: int,
@@ -112,14 +122,14 @@ def reference_adam_step(params: list[np.ndarray], grads: list[np.ndarray],
         scale = state.clip_norm / total
         grads = [g * scale for g in grads]
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.learning_rate * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 import crowdrel
 from crowdrel import cli
 from crowdrel.data import LabelSet, feature_matrix, load_annotations, load_instances
-from crowdrel.model import load_model, pretrain
+from crowdrel.model import TrainConfig, load_model, pretrain
 
 
 @pytest.fixture
@@ -523,6 +524,11 @@ class TestConfigHandling:
         assert result.exit_code == 1, result.output
         assert f"{key} must be" in result.output
         assert not (out / "model.json").exists()
+
+    def test_train_keys_set_every_train_config_field(self):
+        # a TrainConfig field that no config key sets is a setting no run can change
+        keys = {"pretrain_source" if key == "pretrain" else key for key in cli.TRAIN_KEYS}
+        assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
 
     def test_threads_option_is_gone(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")

@@ -6,12 +6,9 @@ from hypothesis import strategies as st
 from crowdrel.data import (
     AnnotationSet,
     DataError,
-    DimensionError,
-    DuplicateError,
     GoldLabels,
     Instance,
     LabelSet,
-    ParseError,
     feature_matrix,
     load_annotations,
     load_gold,
@@ -70,7 +67,7 @@ class TestLoadInstances:
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("id,x0\na,0.1\nb,oops\n")
-        with pytest.raises(ParseError, match=":3"):
+        with pytest.raises(DataError, match=":3"):
             load_instances(path, "dense-csv")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
@@ -83,7 +80,7 @@ class TestLoadInstances:
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("id,x0,x1\na,0.1,0.2\nb,0.3\n")
-        with pytest.raises(DimensionError):
+        with pytest.raises(DataError, match=r"x\.csv:3: expected 3 columns, got 2"):
             load_instances(path, "dense-csv")
 
 
@@ -103,7 +100,7 @@ class TestLoadAnnotations:
     def test_duplicate_pair(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"
         path.write_text("instance_id,annotator_id,label\nq,u1,0\nq,u1,1\n")
-        with pytest.raises(DuplicateError):
+        with pytest.raises(DataError, match=r"a\.csv:3: duplicate annotation"):
             load_annotations(path, binary_labels)
 
     def test_sparse_panel_loads(self, tmp_path, binary_labels):
@@ -147,7 +144,7 @@ class TestLoadGold:
     def test_duplicate_instance(self, tmp_path, binary_labels):
         path = tmp_path / "g.csv"
         path.write_text("instance_id,label\nq,0\nq,1\n")
-        with pytest.raises(DuplicateError):
+        with pytest.raises(DataError, match=r"g\.csv:3: duplicate gold label"):
             load_gold(path, binary_labels)
 
 
@@ -181,7 +178,7 @@ class TestAnnotationSet:
         assert ann.n_pairs == 0 and ann.instance_idx.dtype == np.int64
 
     def test_rejects_duplicate_pair(self):
-        with pytest.raises(DuplicateError):
+        with pytest.raises(DataError, match=r"duplicate \(instance, annotator\) pair"):
             AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
                           instance_idx=[0, 1, 0], annotator_idx=[1, 0, 1], label_idx=[0, 0, 1])
 
@@ -290,7 +287,7 @@ class TestRoundTrip:
         base = tmp_path_factory.mktemp("rt")
         write_instances_jsonl(base / "x.jsonl", instances)
         if len({i for i, _, _ in docs}) < len(docs):
-            with pytest.raises(DuplicateError, match="duplicate instance id"):
+            with pytest.raises(DataError, match="duplicate instance id"):
                 load_instances(base / "x.jsonl", "text-jsonl")
             return
         loaded = load_instances(base / "x.jsonl", "text-jsonl")
@@ -356,7 +353,7 @@ TWO_PAIRS = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
 @pytest.mark.parametrize("call", [
     lambda: PairInput(np.zeros((2, 1)), [0, 2], [0, 0], 1),
     lambda: forward(init_fnn(2, 1, 1, 2, "softmax", np.random.default_rng(0)), np.zeros((1, 3))),
-    lambda: adam_step([np.zeros(2)], [], AdamState()),
+    lambda: adam_step([np.zeros(2)], [], AdamState(0.001, 0.001, 5.0)),
     lambda: reliability_report(np.zeros(1), TWO_PAIRS, np.array([0, 1]), 1),
     lambda: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, 2]), 1),
 ], ids=["pair-index", "input-width", "adam-list-lengths", "score-count", "gold-range"])

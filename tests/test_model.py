@@ -1,5 +1,7 @@
 import copy
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,8 +161,7 @@ def small_state(rng, n_labels=3, n_annotators=4, input_dim=2, estimator_input="f
     for net in (classifier, estimator):
         for b in net.biases:
             b[:] = rng.normal(0.0, 0.3, size=b.shape)  # keep ReLU kinks off the data
-    return ModelState(classifier=classifier, estimator=estimator, n_labels=n_labels,
-                      n_annotators=n_annotators, estimator_input=estimator_input)
+    return ModelState(classifier=classifier, estimator=estimator, estimator_input=estimator_input)
 
 
 def random_model_setup(rng, estimator_input="feature"):
@@ -450,8 +451,8 @@ class TestTrain:
         result = train(x, ann, cfg)
 
         def adam():
-            return AdamState(learning_rate=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
-                             weight_decay=cfg.weight_decay, clip_norm=cfg.clip_norm)
+            return AdamState(learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
+                             clip_norm=cfg.clip_norm)
 
         def steps(groups, n_steps, opt):
             arrays = [a for net, *_ in groups for a in net.arrays()]
@@ -507,6 +508,21 @@ class TestTrain:
         assert TrainConfig(mode="ce-alt").resolved_max_outer() == 20
         assert TrainConfig(mode="ce-jt", max_outer=7).resolved_max_outer() == 7
 
+    @pytest.mark.parametrize("key, value", [
+        ("inner_iters", 2.5), ("max_outer", 2.0), ("pretrain_epochs", "200"),
+        ("classifier_hidden", True), ("estimator_hidden", None), ("seed", 1.5),
+        ("learning_rate", "0.1"), ("early_stop_tol", None), ("weight_decay", True),
+        ("clip_norm", [5.0]), ("mode", 1), ("estimator_input", None),
+    ])
+    def test_config_type_is_checked_before_range(self, key, value):
+        with pytest.raises(DataError, match=rf"^{key} must be of type "):
+            TrainConfig(**{key: value})
+
+    def test_config_takes_any_integer_or_real_number(self):
+        cfg = TrainConfig(inner_iters=np.int64(3), seed=np.uint8(1), clip_norm=5,
+                          learning_rate=np.float32(0.01), max_outer=None)
+        assert cfg.inner_iters == 3 and cfg.clip_norm == 5
+
     def test_config_validation(self):
         with pytest.raises(DataError):
             TrainConfig(mode="sgd")
@@ -556,7 +572,6 @@ class TestAnnotatorPermutation:
         for j in range(m):
             permuted_est.weights[0][rep_dim + perm[j]] = state.estimator.weights[0][rep_dim + j]
         permuted_state = ModelState(classifier=state.classifier, estimator=permuted_est,
-                                    n_labels=state.n_labels, n_annotators=m,
                                     estimator_input="feature")
         permuted_ann = AnnotationSet(
             n_instances=ann.n_instances, n_annotators=m, n_labels=ann.n_labels,
@@ -570,6 +585,78 @@ class TestAnnotatorPermutation:
                                    atol=1e-9)
 
 
+@pytest.fixture
+def checkpoint(tmp_path):
+    """The path and parsed content of a valid checkpoint, for a test to break."""
+    state = small_state(np.random.default_rng(2), n_labels=3)  # hidden layers 3 wide
+    cfg = TrainConfig(classifier_hidden=3, estimator_hidden=3, estimator_input="feature")
+    path = tmp_path / "model.json"
+    save_model(path, state, LabelSet(("a", "b", "c")), cfg)
+    load_model(path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+# each edit breaks one part of a valid checkpoint; the fault is the start of the message
+MALFORMED = {
+    # the file as a whole
+    "missing-key": (lambda p: p.pop("estimator"),
+                    "checkpoint must be a JSON object with the keys"),
+    "unknown-key": (lambda p: p.update(n_labels=3),
+                    "checkpoint must be a JSON object with the keys"),
+    "labels-not-a-list": (lambda p: p.update(labels="abc"), "labels must be a list of strings"),
+    "labels-not-strings": (lambda p: p.update(labels=[0, 1, 2]),
+                           "labels must be a list of strings"),
+    "one-label": (lambda p: p.update(labels=["a"]), "need at least 2 labels"),
+    # the config
+    "config-missing-key": (lambda p: p["config"].pop("seed"),
+                           "config must be a JSON object with the keys"),
+    "config-unknown-key": (lambda p: p["config"].update(beta1=0.9),
+                           "config must be a JSON object with the keys"),
+    "config-not-an-object": (lambda p: p.update(config=[]), "config must be a JSON object"),
+    "config-float-count": (lambda p: p["config"].update(inner_iters=2.5),
+                           "inner_iters must be of type int"),
+    "config-string-number": (lambda p: p["config"].update(learning_rate="0.1"),
+                             "learning_rate must be of type float"),
+    "config-out-of-range": (lambda p: p["config"].update(clip_norm=-1.0),
+                            "clip_norm must be finite"),
+    "config-unknown-mode": (lambda p: p["config"].update(mode="sgd"), "mode must be one of"),
+    # the networks
+    "network-not-an-object": (lambda p: p.update(classifier=[]),
+                              "classifier must be a JSON object"),
+    "network-missing-head": (lambda p: p["estimator"].pop("head"),
+                             "estimator must be a JSON object with the keys"),
+    "wrong-head": (lambda p: p["classifier"].update(head="sigmoid"),
+                   "classifier must have the head 'softmax' and a list of three layers"),
+    "two-layers": (lambda p: p["estimator"]["layers"].pop(),
+                   "estimator must have the head 'sigmoid' and a list of three layers"),
+    "layer-missing-biases": (lambda p: p["classifier"]["layers"][1].pop("biases"),
+                             "classifier layer 2 must be a JSON object with the keys"),
+    "non-finite-weight": (
+        lambda p: p["estimator"]["layers"][0]["weights"].__setitem__(0, float("nan")),
+        "estimator layer 1 must hold lists of finite numbers"),
+    "string-weight": (
+        lambda p: p["classifier"]["layers"][2]["weights"].__setitem__(0, "0.5"),
+        "classifier layer 3 must hold lists of finite numbers"),
+    "nested-biases": (lambda p: p["classifier"]["layers"][0].update(biases=[[0.0, 0.0, 0.0]]),
+                      "classifier layer 1 must hold lists of finite numbers"),
+    "ragged-weights": (lambda p: p["classifier"]["layers"][0].update(weights=[[0.0], [0.0, 1.0]]),
+                       "(setting an array element with a sequence|.* must hold lists of finite)"),
+    "bad-layer-shape": (lambda p: p["classifier"]["layers"][1]["weights"].pop(),
+                        "classifier layer 2 must have 3 biases and 3 x 3 weights, got 3 and 8"),
+    "layers-do-not-chain": (
+        lambda p: p["classifier"]["layers"][1]["weights"].extend([0.0] * 3),
+        "classifier layer 2 must have 3 biases and 3 x 3 weights, got 3 and 12"),
+    "hidden-width-not-config": (
+        lambda p: p["config"].update(estimator_hidden=4),
+        "estimator layer 1 must have 4 biases and 4 x 4 weights, got 3 and 18"),
+    "outputs-not-label-count": (
+        lambda p: p.update(labels=["a", "b"]),
+        "classifier layer 3 must have 2 biases and 3 x 2 weights, got 3 and 9"),
+    "estimator-two-outputs": (lambda p: p["estimator"]["layers"][2].update(biases=[0.0, 0.0]),
+                              "estimator layer 3 must have 1 biases"),
+}
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path, moon_setup):
         x, ann, _ = moon_setup
@@ -580,13 +667,43 @@ class TestCheckpoint:
         restored, labels, cfg_back = load_model(path)
         assert labels.labels == ("0", "1")
         assert cfg_back == cfg
+        assert restored.estimator_input == cfg.estimator_input
+        for saved, loaded in ((result.state.classifier, restored.classifier),
+                              (result.state.estimator, restored.estimator)):
+            assert loaded.head == saved.head
+            assert len(loaded.arrays()) == len(saved.arrays()) == 6
+            for a, b in zip(saved.arrays(), loaded.arrays()):
+                assert b.dtype == np.float64 and np.array_equal(a, b)
         before = e_step(result.state, x, ann)
         after = e_step(restored, x, ann)
         assert np.array_equal(before.label_posterior, after.label_posterior)
         assert np.array_equal(before.reliability_posterior, after.reliability_posterior)
 
     def test_unknown_checkpoint_version_is_a_data_error(self, tmp_path):
+        # every version-1 checkpoint is rejected by its version, whatever else it holds
         path = tmp_path / "model.json"
-        path.write_text('{"format_version": 2}')
-        with pytest.raises(DataError, match="unsupported model checkpoint version 2"):
+        path.write_text('{"format_version": 1}')
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: "
+                                            "unsupported model checkpoint version 1, expected 2"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, fault", [
+        (b'{"format_version": 2,', "Expecting property name"),
+        (b"\xff{}", "'utf-8' codec can't decode"),
+        (b"[2]", "unsupported model checkpoint version None"),
+        (b'{"format_version": "2"}', "unsupported model checkpoint version '2'"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["invalid-json", "not-utf-8", "not-an-object", "string-version", "nested-too-deep"])
+    def test_unreadable_checkpoint_is_a_data_error(self, tmp_path, text, fault):
+        path = tmp_path / "model.json"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {fault}"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit, fault", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_checkpoint_is_a_data_error(self, checkpoint, edit, fault):
+        path, payload = checkpoint
+        edit(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {fault}"):
             load_model(path)

@@ -14,14 +14,15 @@ from helpers import (
     reference_forward,
 )
 from crowdrel.neural import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PROB_FLOOR,
     AdamState,
     PairInput,
     _sigmoid,
     adam_step,
     backward,
-    fnn_from_dict,
-    fnn_to_dict,
     forward,
     init_fnn,
     soft_ce_loss,
@@ -309,26 +310,26 @@ class TestBackward:
 class TestAdam:
     def test_no_decay_zero_gradient_is_identity(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState(weight_decay=0.0)
+        state = AdamState(learning_rate=0.001, weight_decay=0.0, clip_norm=5.0)
         adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
         np.testing.assert_allclose(params[0], [1.0, -2.0])
         np.testing.assert_allclose(params[1], [[3.0]])
 
     def test_global_norm_clipping_halves_large_gradient(self):
         params = [np.zeros(2)]
-        state = AdamState(weight_decay=0.0, clip_norm=5.0)
+        state = AdamState(learning_rate=0.001, weight_decay=0.0, clip_norm=5.0)
         adam_step(params, [np.array([6.0, 8.0])], state)  # norm 10 -> halved
         np.testing.assert_allclose(state.m, 0.1 * np.array([3.0, 4.0]), atol=1e-12)
 
     def test_single_scalar_closed_form(self):
         theta0, grad = 1.5, 0.3
-        state = AdamState()
+        state = AdamState(learning_rate=0.001, weight_decay=0.001, clip_norm=5.0)
         params = [np.array([theta0])]
         adam_step(params, [np.array([grad])], state)
         g = grad + state.weight_decay * theta0  # below the clip threshold
-        m_hat = (state.beta1 * 0.0 + (1 - state.beta1) * g) / (1 - state.beta1)
-        v_hat = (1 - state.beta2) * g * g / (1 - state.beta2)
-        expected = theta0 - state.learning_rate * m_hat / (math.sqrt(v_hat) + state.eps)
+        m_hat = (ADAM_BETA1 * 0.0 + (1 - ADAM_BETA1) * g) / (1 - ADAM_BETA1)
+        v_hat = (1 - ADAM_BETA2) * g * g / (1 - ADAM_BETA2)
+        expected = theta0 - state.learning_rate * m_hat / (math.sqrt(v_hat) + ADAM_EPS)
         assert params[0][0] == pytest.approx(expected, abs=1e-15)
 
     def test_flat_update_matches_per_array_reference(self):
@@ -357,22 +358,7 @@ class TestAdam:
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(FloatingPointError):
-            adam_step([np.zeros(1)], [np.array([np.nan])], AdamState())
+            adam_step([np.zeros(1)], [np.array([np.nan])], AdamState(0.001, 0.001, 5.0))
         # every entry is finite, but the squared norm overflows
         with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
-            adam_step([np.zeros(2)], [np.array([1e200, 0.0])], AdamState())
-
-
-class TestCheckpoint:
-    def test_round_trip_is_exact(self):
-        params = random_net(np.random.default_rng(11))
-        restored = fnn_from_dict(fnn_to_dict(params))
-        assert restored.head == params.head
-        for a, b in zip(params.arrays(), restored.arrays()):
-            assert np.array_equal(a, b)
-
-    def test_version_check(self):
-        payload = fnn_to_dict(zeroed(1, 1, 1, 2, "softmax"))
-        payload["format_version"] = 99
-        with pytest.raises(ValueError):
-            fnn_from_dict(payload)
+            adam_step([np.zeros(2)], [np.array([1e200, 0.0])], AdamState(0.001, 0.001, 5.0))
