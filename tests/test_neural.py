@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -13,6 +14,8 @@ from helpers import (
     reference_backward,
     reference_forward,
 )
+from crowdrel.data import DataError, LabelSet
+from crowdrel.model import ModelState, TrainConfig, load_model, save_model
 from crowdrel.neural import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -362,3 +365,42 @@ class TestAdam:
         # every entry is finite, but the squared norm overflows
         with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
             adam_step([np.zeros(2)], [np.array([1e200, 0.0])], AdamState(0.001, 0.001, 5.0))
+
+
+def random_state(rng):
+    """Two networks with random weights and biases that fit a default config with three labels."""
+    cfg = TrainConfig(classifier_hidden=int(rng.integers(1, 5)),
+                      estimator_hidden=int(rng.integers(1, 5)))
+    d = int(rng.integers(1, 5))
+    nets = []
+    for hidden, out, head in ((cfg.classifier_hidden, 3, "softmax"),
+                              (cfg.estimator_hidden, 1, "sigmoid")):
+        net = init_fnn(d, hidden, hidden, out, head, rng)
+        for b in net.biases:
+            b[:] = rng.normal(0, 0.3, size=b.shape)
+        nets.append(net)
+    return ModelState(*nets, cfg.estimator_input), cfg
+
+
+class TestCheckpoint:
+    def test_round_trip_is_exact(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            state, cfg = random_state(rng)
+            save_model(tmp_path / "model.json", state, LabelSet(("a", "b", "c")), cfg)
+            restored, _, _ = load_model(tmp_path / "model.json")
+            for params, back in ((state.classifier, restored.classifier),
+                                 (state.estimator, restored.estimator)):
+                assert back.head == params.head
+                for a, b in zip(params.arrays(), back.arrays(), strict=True):
+                    assert np.array_equal(a, b)
+
+    def test_version_check(self, tmp_path):
+        state, cfg = random_state(np.random.default_rng(3))
+        path = tmp_path / "model.json"
+        save_model(path, state, LabelSet(("a", "b", "c")), cfg)
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["format_version"] = 99
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(DataError, match="unsupported model checkpoint version 99"):
+            load_model(path)
