@@ -36,7 +36,6 @@ from .model import (
     ModelState,
     TrainConfig,
     TrainResult,
-    ce_losses,
     e_step,
     load_model,
     posterior_from_priors,

@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import click
@@ -264,9 +265,9 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
         result = model.train(features, annotations, train_cfg, gold=gold)
 
         model.save_model(out / "model.json", result.state, label_set, train_cfg)
-        data.write_table(out / "trace.csv", ["outer", "objective_start", "objective_end", "f1"],
-                         ([row.outer, repr(row.objective_start), repr(row.objective_end),
-                           "" if row.f1 is None else repr(row.f1)] for row in result.trace))
+        data.write_table(out / "trace.csv", [f.name for f in fields(model.TraceRow)],
+                         (["" if value is None else repr(value) for value in astuple(row)]
+                          for row in result.trace))
         # predictions.csv shares the gold file schema (instance_id,label)
         pred = result.posterior.label_posterior.argmax(axis=1)
         data.write_gold(out / "predictions.csv", data.GoldLabels(dict(enumerate(pred.tolist()))),
@@ -275,7 +276,8 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
                           result.posterior.reliability_posterior)
         _write_manifest(out, "train", cfg,
                         ["model.json", "trace.csv", "predictions.csv", "reliability.csv"])
-        click.echo(f"trained {train_cfg.mode} for {len(result.trace)} outer iterations; artifacts in {out}")
+        click.echo(f"trained {train_cfg.mode} for {len(result.trace)} outer iterations "
+                   f"(stopped: {result.stopped}); artifacts in {out}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 

@@ -128,11 +128,13 @@ class JointPosterior:
     annotation was produced reliably, which is the label posterior at the
     annotated label times the pair's own factor (see
     ``posterior_from_priors``). Together they fix the full joint: the
-    reliable mass sits on the annotated label.
+    reliable mass sits on the annotated label. ``log_likelihood`` is the
+    marginal log likelihood log p(A | X) under the priors that gave them.
     """
 
     label_posterior: np.ndarray
     reliability_posterior: np.ndarray
+    log_likelihood: float
 
 
 def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray,
@@ -146,6 +148,8 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
         rel_p      = post[i, a_p] p1 / gamma_p(a_p).
     The terms log(p0/K) hold for every t and cancel in the softmax, so only
     the annotated labels' excess log(gamma_p(a_p)) - log(p0/K) is summed.
+    With the softmax's per-instance max shift_i and shifted sum total_i, they
+    return in log p(A | X) = sum_i (shift_i + log total_i) + sum_p log(p0_p / K).
     """
     n, k = label_prior.shape
     ii, ll = annotations.instance_idx, annotations.label_idx
@@ -160,13 +164,15 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
     scores = np.log(np.maximum(label_prior, PROB_FLOOR))
     scores += np.bincount(ii * k + ll, weights=log_gamma_a - log_r0,
                           minlength=n * k).reshape(n, k)
-    scores -= scores.max(axis=1, keepdims=True)
-    label_posterior = np.exp(scores)
-    label_posterior /= label_posterior.sum(axis=1, keepdims=True)
+    shift = scores.max(axis=1, keepdims=True)
+    label_posterior = np.exp(scores - shift)
+    total = label_posterior.sum(axis=1, keepdims=True)
+    label_posterior /= total
 
     reliability_posterior = label_posterior[ii, ll] * np.exp(log_p1 - log_gamma_a)
     return JointPosterior(label_posterior=label_posterior,
-                          reliability_posterior=reliability_posterior)
+                          reliability_posterior=reliability_posterior,
+                          log_likelihood=float((shift + np.log(total)).sum() + log_r0.sum()))
 
 
 def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> PairInput:
@@ -192,7 +198,16 @@ def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet)
 
 def e_step(state: ModelState, features: np.ndarray,
            annotations: AnnotationSet) -> JointPosterior:
-    """Posteriors under the current networks (the fixed-parameter inference step)."""
+    """Posteriors under the current networks; DataError for data they do not fit."""
+    features = np.asarray(features, dtype=np.float64)
+    clf, est = state.classifier.weights, state.estimator.weights
+    rep_width = features.shape[1] if state.estimator_input == "feature" else clf[1].shape[1]
+    for what, got, want in (("feature width", features.shape[1], len(clf[0])),
+                            ("label count", annotations.n_labels, clf[-1].shape[1]),
+                            ("estimator input width (representation + annotators)",
+                             rep_width + annotations.n_annotators, len(est[0]))):
+        if got != want:
+            raise DataError(f"the data's {what} is {got}, but the model's is {want}")
     label_prior, _, reliability_prior = _priors(state, features, annotations)
     return posterior_from_priors(label_prior, reliability_prior, annotations)
 
@@ -267,33 +282,25 @@ def q_objective(label_prior: np.ndarray, reliability_prior: np.ndarray,
             - soft_ce_loss(reliability_prior, rel, 1.0) + term_a)
 
 
-def ce_losses(label_prior: np.ndarray, reliability_prior: np.ndarray,
-              posteriors: JointPosterior) -> tuple[float, float]:
-    """Per-network cross entropies between the priors and fixed posteriors.
-
-    The classifier loss is normalized by the instance count and the
-    estimator loss by the number of observed pairs.
-    """
-    loss_t = soft_ce_loss(label_prior, posteriors.label_posterior, float(len(label_prior)))
-    loss_r = soft_ce_loss(reliability_prior, posteriors.reliability_posterior,
-                          float(len(reliability_prior)))
-    return loss_t, loss_r
-
-
 @dataclass
 class TraceRow:
+    """One outer iteration, one ``trace.csv`` row: Q before and after the refit, then log p(A | X)."""
+
     outer: int
     objective_start: float
     objective_end: float
+    log_likelihood: float
     f1: float | None = None
 
 
 @dataclass
 class TrainResult:
-    """The trained networks, the posterior under them and one trace row per outer iteration."""
+    """The trained networks, the posterior under them, why training stopped
+    (``"tol"`` or ``"cap"``) and one trace row per outer iteration."""
 
     state: ModelState
     posterior: JointPosterior
+    stopped: str
     trace: list[TraceRow] = field(default_factory=list)
 
 
@@ -304,13 +311,13 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     Each outer iteration freezes the posteriors under the current
     parameters (and, in hidden mode, the estimator's input
     representation) and runs ``inner_iters`` steps of ``_fit`` on the
-    mode's objective. Training stops at the iteration cap or when the
-    objective improves by less than ``early_stop_tol`` between outer
-    iterations; EM's Q, a sum over instances and pairs, is divided by
-    their count for that test, so the rule does not depend on dataset
-    size. The priors are computed once per parameter update: the
-    pass after an update gives the end objective's classifier term, the
-    trace F1 and the next iteration's posteriors. ``gold`` (label index
+    mode's objective. Every mode stops at the iteration cap or, from the
+    second outer iteration on, when the marginal log likelihood gains less
+    than ``early_stop_tol`` per instance and annotation, so the rule does
+    not depend on dataset size; the trace holds Q in every mode. The priors
+    are computed once per parameter update: the pass after an update gives
+    the end Q's classifier term, the trace F1, the log likelihood and the
+    next iteration's posteriors. ``gold`` (label index
     per instance, -1 for missing) only feeds the diagnostic F1 column of
     the trace, which stays empty when no instance has a gold label.
     """
@@ -331,40 +338,30 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     schedule = [[1], [0]] if config.mode == "ce-alt" else [[0, 1]]
     opts = [_adam_from_config(config) for _ in schedule]
 
-    def objective(clf_probs: np.ndarray, est_probs: np.ndarray, post: JointPosterior) -> float:
-        if config.mode == "em":
-            return q_objective(clf_probs, est_probs, post)
-        loss_t, loss_r = ce_losses(clf_probs, est_probs, post)
-        return loss_t + loss_r
-
-    previous_end: float | None = None
+    stopped = "cap"
     for outer in range(1, config.resolved_max_outer() + 1):
-        start = objective(label_prior, rel_prior, post)
+        start = q_objective(label_prior, rel_prior, post)
         groups = [(state.classifier, features, post.label_posterior, norm_t),
                   (state.estimator, pair_x, post.reliability_posterior, norm_r)]
         for networks, opt in zip(schedule, opts):
             _fit([groups[g] for g in networks], config.inner_iters, opt)
 
-        # the end objective scores the estimator on the frozen inputs; they and
-        # the groups holding them are dropped before the next pass rebuilds them
+        # the end Q scores the estimator on the frozen inputs; they and the
+        # groups holding them are dropped before the next pass rebuilds them
         est_probs = forward(state.estimator, pair_x)[0]
         del pair_x, groups
         label_prior, pair_x, rel_prior = _priors(state, features, annotations)
-        end = objective(label_prior, est_probs, post)
+        end = q_objective(label_prior, est_probs, post)
         post = posterior_from_priors(label_prior, rel_prior, annotations)
 
         score = f1(post.label_posterior.argmax(axis=1), gold).micro if has_gold else None
-        trace.append(TraceRow(outer=outer, objective_start=start, objective_end=end, f1=score))
-        if previous_end is not None:
-            if config.mode == "em":
-                # Q sums over instances and pairs; the CE losses are already means
-                improved = (end - previous_end) / (n + n_pairs)
-            else:
-                improved = previous_end - end
-            if improved < config.early_stop_tol:
-                break
-        previous_end = end
-    return TrainResult(state=state, posterior=post, trace=trace)
+        trace.append(TraceRow(outer=outer, objective_start=start, objective_end=end,
+                              log_likelihood=post.log_likelihood, f1=score))
+        gain = post.log_likelihood - trace[-2].log_likelihood if outer > 1 else np.inf
+        if gain / (n + n_pairs) < config.early_stop_tol:
+            stopped = "tol"
+            break
+    return TrainResult(state=state, posterior=post, stopped=stopped, trace=trace)
 
 
 # kept only because perfbench/child.py traces it by name

@@ -17,6 +17,7 @@ from .data import AnnotationSet, DataError, GoldLabels, Instance
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
 
 BROAD_ERROR = 0.05
+GRADED_ERRORS = (0.1, 0.3, 0.5, 0.7, 0.9)
 NARROW_OFF_DOMAIN_CORRECT = 0.65
 ADVERSARIAL_ERROR = 0.8
 
@@ -63,8 +64,8 @@ def default_panel(n_labels: int) -> list[AnnotatorProfile]:
     return panel
 
 
-def graded_panel(error_probs: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> list[AnnotatorProfile]:
-    return [AnnotatorProfile("graded", error_prob=p) for p in error_probs]
+def graded_panel() -> list[AnnotatorProfile]:
+    return [AnnotatorProfile("graded", error_prob=p) for p in GRADED_ERRORS]
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:

@@ -140,6 +140,23 @@ def emission_prob(annotated: int, true: int, reliable: int, n_labels: int) -> fl
     return 1.0 / n_labels
 
 
+def _instance_joint(label_prior: np.ndarray, rel_prior: np.ndarray, ann: AnnotationSet,
+                    i: int) -> tuple[list[int], dict[tuple[int, int], float]]:
+    """Instance i's pairs and its joint p(t, r_1..r_m, a) keyed by (t, reliability bits)."""
+    k = label_prior.shape[1]
+    pairs = [p for p in range(ann.n_pairs) if ann.instance_idx[p] == i]
+    weights: dict[tuple[int, int], float] = {}
+    for t in range(k):
+        for bits in range(2 ** len(pairs)):
+            w = label_prior[i, t]
+            for q, p in enumerate(pairs):
+                r = (bits >> q) & 1
+                w *= rel_prior[p] if r else (1.0 - rel_prior[p])
+                w *= emission_prob(int(ann.label_idx[p]), t, r, k)
+            weights[(t, bits)] = w
+    return pairs, weights
+
+
 def brute_force_posteriors(label_prior: np.ndarray, rel_prior: np.ndarray,
                            ann: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
     """Enumerate the joint p(t, r_1..r_m, a) per instance and marginalize.
@@ -150,23 +167,20 @@ def brute_force_posteriors(label_prior: np.ndarray, rel_prior: np.ndarray,
     tables = np.zeros((ann.n_pairs, k, 2))
     label_post = np.zeros((n, k))
     for i in range(n):
-        pairs = [p for p in range(ann.n_pairs) if ann.instance_idx[p] == i]
-        m = len(pairs)
-        weights: dict[tuple[int, int], float] = {}
-        for t in range(k):
-            for bits in range(2 ** m):
-                w = label_prior[i, t]
-                for q, p in enumerate(pairs):
-                    r = (bits >> q) & 1
-                    w *= rel_prior[p] if r else (1.0 - rel_prior[p])
-                    w *= emission_prob(int(ann.label_idx[p]), t, r, k)
-                weights[(t, bits)] = w
+        pairs, weights = _instance_joint(label_prior, rel_prior, ann, i)
         total = sum(weights.values())
         for (t, bits), w in weights.items():
             label_post[i, t] += w / total
             for q, p in enumerate(pairs):
                 tables[p, t, (bits >> q) & 1] += w / total
     return tables, label_post
+
+
+def log_likelihood_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,
+                          ann: AnnotationSet) -> float:
+    """log p(A | X): each instance's enumerated joint summed over (t, r_1..r_m), logged, summed."""
+    return sum(float(np.log(sum(_instance_joint(label_prior, rel_prior, ann, i)[1].values())))
+               for i in range(label_prior.shape[0]))
 
 
 def finite_diff_grads(params: FnnParams, x: np.ndarray, targets: np.ndarray,
@@ -333,28 +347,6 @@ def q_objective_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,
                 emission = (1.0 if a == t else 0.0) if r else 1.0 / k
                 total += pi * np.log(max(emission, 1e-12))
     return total
-
-
-def ce_losses_oracle(label_prior: np.ndarray, rel_prior: np.ndarray,
-                     tables: np.ndarray, ann: AnnotationSet) -> tuple[float, float]:
-    n, k = label_prior.shape
-    first_pair = {}
-    for p in range(ann.n_pairs):
-        i = int(ann.instance_idx[p])
-        if i not in first_pair:
-            first_pair[i] = p
-    loss_t = 0.0
-    for i, p in first_pair.items():
-        for t in range(k):
-            for r in (0, 1):
-                loss_t -= tables[p, t, r] * np.log(max(label_prior[i, t], 1e-12))
-    loss_r = 0.0
-    for p in range(ann.n_pairs):
-        for t in range(k):
-            for r in (0, 1):
-                prior_r = rel_prior[p] if r else 1.0 - rel_prior[p]
-                loss_r -= tables[p, t, r] * np.log(max(prior_r, 1e-12))
-    return loss_t / n, loss_r / ann.n_pairs
 
 
 def least_reliable_oracle(ann: AnnotationSet, scores: np.ndarray) -> set[int]:

@@ -126,9 +126,9 @@ class TestTrainCommand:
         out, _ = pipeline_dir
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["outer", "objective_start", "objective_end", "f1"]
+        assert rows[0] == ["outer", "objective_start", "objective_end", "log_likelihood", "f1"]
         assert 1 <= len(rows) - 1 <= 8
-        assert float(rows[1][3]) > 0.5  # gold present, so the f1 column is filled
+        assert float(rows[1][4]) > 0.5  # gold present, so the f1 column is filled
 
     def test_zero_outer_checkpoint_equals_pretrained(self, runner, tmp_path, pipeline_dir):
         src, cfg = pipeline_dir
@@ -150,6 +150,17 @@ class TestTrainCommand:
             np.testing.assert_array_equal(a, b)
 
 
+    def test_summary_says_why_training_stopped(self, runner, tmp_path, pipeline_dir):
+        src, cfg = pipeline_dir
+        out = tmp_path / "one"
+        out.mkdir()
+        for name in ("instances.csv", "gold.csv", "annotations.csv"):
+            (out / name).write_bytes((src / name).read_bytes())
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg), "-o", str(out),
+                                          "--max-outer", "1"])
+        assert result.exit_code == 0, result.output
+        assert "trained ce-jt for 1 outer iterations (stopped: cap);" in result.output
+
     def test_gold_without_labels_leaves_f1_column_empty(self, runner, tmp_path, pipeline_dir):
         src, cfg = pipeline_dir
         out = tmp_path / "nogold"
@@ -162,7 +173,7 @@ class TestTrainCommand:
         assert result.exit_code == 0, result.output
         with open(out / "trace.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert [row[3] for row in rows[1:]] == ["", ""]
+        assert [row[4] for row in rows[1:]] == ["", ""]
 
 
 def dense_files_config(tmp_path: Path, instances: str, annotations: str) -> Path:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_force_posteriors,
-    ce_losses_oracle,
     dense_pair_input,
     emission_prob,
+    log_likelihood_oracle,
     make_annotations,
     posterior_table,
     q_objective_oracle,
@@ -23,11 +23,11 @@ from helpers import (
 )
 from crowdrel.baselines import dawid_skene
 from crowdrel.data import AnnotationSet, DataError, LabelSet, feature_matrix
+from crowdrel.evaluate import f1
 from crowdrel.model import (
     MODES,
     ModelState,
     TrainConfig,
-    ce_losses,
     e_step,
     estimator_pair_inputs,
     load_model,
@@ -38,7 +38,7 @@ from crowdrel.model import (
     save_model,
     train,
 )
-from crowdrel.neural import AdamState, backward, forward, init_fnn
+from crowdrel.neural import AdamState, backward, forward, init_fnn, soft_ce_loss
 from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
 
 
@@ -89,6 +89,15 @@ class TestPosteriorFromPriors:
             tables, label_post = brute_force_posteriors(lp, rel, ann)
             np.testing.assert_allclose(posterior_table(lp, rel, ann), tables, atol=1e-10)
             np.testing.assert_allclose(post.label_posterior, label_post, atol=1e-10)
+
+    def test_log_likelihood_matches_enumeration(self):
+        rng = np.random.default_rng(20240131)
+        worst = 0.0
+        for _ in range(200):
+            lp, rel, ann = random_annotation_setup(rng)
+            got = posterior_from_priors(lp, rel, ann).log_likelihood
+            worst = max(worst, abs(got - log_likelihood_oracle(lp, rel, ann)))
+        assert worst <= 1e-10
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(77)
@@ -147,6 +156,7 @@ class TestPosteriorFromPriors:
         lp, rel = post.label_posterior, post.reliability_posterior
         at_annotated = lp[ann.instance_idx, ann.label_idx]
         assert np.all(np.isfinite(lp)) and np.all(lp >= 0.0)
+        assert np.isfinite(post.log_likelihood)
         np.testing.assert_allclose(lp.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         assert np.all(rel >= 0.0) and np.all(rel <= at_annotated)
         assert np.all(table >= 0.0)
@@ -190,17 +200,6 @@ class TestObjectives:
             expected = q_objective_oracle(lp, rel, posterior_table(lp, rel, ann), ann)
             assert q_objective(lp, rel, post) == pytest.approx(expected, abs=1e-9)
 
-    def test_ce_losses_match_loop_oracle(self):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            state, x, ann = random_model_setup(rng)
-            post = e_step(state, x, ann)
-            lp, rel = feature_priors(state, x, ann)
-            expected = ce_losses_oracle(lp, rel, posterior_table(lp, rel, ann), ann)
-            got = ce_losses(lp, rel, post)
-            assert got[0] == pytest.approx(expected[0], abs=1e-9)
-            assert got[1] == pytest.approx(expected[1], abs=1e-9)
-
     def test_q_first_terms_are_negative_entropies_at_match(self):
         # when priors equal posteriors the first two terms hit the entropy bound
         rng = np.random.default_rng(7)
@@ -235,7 +234,7 @@ class TestObjectives:
         triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)]
         ann = make_annotations(triples, n, m, k)
         post = e_step(state, x, ann)
-        loss_t, _ = ce_losses(*feature_priors(state, x, ann), post)
+        loss_t = soft_ce_loss(feature_priors(state, x, ann)[0], post.label_posterior, float(n))
         assert loss_t == pytest.approx(math.log(6.0), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
@@ -251,7 +250,9 @@ class TestObjectives:
         h = 1e-5
 
         def ce_total():
-            return sum(ce_losses(*feature_priors(state, x, ann), post))
+            lp, rel = feature_priors(state, x, ann)
+            return (soft_ce_loss(lp, post.label_posterior, n)
+                    + soft_ce_loss(rel, post.reliability_posterior, p))
 
         def q_value():
             return q_objective(*feature_priors(state, x, ann), post)
@@ -372,7 +373,7 @@ class TestTrain:
         x, ann, _ = moon_setup
         cfg = TrainConfig(mode="ce-jt", max_outer=0, seed=5)
         result = train(x, ann, cfg)
-        assert result.trace == []
+        assert result.trace == [] and result.stopped == "cap"
         reference = pretrain(x, ann, cfg)
         for a, b in zip(result.state.classifier.arrays(), reference.classifier.arrays()):
             assert np.array_equal(a, b)
@@ -395,6 +396,8 @@ class TestTrain:
             assert np.array_equal(result.posterior.label_posterior, post.label_posterior)
             assert np.array_equal(result.posterior.reliability_posterior,
                                   post.reliability_posterior)
+            assert result.posterior.log_likelihood == post.log_likelihood
+        assert result.trace[-1].log_likelihood == post.log_likelihood
 
     def test_gold_without_labels_leaves_f1_empty(self, moon_setup):
         x, ann, _ = moon_setup
@@ -405,13 +408,30 @@ class TestTrain:
     def test_huge_tolerance_stops_after_two_iterations(self, moon_setup):
         x, ann, _ = moon_setup
         result = train(x, ann, TrainConfig(mode="ce-jt", early_stop_tol=1e9, seed=5))
-        assert len(result.trace) == 2
+        assert len(result.trace) == 2 and result.stopped == "tol"
 
-    def test_em_stop_does_not_depend_on_dataset_size(self):
-        # Tiling the data 4x scales Q by 4. EM steps on Q per instance and
-        # annotation, so both runs follow one trajectory and must stop at the
-        # same outer iteration, with weight decay and clipping off (Adam alone
-        # is scale-free) and at their defaults (which act on the same mean).
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_em_likelihood_rises_and_beats_ds(self, seed):
+        # seed 0 is criterion 4's run; on seed 3 a stop on Q across outer
+        # iterations, each scored against its own posteriors, ended EM after
+        # iteration 2 at F1 0.943, below Dawid-Skene's 0.982
+        instances, gold = gen_2d("moon", 1000, seed=seed)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=seed,
+                                   instance_ids=[inst.id for inst in instances])
+        result = train(feature_matrix(instances), ann, TrainConfig(mode="em", seed=seed))
+        gains = np.diff([row.log_likelihood for row in result.trace]) / (1000 + ann.n_pairs)
+        assert len(result.trace) > 2 and result.stopped == "tol"
+        assert gains.min() >= -1e-9
+        ours = f1(result.posterior.label_posterior.argmax(axis=1), gold).micro
+        assert ours > f1(dawid_skene(ann).hard_labels, gold).micro
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_stop_does_not_depend_on_dataset_size(self, mode):
+        # Tiling the data 4x scales the log likelihood and N + P by 4. EM steps
+        # on Q per instance and annotation and the CE modes on per-network
+        # means, so both runs follow one trajectory and must stop at the same
+        # outer iteration, with weight decay and clipping off (Adam alone is
+        # scale-free) and at their defaults (which act on the same mean).
         instances, gold = gen_2d("moon", 100, seed=1)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
                                    instance_ids=[inst.id for inst in instances])
@@ -419,12 +439,12 @@ class TestTrain:
         tiled = make_annotations(
             [(i + r * len(x), j, a) for r in range(4) for i, j, a in ann.triples()],
             4 * len(x), ann.n_annotators, ann.n_labels)
-        for cfg in (TrainConfig(mode="em", max_outer=150, inner_iters=20, weight_decay=0.0,
+        for cfg in (TrainConfig(mode=mode, max_outer=150, inner_iters=20, weight_decay=0.0,
                                 clip_norm=0.0, seed=0),
-                    TrainConfig(mode="em", max_outer=150, inner_iters=20, seed=0)):
+                    TrainConfig(mode=mode, max_outer=150, inner_iters=20, seed=0)):
             once = train(x, ann, cfg)
             four = train(np.tile(x, (4, 1)), tiled, cfg)
-            assert len(once.trace) < 150
+            assert len(once.trace) < 150 and once.stopped == four.stopped == "tol"
             assert len(four.trace) == len(once.trace)
 
     @pytest.mark.parametrize("estimator_input", ["hidden", "feature"])
@@ -686,6 +706,23 @@ class TestCheckpoint:
         with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: "
                                             "unsupported model checkpoint version 1, expected 2"):
             load_model(path)
+
+    @pytest.mark.parametrize("n_features, n_annotators, n_labels, fault", [
+        (2, 6, 2, r"estimator input width \(representation \+ annotators\) is 9, "
+                  "but the model's is 8"),
+        (4, 5, 2, "feature width is 4, but the model's is 2"),
+        (2, 5, 3, "label count is 3, but the model's is 2"),
+    ], ids=["annotators", "features", "labels"])
+    def test_data_the_networks_do_not_fit_is_a_data_error(self, n_features, n_annotators,
+                                                          n_labels, fault):
+        # networks for 2 features, 5 annotators and 2 labels, the estimator on
+        # the classifier's 3-wide hidden layer
+        rng = np.random.default_rng(11)
+        state = small_state(rng, n_labels=2, n_annotators=5, estimator_input="hidden")
+        ann = make_annotations([(i, j, (i + j) % n_labels) for i in range(4)
+                                for j in range(n_annotators)], 4, n_annotators, n_labels)
+        with pytest.raises(DataError, match=rf"^the data's {fault}$"):
+            e_step(state, rng.normal(size=(4, n_features)), ann)
 
     @pytest.mark.parametrize("text, fault", [
         (b'{"format_version": 2,', "Expecting property name"),

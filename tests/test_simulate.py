@@ -3,6 +3,7 @@ import pytest
 
 from crowdrel.data import DataError, feature_matrix, validate
 from crowdrel.simulate import (
+    GRADED_ERRORS,
     AnnotatorProfile,
     default_panel,
     gen_2d,
@@ -71,6 +72,7 @@ class TestAnnotatorProfiles:
         rng = np.random.default_rng(3)
         truth = rng.integers(0, 3, size=10000)
         panel = graded_panel()
+        assert [profile.error_prob for profile in panel] == list(GRADED_ERRORS)
         ann = simulate_annotations(truth, 3, panel, seed=3)
         for j, profile in enumerate(panel):
             sel = ann.annotator_idx == j
