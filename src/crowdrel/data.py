@@ -178,9 +178,11 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
-    Dense rows must all have the header's width; malformed rows,
-    non-finite features and repeated ids raise DataError naming the file
-    and line. An empty file yields an empty list.
+    Dense rows must all have the header's width, and each text line must be
+    an object with an ``id`` and a string ``text`` (and, optionally, a
+    string ``text2``). Malformed rows or lines, non-finite features and
+    repeated ids raise DataError naming the file and line. An empty file
+    yields an empty list.
     """
     seen: set[str] = set()
 
@@ -211,11 +213,14 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
-                if "id" not in obj or "text" not in obj:
-                    raise DataError(f"{path}:{lineno}: object needs 'id' and 'text'")
-                instances.append(Instance(id=new_id(str(obj["id"]), lineno),
-                                          text=str(obj["text"]),
-                                          text2=str(obj["text2"]) if "text2" in obj else None))
+                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+                    raise DataError(f"{path}:{lineno}: each line must be a JSON object "
+                                    "with 'id' and 'text'")
+                text, text2 = obj["text"], obj.get("text2")
+                if not isinstance(text, str) or ("text2" in obj and not isinstance(text2, str)):
+                    raise DataError(f"{path}:{lineno}: 'text' and 'text2' must be strings")
+                instances.append(Instance(id=new_id(str(obj["id"]), lineno), text=text,
+                                          text2=text2))
         return instances
     raise DataError(f"unknown instance format {format!r}")
 

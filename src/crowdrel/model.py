@@ -384,14 +384,19 @@ def reliability_scores(state: ModelState, features: np.ndarray,
 
 def save_model(path: str | Path, state: ModelState, label_set: LabelSet,
                config: TrainConfig) -> None:
-    """Write the checkpoint of ``state``, which ``config`` built; ``load_model`` reads it."""
+    """Write the checkpoint of ``state``, which ``config`` built; ``load_model`` reads it.
+
+    The JSON is encoded straight into the file, so the document is never
+    held in memory as one string.
+    """
     payload = {"format_version": CHECKPOINT_VERSION, "labels": list(label_set.labels),
                "config": asdict(config)}
     for name, net in (("classifier", state.classifier), ("estimator", state.estimator)):
         layers = zip(net.weights, net.biases)
         payload[name] = {"head": net.head, "layers": [
             {"weights": w.ravel().tolist(), "biases": b.tolist()} for w, b in layers]}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
 
 
 def _fields(obj, what: str, *keys: str) -> list:

@@ -13,12 +13,14 @@ gradient sums a contiguous row. ``forward`` and ``backward`` still take
 and return batch-major arrays; the outputs are transposed views.
 
 A ``PairInput`` owns the workspace of the estimator's pair pass: both
-hidden layers and their ReLU masks are written into (width, P) buffers
-that the input creates on its first pass at a width and reuses on every
-later one, so memory is O(N * h + width * P) and a training step
-allocates no (width, P) array. ``forward`` hands the second layer's
-buffer over as its hidden output, so no result is overwritten later.
-One ``PairInput`` must not be shared across threads. A dense input gets
+hidden layers go into two (width, P) float buffers and their ReLU masks
+into one (width, P) bool buffer, which the input creates on its first
+pass at a width and reuses on every later one, so a training step
+allocates no (width, P) array. Beside them the input holds one
+gather/scatter index of 2 * min(width, 8) * P entries, for blocks of at
+most ``ROW_BLOCK`` rows. ``forward`` hands the second layer's buffer
+over as its hidden output, so no result is overwritten later. One
+``PairInput`` must not be shared across threads. A dense input gets
 fresh arrays on every pass.
 """
 
@@ -30,6 +32,8 @@ import numpy as np
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# rows of a (width, P) layer that one gather or scatter of a PairInput covers
+ROW_BLOCK = 8
 
 
 @dataclass
@@ -101,7 +105,10 @@ class PairInput:
 
     The input owns the pass's workspace: the hidden layers and their ReLU
     masks live in (width, P) buffers made on first use at a width and
-    overwritten by every later pass, so memory is O(N * h + width * P).
+    overwritten by every later pass. The gathers and scatters run over
+    blocks of at most ``ROW_BLOCK`` rows, through one index of
+    2 * min(width, ROW_BLOCK) * P entries, so memory is
+    O(N * h + width * P) with no index of width * P entries.
     ``first_layer`` returns such a buffer, and ``release`` stops the reuse
     of one that a caller keeps. One ``PairInput`` must not be shared
     across threads.
@@ -123,7 +130,7 @@ class PairInput:
         self.instance_idx = instance_idx
         self.annotator_idx = annotator_idx
         self.n_annotators = n_annotators
-        self._scatter: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._index: tuple[np.ndarray, np.ndarray] | None = None
         self._work: dict[tuple[str, int], np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -133,19 +140,24 @@ class PairInput:
     def shape(self) -> tuple[int, int]:
         return len(self), self.rep.shape[1] + self.n_annotators
 
-    def _flat_index(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flat positions of entry (c, p) of a (width, P) array in (width, N) and (width, M).
+    def _blocks(self, width: int):
+        """(rows, row count, instance index, annotator index) per block of a (width, P) array.
 
-        They depend only on the indices and the width, so they are built
-        once per object, not once per pass.
+        The indices hold the flat positions of entry (c, p) of the block in
+        (rows, N) and (rows, M). One pair, built for the widest block yet
+        (at most ``ROW_BLOCK`` rows), serves every block: a block of r rows
+        takes its first r * P entries.
         """
-        index = self._scatter.get(width)
-        if index is None:
-            rows = np.arange(width, dtype=np.intp)[:, None]
-            index = ((rows * len(self.rep) + self.instance_idx).ravel(),
-                     (rows * self.n_annotators + self.annotator_idx).ravel())
-            self._scatter[width] = index
-        return index
+        n_rows = min(width, ROW_BLOCK)
+        if self._index is None or len(self._index[0]) < n_rows * len(self):
+            rows = np.arange(n_rows, dtype=np.intp)[:, None]
+            self._index = ((rows * len(self.rep) + self.instance_idx).ravel(),
+                           (rows * self.n_annotators + self.annotator_idx).ravel())
+        by_instance, by_annotator = self._index
+        for start in range(0, width, ROW_BLOCK):
+            n_rows = min(ROW_BLOCK, width - start)
+            size = n_rows * len(self)
+            yield slice(start, start + n_rows), n_rows, by_instance[:size], by_annotator[:size]
 
     def workspace(self, name: str, width: int, dtype=np.float64) -> np.ndarray:
         """The (width, P) buffer ``name``: made on the first request, the same array after."""
@@ -164,30 +176,37 @@ class PairInput:
         The result is the "layer1" buffer, overwritten by the next pass.
         """
         h, width = self.rep.shape[1], w.shape[1]
-        by_instance, by_annotator = self._flat_index(width)
         z = self.workspace("layer1", width)
-        # mode="clip" writes straight into out (the default buffers it); the
-        # indices were range-checked in __init__, so nothing is clipped
-        np.take((w[:h].T @ self.rep.T).ravel(), by_instance, out=z.reshape(-1), mode="clip")
         # b folded into the looked-up rows, gathered as scratch into the second
         # layer's buffer of this width (the layer-2 product's own when the two
         # layers are equally wide, as in every model here)
         rows = self.workspace("layer2", width)
-        np.take(np.ascontiguousarray((w[h:] + b).T).ravel(), by_annotator,
-                out=rows.reshape(-1), mode="clip")
+        by_instance_rows = w[:h].T @ self.rep.T
+        by_annotator_rows = np.ascontiguousarray((w[h:] + b).T)
+        for block, _, by_instance, by_annotator in self._blocks(width):
+            # mode="clip" writes straight into out (the default buffers it); the
+            # indices were range-checked in __init__, so nothing is clipped
+            np.take(by_instance_rows[block].ravel(), by_instance, out=z[block].reshape(-1),
+                    mode="clip")
+            np.take(by_annotator_rows[block].ravel(), by_annotator, out=rows[block].reshape(-1),
+                    mode="clip")
         z += rows
         return z
 
     def weight_grad(self, dz: np.ndarray) -> np.ndarray:
         """x.T @ dz.T for a (width, P) dz: sums of dz per instance and per annotator."""
         h, width = self.rep.shape[1], dz.shape[0]
-        by_instance, by_annotator = self._flat_index(width)
-        flat = dz.ravel()
-        grad = np.empty((h + self.n_annotators, width), dtype=np.float64)
-        per_instance = np.bincount(by_instance, weights=flat, minlength=width * len(self.rep))
-        grad[:h] = self.rep.T @ per_instance.reshape(width, len(self.rep)).T
-        grad[h:] = np.bincount(by_annotator, weights=flat, minlength=width * self.n_annotators
-                               ).reshape(width, self.n_annotators).T
+        n, m = len(self.rep), self.n_annotators
+        per_instance = np.empty((width, n), dtype=np.float64)
+        grad = np.empty((h + m, width), dtype=np.float64)
+        for block, n_rows, by_instance, by_annotator in self._blocks(width):
+            flat = dz[block].ravel()
+            # every bin sums its pairs in increasing p, whatever the block size
+            per_instance[block] = np.bincount(by_instance, weights=flat,
+                                              minlength=n_rows * n).reshape(n_rows, n)
+            grad[h:, block] = np.bincount(by_annotator, weights=flat,
+                                          minlength=n_rows * m).reshape(n_rows, m).T
+        grad[:h] = self.rep.T @ per_instance.T
         return grad
 
 

@@ -68,6 +68,33 @@ def dense_pair_input(pairs) -> np.ndarray:
                            annotator_onehot(pairs.annotator_idx, pairs.n_annotators)], axis=1)
 
 
+def _full_width_index(pairs, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of entry (c, p) of a (width, P) array in (width, N) and (width, M)."""
+    rows = np.arange(width)[:, None]
+    return ((rows * len(pairs.rep) + pairs.instance_idx).ravel(),
+            (rows * pairs.n_annotators + pairs.annotator_idx).ravel())
+
+
+def flat_index_first_layer(pairs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``PairInput.first_layer`` as one gather per table over a full-width index."""
+    h, width = pairs.rep.shape[1], w.shape[1]
+    by_instance, by_annotator = _full_width_index(pairs, width)
+    z = (w[:h].T @ pairs.rep.T).ravel()[by_instance]
+    z += np.ascontiguousarray((w[h:] + b).T).ravel()[by_annotator]
+    return z.reshape(width, len(pairs))
+
+
+def flat_index_weight_grad(pairs, dz: np.ndarray) -> np.ndarray:
+    """``PairInput.weight_grad`` as one bincount per table over a full-width index."""
+    h, width = pairs.rep.shape[1], dz.shape[0]
+    n, m = len(pairs.rep), pairs.n_annotators
+    by_instance, by_annotator = _full_width_index(pairs, width)
+    per_instance = np.bincount(by_instance, weights=dz.ravel(), minlength=width * n)
+    per_annotator = np.bincount(by_annotator, weights=dz.ravel(), minlength=width * m)
+    return np.concatenate([pairs.rep.T @ per_instance.reshape(width, n).T,
+                           per_annotator.reshape(width, m).T])
+
+
 def _reference_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0

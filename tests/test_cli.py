@@ -258,6 +258,14 @@ class TestFilesValidation:
         assert "unknown featurizer 'glove'" in result.output
         assert "absent.txt" not in result.output
 
+    @pytest.mark.parametrize("line", ["5", '{"id": "b", "text": null}'])
+    def test_malformed_text_line_exits_one(self, runner, tmp_path, line):
+        cfg = self.text_config(tmp_path, featurizer="tfidf")
+        (tmp_path / "docs.jsonl").write_text('{"id": "a", "text": "some words"}\n' + line + "\n")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "docs.jsonl:2: " in result.output
+
     @pytest.mark.parametrize("fmt", ["dense-csv", "text-jsonl"])
     def test_repeated_instance_id_names_file_and_line(self, runner, tmp_path, fmt):
         if fmt == "dense-csv":

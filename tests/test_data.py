@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,27 @@ class TestLoadInstances:
         path.write_text("id,x0,x1\na,0.1,0.2\nb,0.3\n")
         with pytest.raises(DataError, match=r"x\.csv:3: expected 3 columns, got 2"):
             load_instances(path, "dense-csv")
+
+
+    @pytest.mark.parametrize("line, message", [
+        ("5", "must be a JSON object"),
+        ('["id", "text"]', "must be a JSON object"),
+        ('{"id": "b"}', "must be a JSON object with 'id' and 'text'"),
+        ('{"id": "b", "text": null}', "'text' and 'text2' must be strings"),
+        ('{"id": "b", "text": 7}', "'text' and 'text2' must be strings"),
+        ('{"id": "b", "text": "words", "text2": ["more"]}', "'text' and 'text2' must be strings"),
+        ('{"id": "b", "text": "words", "text2": null}', "'text' and 'text2' must be strings"),
+    ])
+    def test_malformed_text_line_reports_line(self, tmp_path, line, message):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"id": "a", "text": "fine"}\n' + line + "\n")
+        with pytest.raises(DataError, match=re.escape("x.jsonl:2: ") + ".*" + re.escape(message)):
+            load_instances(path, "text-jsonl")
+
+    def test_text2_is_kept_when_given(self, tmp_path):
+        path = tmp_path / "x.jsonl"
+        path.write_text('{"id": "a", "text": "q"}\n{"id": "b", "text": "q", "text2": "r"}\n')
+        assert [inst.text2 for inst in load_instances(path, "text-jsonl")] == [None, "r"]
 
 
 class TestLoadAnnotations:

@@ -291,15 +291,17 @@ class TestEstimatorPairInputs:
         pairs = estimator_pair_inputs(rep, ann)
         dense = dense_pair_input(pairs)
         assert len(pairs) == ann.n_pairs and np.array_equal(dense[:, :3], rep[ann.instance_idx])
-        params = init_fnn(3 + m, 4, 3, 1, "sigmoid", rng)
-        for b in params.biases:
-            b[:] = rng.normal(0.0, 0.3, size=b.shape)
         targets = rng.uniform(size=ann.n_pairs)
-        for got, want in zip(forward(params, pairs), forward(params, dense)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
-        for got, want in zip(backward(params, pairs, targets, 3.0),
-                             backward(params, dense, targets, 3.0)):
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        # one gather block, its edge, and two or three blocks, on one input
+        for width in (4, 8, 9, 16, 17, 20):
+            params = init_fnn(3 + m, width, 3, 1, "sigmoid", rng)
+            for b in params.biases:
+                b[:] = rng.normal(0.0, 0.3, size=b.shape)
+            for got, want in zip(forward(params, pairs), forward(params, dense)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+            for got, want in zip(backward(params, pairs, targets, 3.0),
+                                 backward(params, dense, targets, 3.0)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 6),
            k=st.integers(2, 4), estimator_input=st.sampled_from(["feature", "hidden"]))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from helpers import (
     finite_diff_grads,
+    flat_index_first_layer,
+    flat_index_weight_grad,
     max_relative_error,
     reference_adam_step,
     reference_backward,
@@ -21,6 +23,7 @@ from crowdrel.neural import (
     ADAM_BETA2,
     ADAM_EPS,
     PROB_FLOOR,
+    ROW_BLOCK,
     AdamState,
     PairInput,
     _sigmoid,
@@ -208,10 +211,13 @@ class TestPairInputBuffers:
 
     @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["softmax", "sigmoid"]),
            n_pairs=st.integers(1, 8), m=st.integers(1, 5),
-           widths=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1,
+           widths=st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), min_size=1,
                            max_size=5))
     @example(seed=0, head="sigmoid", n_pairs=5, m=3, widths=[(3, 3), (2, 3), (3, 3), (3, 2)])
     @example(seed=1, head="softmax", n_pairs=1, m=1, widths=[(1, 1), (1, 1)])
+    # widths at and across the edges of the gather blocks, changing on one input
+    @example(seed=2, head="sigmoid", n_pairs=7, m=4, widths=[(8, 8), (9, 9), (16, 8), (17, 17)])
+    @example(seed=3, head="softmax", n_pairs=6, m=2, widths=[(17, 9), (8, 16), (3, 17), (17, 17)])
     @settings(max_examples=60, deadline=None)
     def test_reused_buffers_are_never_stale_or_aliased(self, seed, head, n_pairs, m, widths):
         rng = np.random.default_rng(seed)
@@ -237,6 +243,39 @@ class TestPairInputBuffers:
         # later passes overwrite the buffers, never what forward returned
         for probs, hidden, probs_then, hidden_then in outputs:
             assert np.array_equal(probs, probs_then) and np.array_equal(hidden, hidden_then)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_pairs=st.integers(1, 12),
+           m=st.integers(1, 5), widths=st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    @example(seed=0, n=4, n_pairs=9, m=3, widths=[8, 9, 16, 17, 1, 17])
+    @example(seed=1, n=1, n_pairs=1, m=1, widths=[20, 7, ROW_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_a_full_width_index_exactly(self, seed, n, n_pairs, m, widths):
+        rng = np.random.default_rng(seed)
+        h = 3
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
+                          rng.integers(0, m, size=n_pairs), m)
+        for width in widths:
+            w, b = rng.normal(size=(h + m, width)), rng.normal(size=width)
+            assert np.array_equal(pairs.first_layer(w, b), flat_index_first_layer(pairs, w, b))
+            dz = rng.normal(size=(width, n_pairs))
+            assert np.array_equal(pairs.weight_grad(dz), flat_index_weight_grad(pairs, dz))
+
+    def test_first_backward_holds_no_full_width_index(self):
+        rng = np.random.default_rng(0)
+        n, n_pairs, h, width, m = 500, 3000, 100, 100, 3
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
+                          rng.integers(0, m, size=n_pairs), m)
+        params = init_fnn(h + m, width, width, 1, "sigmoid", rng)
+        targets = rng.uniform(size=n_pairs)
+        tracemalloc.start()
+        try:
+            backward(params, pairs, targets, float(n_pairs))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two (width, P) float64 buffers, the mask and a gather index of
+        # ROW_BLOCK rows: an index of width rows would add 2 * width * P entries
+        assert peak < 3 * width * n_pairs * 8
 
     def test_repeat_backward_allocates_no_activation(self):
         rng = np.random.default_rng(0)
@@ -394,6 +433,27 @@ class TestCheckpoint:
                 assert back.head == params.head
                 for a, b in zip(params.arrays(), back.arrays(), strict=True):
                     assert np.array_equal(a, b)
+
+    def test_file_is_the_one_shot_encoding(self, tmp_path):
+        state, cfg = random_state(np.random.default_rng(5))
+        path = tmp_path / "model.json"
+        save_model(path, state, LabelSet(("a", "b", "c")), cfg)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text))
+
+    def test_save_holds_no_encoded_document(self, tmp_path):
+        # text-em's shape: 39 tf-idf features, 100-wide layers, 3 labels, 6 annotators
+        rng = np.random.default_rng(0)
+        cfg = TrainConfig(classifier_hidden=100, estimator_hidden=100)
+        state = ModelState(init_fnn(39, 100, 100, 3, "softmax", rng),
+                           init_fnn(106, 100, 100, 1, "sigmoid", rng), cfg.estimator_input)
+        tracemalloc.start()
+        try:
+            save_model(tmp_path / "model.json", state, LabelSet(("a", "b", "c")), cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_version_check(self, tmp_path):
         state, cfg = random_state(np.random.default_rng(3))
