@@ -214,7 +214,7 @@ def main() -> None:
 @main.command("simulate")
 @click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("-o", "--out-dir", default=None)
-@click.option("--dataset", default=None, help="moon | circle | three-class")
+@click.option("--dataset", default=None, help=" | ".join(simulate.DATASET_KINDS))
 @click.option("--n", default=None, type=int)
 @click.option("--noise", default=None, type=float)
 @click.option("--panel", default=None, help='"default", "graded" or e.g. "narrow:0,broad,random"')
@@ -248,10 +248,10 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
 @main.command("train")
 @click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("-o", "--out-dir", default=None)
-@click.option("--mode", default=None, help="em | ce-alt | ce-jt")
-@click.option("--pretrain", default=None, help="mv | ds")
+@click.option("--mode", default=None, help=" | ".join(model.MODES))
+@click.option("--pretrain", default=None, help=" | ".join(model.PRETRAIN_SOURCES))
 @click.option("--max-outer", default=None, type=int)
-@click.option("--estimator-input", default=None, help="hidden | feature")
+@click.option("--estimator-input", default=None, help=" | ".join(model.ESTIMATOR_INPUTS))
 @click.option("--seed", default=None, type=int)
 def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, seed):
     """Pre-train and fit the reliability model; write checkpoint, trace and predictions."""
@@ -288,7 +288,7 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
 @click.option("--metrics", default=None, help="comma list from: f1, iaa, baselines")
 @click.option("--report-reliability", "report_k", default=None, type=int,
               help="emit top/bottom-k reliability tables")
-@click.option("--denoise", default=None, help="mv | ds | off")
+@click.option("--denoise", default=None, help=" | ".join(model.PRETRAIN_SOURCES + ("off",)))
 def cmd_eval(config_path, out_dir, metrics, report_k, denoise):
     """Score predictions and reliability artifacts from a train run."""
     try:

@@ -179,10 +179,10 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
     Dense rows must all have the header's width, and each text line must be
-    an object with an ``id`` and a string ``text`` (and, optionally, a
-    string ``text2``). Malformed rows or lines, non-finite features and
-    repeated ids raise DataError naming the file and line. An empty file
-    yields an empty list.
+    an object with a string ``id`` and a string ``text`` (and, optionally,
+    a string ``text2``); an ``id`` of another JSON type is not converted.
+    Malformed rows or lines, non-finite features and repeated ids raise
+    DataError naming the file and line. An empty file yields an empty list.
     """
     seen: set[str] = set()
 
@@ -216,11 +216,10 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                 if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
                     raise DataError(f"{path}:{lineno}: each line must be a JSON object "
                                     "with 'id' and 'text'")
-                text, text2 = obj["text"], obj.get("text2")
-                if not isinstance(text, str) or ("text2" in obj and not isinstance(text2, str)):
-                    raise DataError(f"{path}:{lineno}: 'text' and 'text2' must be strings")
-                instances.append(Instance(id=new_id(str(obj["id"]), lineno), text=text,
-                                          text2=text2))
+                key, text, text2 = obj["id"], obj["text"], obj.get("text2")
+                if not all(isinstance(v, str) for v in (key, text, obj.get("text2", ""))):
+                    raise DataError(f"{path}:{lineno}: 'id', 'text' and 'text2' must be strings")
+                instances.append(Instance(id=new_id(key, lineno), text=text, text2=text2))
         return instances
     raise DataError(f"unknown instance format {format!r}")
 

@@ -8,13 +8,13 @@ uniformly over all categories. Exact per-pair posteriors over
 (label, reliable) follow in closed form: given the label, an
 annotation's reliability depends on no other annotation, so each
 reliability posterior is the label posterior at the annotated label
-times one factor of its own pair. The networks are refit
-against those posteriors either by generalized EM (gradient steps on the
+times one factor of its own pair. Both networks are refit jointly
+against those posteriors, either by generalized EM (gradient steps on the
 expected complete log likelihood) or by minimizing soft-target cross
-entropies, alternating or jointly.
+entropies (``ce-jt``).
 
-Every network update (pretraining, ``ce-alt``, the joint step of EM and
-``ce-jt``) is one ``_fit`` loop of full-batch Adam steps under one optimizer
+Every network update (pretraining and the joint step of EM and ``ce-jt``)
+is one ``_fit`` loop of full-batch Adam steps under one optimizer
 state. ``perfbench/child.py`` traces ``forward``, ``backward``, ``adam_step``
 and ``estimator_pair_inputs`` by their names in this module, and
 ``predict_labels`` and ``reliability_scores`` are kept only for it.
@@ -50,7 +50,7 @@ from .neural import (
     soft_ce_loss,
 )
 
-MODES = ("em", "ce-alt", "ce-jt")
+MODES = ("em", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
 ESTIMATOR_INPUTS = ("hidden", "feature")
 CHECKPOINT_VERSION = 2
@@ -58,12 +58,12 @@ CHECKPOINT_VERSION = 2
 
 @dataclass
 class TrainConfig:
-    """Training schedule and optimizer settings.
+    """Training loop and optimizer settings.
 
-    ``max_outer`` defaults to 500 for EM and 20 for the cross-entropy
-    modes when left as None. The inner loop always runs ``inner_iters``
-    full-batch optimizer steps per outer iteration. A config key sets
-    each field; Adam's moment decay rates are constants of ``neural``.
+    ``max_outer`` defaults to 500 for EM and 20 for ``ce-jt`` when left
+    as None. The inner loop always runs ``inner_iters`` full-batch
+    optimizer steps per outer iteration. A config key sets each field;
+    Adam's moment decay rates are constants of ``neural``.
     """
 
     mode: str = "ce-jt"
@@ -306,18 +306,20 @@ class TrainResult:
 
 def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
           gold: np.ndarray | None = None) -> TrainResult:
-    """Pre-train, then alternate inference and network refitting.
+    """Pre-train, then repeat inference and a joint refit of both networks.
 
     Each outer iteration freezes the posteriors under the current
     parameters (and, in hidden mode, the estimator's input
-    representation) and runs ``inner_iters`` steps of ``_fit`` on the
-    mode's objective. Every mode stops at the iteration cap or, from the
-    second outer iteration on, when the marginal log likelihood gains less
-    than ``early_stop_tol`` per instance and annotation, so the rule does
-    not depend on dataset size; the trace holds Q in every mode. The priors
-    are computed once per parameter update: the pass after an update gives
-    the end Q's classifier term, the trace F1, the log likelihood and the
-    next iteration's posteriors. ``gold`` (label index
+    representation) and runs ``inner_iters`` steps of ``_fit`` on both
+    networks under one Adam state. ``mode`` chooses only the normalizers,
+    which act only through coupled weight decay and the global clip, and
+    the default ``max_outer``. Training stops at the iteration cap or,
+    from the second outer iteration on, when the marginal log likelihood
+    gains less than ``early_stop_tol`` per instance and annotation, so the
+    rule does not depend on dataset size; the trace holds Q in every mode.
+    The priors are computed once per parameter update: the pass after an
+    update gives the end Q's classifier term, the trace F1, the log
+    likelihood and the next iteration's posteriors. ``gold`` (label index
     per instance, -1 for missing) only feeds the diagnostic F1 column of
     the trace, which stays empty when no instance has a gold label.
     """
@@ -331,20 +333,16 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     n = float(len(features))
     n_pairs = float(annotations.n_pairs)
     # EM steps on Q per instance and annotation, so weight decay and
-    # clipping act alike at every dataset size; CE steps on per-network means
+    # clipping act alike at every dataset size; ce-jt steps on per-network means
     norm_t, norm_r = (n + n_pairs, n + n_pairs) if config.mode == "em" else (n, n_pairs)
-    # ce-alt steps the estimator (1), then the classifier (0), each under its
-    # own Adam state; EM and ce-jt step both under one state and one clip norm
-    schedule = [[1], [0]] if config.mode == "ce-alt" else [[0, 1]]
-    opts = [_adam_from_config(config) for _ in schedule]
+    opt = _adam_from_config(config)
 
     stopped = "cap"
     for outer in range(1, config.resolved_max_outer() + 1):
         start = q_objective(label_prior, rel_prior, post)
         groups = [(state.classifier, features, post.label_posterior, norm_t),
                   (state.estimator, pair_x, post.reliability_posterior, norm_r)]
-        for networks, opt in zip(schedule, opts):
-            _fit([groups[g] for g in networks], config.inner_iters, opt)
+        _fit(groups, config.inner_iters, opt)
 
         # the end Q scores the estimator on the frozen inputs; they and the
         # groups holding them are dropped before the next pass rebuilds them

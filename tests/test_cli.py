@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import crowdrel
-from crowdrel import cli
+from crowdrel import cli, model, simulate
 from crowdrel.data import LabelSet, feature_matrix, load_annotations, load_instances
 from crowdrel.model import TrainConfig, load_model, pretrain
 
@@ -258,7 +258,7 @@ class TestFilesValidation:
         assert "unknown featurizer 'glove'" in result.output
         assert "absent.txt" not in result.output
 
-    @pytest.mark.parametrize("line", ["5", '{"id": "b", "text": null}'])
+    @pytest.mark.parametrize("line", ["5", '{"id": "b", "text": null}', '{"id": 5, "text": "x"}'])
     def test_malformed_text_line_exits_one(self, runner, tmp_path, line):
         cfg = self.text_config(tmp_path, featurizer="tfidf")
         (tmp_path / "docs.jsonl").write_text('{"id": "a", "text": "some words"}\n' + line + "\n")
@@ -520,11 +520,26 @@ class TestFilesDataset:
 
 class TestConfigHandling:
     def test_bad_mode_exits_one(self, runner, tmp_path):
-        cfg = write_config(tmp_path / "bad.cfg", **{**BASE, "mode": "sgd"},
-                           out_dir=tmp_path / "out")
-        runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
-        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
-        assert result.exit_code == 1
+        for mode in ("sgd", "ce-alt"):  # a removed mode is rejected, not remapped
+            cfg = write_config(tmp_path / "bad.cfg", **{**BASE, "mode": mode},
+                               out_dir=tmp_path / "out")
+            runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
+            result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+            assert result.exit_code == 1
+            assert f"mode must be one of ('em', 'ce-jt'), got '{mode}'" in result.output
+
+    @pytest.mark.parametrize("command, option, choices", [
+        ("simulate", "--dataset", tuple(simulate.DATASET_KINDS)),
+        ("train", "--mode", model.MODES),
+        ("train", "--pretrain", model.PRETRAIN_SOURCES),
+        ("train", "--estimator-input", model.ESTIMATOR_INPUTS),
+        ("eval", "--denoise", model.PRETRAIN_SOURCES + ("off",)),
+    ])
+    def test_help_lists_the_validated_choices(self, runner, command, option, choices):
+        result = runner.invoke(cli.main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        listed = re.search(rf"{option} TEXT (.+?) --", " ".join(result.output.split())).group(1)
+        assert tuple(listed.split(" | ")) == choices
 
     @pytest.mark.parametrize("key, value", [
         ("clip_norm", "-1"), ("max_outer", "-3"), ("pretrain_epochs", "-1"),

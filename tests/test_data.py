@@ -94,6 +94,10 @@ class TestLoadInstances:
         ('{"id": "b", "text": 7}', "'text' and 'text2' must be strings"),
         ('{"id": "b", "text": "words", "text2": ["more"]}', "'text' and 'text2' must be strings"),
         ('{"id": "b", "text": "words", "text2": null}', "'text' and 'text2' must be strings"),
+        # an id is never converted: str() would load null as "None" and let
+        # 5 collide with "5"
+        *((f'{{"id": {key}, "text": "q"}}', "'id', 'text' and 'text2' must be strings")
+          for key in ("null", "5", "true", "{}", "[]")),
     ])
     def test_malformed_text_line_reports_line(self, tmp_path, line, message):
         path = tmp_path / "x.jsonl"

@@ -455,9 +455,8 @@ class TestTrain:
         # pretraining fits the classifier to one-hot DS labels, then the
         # estimator to agreement with them, each under its own Adam state.
         # Each outer iteration freezes the posteriors and the estimator's
-        # input. ce-alt then steps the estimator and then the classifier, each
-        # under its own state; EM and ce-jt step both under one state over the
-        # classifier's and then the estimator's arrays. Every state lives
+        # input, then steps both networks under one Adam state over the
+        # classifier's and then the estimator's arrays. That state lives
         # across outer iterations.
         instances, gold = gen_2d("moon", 60, seed=2)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=2,
@@ -500,23 +499,37 @@ class TestTrain:
         steps([(estimator, pair_x, agreement, p)], cfg.pretrain_epochs, adam())
 
         norm_t, norm_r = (n + p, n + p) if mode == "em" else (n, p)
-        opts = [adam(), adam()]
+        opt = adam()
         for _ in range(2):
             pair_x = pair_input(classifier)
             post = posterior_from_priors(reference_forward(classifier, x)[0],
                                          reference_forward(estimator, pair_x)[0], ann)
-            clf = (classifier, x, post.label_posterior, norm_t)
-            est = (estimator, pair_x, post.reliability_posterior, norm_r)
-            if mode == "ce-alt":
-                steps([est], cfg.inner_iters, opts[0])
-                steps([clf], cfg.inner_iters, opts[1])
-            else:
-                steps([clf, est], cfg.inner_iters, opts[0])
+            steps([(classifier, x, post.label_posterior, norm_t),
+                   (estimator, pair_x, post.reliability_posterior, norm_r)],
+                  cfg.inner_iters, opt)
 
         assert len(result.trace) == 2
         for got, want in zip(result.state.classifier.arrays() + result.state.estimator.arrays(),
                              classifier.arrays() + estimator.arrays()):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_modes_differ_only_by_normalizers(self):
+        # Without weight decay and clipping, Adam is invariant to a constant
+        # scale of each network's gradient (up to its epsilon), so EM's N + P
+        # and ce-jt's N and P normalizers give one trajectory.
+        instances, gold = gen_2d("moon", 1000, seed=0)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=0,
+                                   instance_ids=[inst.id for inst in instances])
+        x = feature_matrix(instances)
+        em, ce = (train(x, ann, TrainConfig(mode=mode, max_outer=20, weight_decay=0.0,
+                                            clip_norm=0.0, seed=0))
+                  for mode in ("em", "ce-jt"))
+        assert em.stopped == ce.stopped == "tol" and len(em.trace) == len(ce.trace)
+        scores = [f1(r.posterior.label_posterior.argmax(axis=1), gold).micro for r in (em, ce)]
+        assert scores[0] == scores[1]
+        assert abs(em.posterior.log_likelihood - ce.posterior.log_likelihood) < 0.05
+        np.testing.assert_allclose(em.posterior.reliability_posterior,
+                                   ce.posterior.reliability_posterior, rtol=0.0, atol=0.01)
 
     def test_em_mode_improves_q_within_iterations(self, moon_setup):
         x, ann, _ = moon_setup
@@ -527,7 +540,6 @@ class TestTrain:
     def test_modes_resolve_outer_caps(self):
         assert TrainConfig(mode="em").resolved_max_outer() == 500
         assert TrainConfig(mode="ce-jt").resolved_max_outer() == 20
-        assert TrainConfig(mode="ce-alt").resolved_max_outer() == 20
         assert TrainConfig(mode="ce-jt", max_outer=7).resolved_max_outer() == 7
 
     @pytest.mark.parametrize("key, value", [
@@ -642,6 +654,8 @@ MALFORMED = {
     "config-out-of-range": (lambda p: p["config"].update(clip_norm=-1.0),
                             "clip_norm must be finite"),
     "config-unknown-mode": (lambda p: p["config"].update(mode="sgd"), "mode must be one of"),
+    "config-removed-mode": (lambda p: p["config"].update(mode="ce-alt"),
+                            re.escape("mode must be one of ('em', 'ce-jt'), got 'ce-alt'")),
     # the networks
     "network-not-an-object": (lambda p: p.update(classifier=[]),
                               "classifier must be a JSON object"),
