@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnnotationSet
+from .data import AnnotationSet, DataError
 
 DS_SMOOTHING = 1e-2
 DS_MAX_ITERS = 100
@@ -33,12 +33,14 @@ def majority_vote(annotations: AnnotationSet) -> np.ndarray:
 
 
 def vote_fractions(annotations: AnnotationSet) -> np.ndarray:
-    """Per-instance label proportions (each row sums to 1)."""
+    """Per-instance label proportions (each row sums to 1); each instance needs an annotation."""
     counts = vote_counts(annotations)
     totals = counts.sum(axis=1, keepdims=True)
     uncovered = np.flatnonzero(totals == 0)
     if uncovered.size:
-        raise ValueError(f"instance {int(uncovered[0])} has no annotations")
+        i = int(uncovered[0])
+        name = repr(annotations.instance_ids[i]) if annotations.instance_ids else i
+        raise DataError(f"instance {name} has no annotations")
     return counts / totals
 
 

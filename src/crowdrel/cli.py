@@ -101,7 +101,7 @@ def _write_manifest(out_dir: Path, command: str, cfg: dict[str, str], files: lis
 
 
 def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
-              gold: data.GoldLabels) -> None:
+              gold: data.GoldLabels | None = None) -> None:
     problems = data.validate(instances, annotations, gold)
     if problems:
         raise DataError("; ".join(problems))
@@ -164,9 +164,11 @@ def _load_dataset(cfg: dict[str, str], out_dir: Path):
         ann_path, gold_path = _get(cfg, "annotations"), cfg.get("gold")
     ids = [inst.id for inst in instances]
     annotations = data.load_annotations(ann_path, label_set, instance_ids=ids)
-    gold = data.load_gold(gold_path, label_set, instance_ids=ids) if gold_path else data.GoldLabels()
-    _validate(instances, annotations, gold)
-    return instances, annotations, gold.to_array(len(instances)), label_set
+    loaded = data.load_gold(gold_path, label_set, instance_ids=ids) if gold_path else None
+    _validate(instances, annotations, loaded)
+    n = len(instances)
+    gold = np.full(n, -1, dtype=np.int64) if loaded is None else loaded.to_array(n)
+    return instances, annotations, gold, label_set
 
 
 def _features(cfg: dict[str, str], instances: list[data.Instance]) -> tuple[np.ndarray, str]:
@@ -234,7 +236,7 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
         annotations = simulate.simulate_annotations(
             gold, len(label_set), profiles, seed_v, instance_ids=[inst.id for inst in instances],
             keep_prob=_get(cfg, "keep_prob", 1.0, float))
-        _validate(instances, annotations, gold)
+        _validate(instances, annotations)
         out = _resolve_out_dir(cfg, out_dir)
         data.write_instances(out / "instances.csv", instances)
         data.write_gold(out / "gold.csv", gold, label_set, [i.id for i in instances])
@@ -270,8 +272,7 @@ def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, 
                           for row in result.trace))
         # predictions.csv shares the gold file schema (instance_id,label)
         pred = result.posterior.label_posterior.argmax(axis=1)
-        data.write_gold(out / "predictions.csv", data.GoldLabels(dict(enumerate(pred.tolist()))),
-                        label_set, annotations.instance_ids)
+        data.write_gold(out / "predictions.csv", pred, label_set, annotations.instance_ids)
         data.write_scores(out / "reliability.csv", annotations,
                           result.posterior.reliability_posterior)
         _write_manifest(out, "train", cfg,

@@ -4,7 +4,9 @@ Every CSV table, input or artifact, is read by ``_table`` and written by
 ``write_table``; a bad row is a DataError that names its ``path:line``.
 
 External ids are arbitrary strings; everything downstream works on dense
-0-based integer indices assigned at load time. All types are immutable
+0-based integer indices assigned at load time. Gold labels and
+predictions in memory are (N,) arrays of label indices, -1 where an
+instance has none; ``write_gold`` writes either. All types are immutable
 after construction and safe to share across threads.
 """
 
@@ -74,8 +76,9 @@ class AnnotationSet:
 
     The one source of its sizes N, M and K: construction raises DataError
     unless each index array is 1-D and of an integer type (or empty), every
-    index lies in [0, n_instances), [0, n_annotators) or [0, n_labels) and
-    each (instance, annotator) pair occurs at most once.
+    index lies in [0, n_instances), [0, n_annotators) or [0, n_labels),
+    each (instance, annotator) pair occurs at most once and a non-empty
+    ``instance_ids`` or ``annotator_ids`` holds exactly N or M distinct ids.
     Indices refer to positions in ``instance_ids`` / ``annotator_ids`` / the label set.
     """
 
@@ -108,6 +111,11 @@ class AnnotationSet:
         keys = np.sort(self.instance_idx * self.n_annotators + self.annotator_idx)
         if np.any(keys[1:] == keys[:-1]):
             raise DataError("duplicate (instance, annotator) pair")
+        for name, ids, size in (("instance_ids", self.instance_ids, self.n_instances),
+                                ("annotator_ids", self.annotator_ids, self.n_annotators)):
+            if ids and (len(ids) != size or len(set(ids)) != size):
+                raise DataError(f"{name} must hold {size} distinct ids, got {len(ids)} "
+                                f"of which {len(set(ids))} distinct")
 
     @property
     def n_pairs(self) -> int:
@@ -122,7 +130,12 @@ class AnnotationSet:
 
 @dataclass(frozen=True)
 class GoldLabels:
-    """Partial map instance index -> true label index. Evaluation only."""
+    """Partial map instance index -> label index, as ``load_gold`` returns it.
+
+    Everything past the reader takes the (N,) array of ``to_array``. The
+    map remains only because ``perfbench/run.py`` reads ``by_index``; once
+    the benchmark reads arrays, ``load_gold`` can return one.
+    """
 
     by_index: dict[int, int] = field(default_factory=dict)
 
@@ -135,6 +148,15 @@ class GoldLabels:
         for i, t in self.by_index.items():
             out[i] = t
         return out
+
+
+def one_per(values, n: int, what: str, per: str, dtype=None) -> np.ndarray:
+    """``values`` as an (n,) array, one ``what`` per ``per``; else a DataError naming both counts."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.shape != (n,):
+        got = len(arr) if arr.ndim == 1 else f"shape {arr.shape}"
+        raise DataError(f"need {n} {what}, one per {per}; got {got}")
+    return arr
 
 
 def _at(path: str | Path, line: int, exc: ValueError) -> DataError:
@@ -329,10 +351,12 @@ def load_gold(
     return GoldLabels(by_index=by_index)
 
 
-def write_gold(path: str | Path, gold: GoldLabels, label_set: LabelSet,
+def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
                instance_ids: Sequence[str]) -> None:
-    write_table(path, GOLD_HEADER,
-                ([instance_ids[i], label_set.labels[gold.by_index[i]]] for i in sorted(gold.by_index)))
+    """Write gold labels or predictions: a row for each entry >= 0 of ``gold``, in index order."""
+    gold = one_per(gold, len(instance_ids), "labels", "instance id")
+    write_table(path, GOLD_HEADER, ([instance_ids[i], label_set.labels[t]]
+                                    for i, t in enumerate(gold.tolist()) if t >= 0))
 
 
 def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
@@ -375,6 +399,7 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
 
 def write_scores(path: str | Path, annotations: AnnotationSet, scores: np.ndarray) -> None:
     """Write one score per annotation (inverse of ``load_scores``)."""
+    scores = one_per(scores, annotations.n_pairs, "scores", "annotation")
     write_table(path, SCORES_HEADER,
                 ([annotations.instance_ids[i], annotations.annotator_ids[j], repr(float(score))]
                  for (i, j, _), score in zip(annotations.triples(), scores)))

@@ -12,13 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import vote_counts
-from .data import AnnotationSet, DataError, GoldLabels
-
-
-def _gold_array(gold: GoldLabels | np.ndarray, n: int) -> np.ndarray:
-    if isinstance(gold, GoldLabels):
-        return gold.to_array(n)
-    return np.asarray(gold, dtype=np.int64)
+from .data import AnnotationSet, DataError, one_per
 
 
 @dataclass(frozen=True)
@@ -27,18 +21,18 @@ class F1Scores:
     macro: float
 
 
-def f1(pred: np.ndarray, gold: GoldLabels | np.ndarray) -> F1Scores:
-    """Micro and macro F1 over the instances that have a gold label.
+def f1(pred: np.ndarray, gold: np.ndarray) -> F1Scores:
+    """Micro and macro F1 over the instances that have a gold label (``gold`` >= 0).
 
     With one prediction per instance the micro average equals accuracy;
     the macro average is the unweighted mean of per-class F1.
     """
     pred = np.asarray(pred, dtype=np.int64)
-    gold_arr = _gold_array(gold, len(pred))
-    mask = gold_arr >= 0
+    gold = one_per(gold, len(pred), "gold labels", "prediction", np.int64)
+    mask = gold >= 0
     if not mask.any():
         raise DataError("no gold labels to evaluate against")
-    p, g = pred[mask], gold_arr[mask]
+    p, g = pred[mask], gold[mask]
     micro = float((p == g).mean())
     macros = []
     # a set: numpy 2 imports numpy.ma for its unique, and training calls this
@@ -124,20 +118,19 @@ class ReliabilityReport:
 
 
 def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
-                       gold: GoldLabels | np.ndarray, k: int) -> ReliabilityReport:
+                       gold: np.ndarray, k: int) -> ReliabilityReport:
     """Rank each annotator's annotations by reliability and profile both ends.
 
     Ordering ties break toward the lower instance index.
     """
     if k < 0:
         raise DataError(f"k must be >= 0, got {k}")
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(scores) != annotations.n_pairs:
-        raise ValueError("need one reliability score per annotation")
+    scores = one_per(scores, annotations.n_pairs, "reliability scores", "annotation", np.float64)
+    gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
+    if np.any(gold >= annotations.n_labels):
+        raise DataError(f"gold labels must lie below n_labels = {annotations.n_labels}")
     m, width = annotations.n_annotators, annotations.n_labels + 1
-    pair_gold = _gold_array(gold, annotations.n_instances)[annotations.instance_idx]
-    if np.any(pair_gold >= annotations.n_labels):
-        raise ValueError(f"gold labels must lie below n_labels = {annotations.n_labels}")
+    pair_gold = gold[annotations.instance_idx]
     cells, pairs = [], []
     for side, key in enumerate((-scores, scores)):
         chosen = np.flatnonzero(
@@ -175,7 +168,7 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
     Instances with a single annotation are left untouched. Returns the
     reduced set plus (removed, skipped) counts.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    scores = one_per(scores, annotations.n_pairs, "reliability scores", "annotation", np.float64)
     per_instance = annotations.counts_per_instance()
     lowest = _rank_within(annotations.instance_idx, scores, annotations.annotator_idx) == 0
     drop = lowest & (per_instance[annotations.instance_idx] >= 2)
@@ -195,10 +188,11 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
 
 def denoise_experiment(annotations: AnnotationSet, scores: np.ndarray,
                        aggregator: Callable[[AnnotationSet], np.ndarray],
-                       gold: GoldLabels | np.ndarray) -> DenoiseResult:
+                       gold: np.ndarray) -> DenoiseResult:
     """Re-aggregate after removing each instance's least reliable annotation."""
-    before = f1(aggregator(annotations), gold)
+    gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
     reduced, n_removed, n_skipped = drop_least_reliable(annotations, scores)
+    before = f1(aggregator(annotations), gold)
     if n_skipped:
         warnings.warn(f"{n_skipped} instances had a single annotation and were left untouched")
     after = f1(aggregator(reduced), gold)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnnotationSet, DataError, GoldLabels, Instance
+from .data import AnnotationSet, DataError, Instance
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
@@ -85,10 +85,11 @@ def _instance_ids(n: int) -> list[str]:
 
 
 def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
-           seed: int = 0) -> tuple[list[Instance], GoldLabels]:
+           seed: int = 0) -> tuple[list[Instance], np.ndarray]:
     """Generate an interleaved half-circles, concentric-circles or
     three-blob dataset with balanced class counts (remainders go to the
     lowest class indices: 1000 points give 500/500 or 334/333/333).
+    Returns the instances and their (N,) gold label indices.
     """
     if kind not in DATASET_KINDS:
         raise DataError(f"dataset kind must be one of {tuple(DATASET_KINDS)}")
@@ -125,7 +126,7 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
 
     ids = _instance_ids(n)
     instances = [Instance(id=ids[i], features=coords[i]) for i in range(n)]
-    return instances, GoldLabels({i: int(gold[i]) for i in range(n)})
+    return instances, gold
 
 
 def _annotate_one(profile: AnnotatorProfile, truth: np.ndarray, n_labels: int,
@@ -149,11 +150,11 @@ def _annotate_one(profile: AnnotatorProfile, truth: np.ndarray, n_labels: int,
     return labels
 
 
-def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
+def simulate_annotations(gold: np.ndarray, n_labels: int,
                          profiles: list[AnnotatorProfile], seed: int = 0,
                          instance_ids: list[str] | None = None,
                          keep_prob: float = 1.0) -> AnnotationSet:
-    """Label every instance with every profiled annotator.
+    """Label every instance with every profiled annotator, given the (N,) gold label indices.
 
     ``keep_prob`` < 1 uniformly subsamples annotations afterwards while
     guaranteeing each instance keeps at least one.
@@ -166,7 +167,7 @@ def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
                             f"is not one of the {n_labels} labels")
     if not 0.0 <= keep_prob <= 1.0:
         raise DataError(f"keep_prob must be in [0, 1], got {keep_prob}")
-    truth = gold.to_array(len(gold)) if isinstance(gold, GoldLabels) else np.asarray(gold)
+    truth = np.asarray(gold)
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")
     n, m = len(truth), len(profiles)
@@ -197,12 +198,13 @@ def simulate_annotations(gold: GoldLabels | np.ndarray, n_labels: int,
 
 
 def gen_text_fixture(n: int = 500, n_labels: int = 3,
-                     seed: int = 0) -> tuple[list[Instance], GoldLabels]:
+                     seed: int = 0) -> tuple[list[Instance], np.ndarray]:
     """Keyword-based synthetic text corpus for exercising text pipelines.
 
     Each class owns a small keyword vocabulary; documents mix class
     keywords with shared filler tokens, so tf-idf features make the
-    classes cleanly separable.
+    classes cleanly separable. Returns the documents and their (N,) gold
+    label indices.
     """
     if n < n_labels:
         raise DataError("need at least one document per class")
@@ -221,4 +223,4 @@ def gen_text_fixture(n: int = 500, n_labels: int = 3,
         toks += list(rng.choice(fillers, size=rng.integers(2, 6), replace=True))
         rng.shuffle(toks)
         instances.append(Instance(id=ids[i], text=" ".join(toks)))
-    return instances, GoldLabels({i: int(gold_arr[i]) for i in range(n)})
+    return instances, gold_arr

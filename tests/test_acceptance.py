@@ -188,7 +188,7 @@ def test_criterion_5_end_to_end_2d(trained_2d):
 
 
 def reliability_by_annotator(run, n_labels):
-    gold = run["gold"].to_array(len(run["x"]))
+    gold = run["gold"]
     ann = run["ann"]
     stats = {}
     for j, name in enumerate(ann.annotator_ids):
@@ -278,12 +278,11 @@ def test_criterion_9_text_pipeline(tmp_path):
     result = train(x, ann, TrainConfig(mode="ce-jt", pretrain_source="ds",
                                        classifier_hidden=32, estimator_hidden=32, seed=0))
     scores = result.posterior.reliability_posterior
-    gold_arr = gold.to_array(500)
     pattern_ok = True
     for j, name in enumerate(ann.annotator_ids):
         sel = ann.annotator_idx == j
         values = scores[sel]
-        truth = gold_arr[ann.instance_idx[sel]]
+        truth = gold[ann.instance_idx[sel]]
         if "_N" in name:
             domain = int(name[-1])
             pattern_ok &= values[truth == domain].mean() - values[truth != domain].mean() >= 0.2

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import dawid_skene_oracle, make_annotations
 from crowdrel.baselines import dawid_skene, majority_vote, vote_fractions
-from crowdrel.data import AnnotationSet
+from crowdrel.data import AnnotationSet, DataError
 from crowdrel.evaluate import f1
+from crowdrel.model import TrainConfig, train
 from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
 
 
@@ -121,3 +122,17 @@ def test_vote_fractions_rows_sum_to_one():
     fr = vote_fractions(ann)
     np.testing.assert_allclose(fr.sum(axis=1), 1.0)
     np.testing.assert_allclose(fr[0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("aggregate", [
+    majority_vote,
+    dawid_skene,
+    lambda ann: train(np.zeros((3, 2)), ann, TrainConfig(max_outer=1, pretrain_epochs=1)),
+], ids=["majority_vote", "dawid_skene", "train"])
+@pytest.mark.parametrize("instance_ids, name", [(("a", "b", "c"), "'b'"), ((), "1")],
+                         ids=["by-id", "by-index"])
+def test_instance_without_annotations_is_a_data_error(aggregate, instance_ids, name):
+    ann = AnnotationSet(n_instances=3, n_annotators=2, n_labels=2, instance_idx=[0, 0, 2],
+                        annotator_idx=[0, 1, 0], label_idx=[0, 1, 1], instance_ids=instance_ids)
+    with pytest.raises(DataError, match=f"^instance {name} has no annotations$"):
+        aggregate(ann)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crowdrel.data import (
     AnnotationSet,
     DataError,
-    GoldLabels,
     Instance,
     LabelSet,
     feature_matrix,
@@ -209,6 +208,17 @@ class TestAnnotationSet:
             AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
                           instance_idx=[0, 1, 0], annotator_idx=[1, 0, 1], label_idx=[0, 0, 1])
 
+    @pytest.mark.parametrize("ids, message", [
+        ({"instance_ids": ("a",)}, "instance_ids must hold 2 distinct ids, got 1 of which 1"),
+        ({"instance_ids": ("a", "a")}, "instance_ids must hold 2 distinct ids, got 2 of which 1"),
+        ({"annotator_ids": ("u", "v", "w")},
+         "annotator_ids must hold 2 distinct ids, got 3 of which 3"),
+    ], ids=["too-few", "repeated", "too-many"])
+    def test_rejects_ids_that_do_not_fit_its_sizes(self, ids, message):
+        with pytest.raises(DataError, match=f"^{message} distinct$"):
+            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
+                          instance_idx=[0, 1], annotator_idx=[1, 0], label_idx=[0, 0], **ids)
+
 
 class TestValidate:
     def _fixture(self):
@@ -338,7 +348,8 @@ class TestRoundTrip:
             label_idx=np.array([data.draw(label) for _ in chosen]),
             instance_ids=tuple(inst_ids), annotator_ids=tuple(ann_ids),
         )
-        gold = GoldLabels(data.draw(st.dictionaries(st.integers(0, len(inst_ids) - 1), label)))
+        # -1 marks an instance without a gold label
+        gold = np.array([data.draw(st.integers(-1, len(labels) - 1)) for _ in inst_ids])
         # half the draws hold probabilities only, so both outcomes are exercised
         score = st.floats() if data.draw(st.booleans()) else st.floats(0.0, 1.0)
         scores = np.array([data.draw(score) for _ in chosen], dtype=np.float64)
@@ -350,8 +361,9 @@ class TestRoundTrip:
                                   annotator_ids=ann_ids)
         assert loaded.triples() == ann.triples()
         assert (loaded.instance_ids, loaded.annotator_ids) == (ann.instance_ids, ann.annotator_ids)
-        loaded_gold = load_gold(base / "gold.csv", label_set, instance_ids=inst_ids)
-        assert loaded_gold == gold
+        loaded_gold = load_gold(base / "gold.csv", label_set,
+                                instance_ids=inst_ids).to_array(len(inst_ids))
+        assert np.array_equal(loaded_gold, gold)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
             with pytest.raises(DataError, match=r"rel\.csv:\d+: score .* is not a probability"):
                 load_scores(base / "rel.csv", loaded)
@@ -381,14 +393,29 @@ TWO_PAIRS = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
     lambda: PairInput(np.zeros((2, 1)), [0, 2], [0, 0], 1),
     lambda: forward(init_fnn(2, 1, 1, 2, "softmax", np.random.default_rng(0)), np.zeros((1, 3))),
     lambda: adam_step([np.zeros(2)], [], AdamState(0.001, 0.001, 5.0)),
-    lambda: reliability_report(np.zeros(1), TWO_PAIRS, np.array([0, 1]), 1),
-    lambda: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, 2]), 1),
-], ids=["pair-index", "input-width", "adam-list-lengths", "score-count", "gold-range"])
+], ids=["pair-index", "input-width", "adam-list-lengths"])
 def test_internal_invariants_are_not_data_errors(call):
     # a broken invariant is a fault of the program, not of its input
     with pytest.raises(ValueError) as info:
         call()
     assert not isinstance(info.value, DataError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda path: reliability_report(np.zeros(1), TWO_PAIRS, np.array([0, 1]), 1),
+     "need 2 reliability scores, one per annotation; got 1"),
+    (lambda path: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, 2]), 1),
+     "gold labels must lie below n_labels = 2"),
+    (lambda path: write_scores(path, TWO_PAIRS, np.zeros(1)),
+     "need 2 scores, one per annotation; got 1"),
+    (lambda path: write_gold(path, np.array([0, 1, 0]), LabelSet(("0", "1")), ["a", "b"]),
+     "need 2 labels, one per instance id; got 3"),
+], ids=["score-count", "gold-range", "write-scores-count", "write-gold-count"])
+def test_arrays_that_do_not_fit_are_data_errors(tmp_path, call, message):
+    # library callers hand these arrays in, so a misfit is bad input; a writer writes nothing
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call(tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_feature_matrix_requires_dense():

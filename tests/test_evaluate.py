@@ -11,7 +11,7 @@ from helpers import (
     reliability_report_oracle,
 )
 from crowdrel.baselines import majority_vote
-from crowdrel.data import DataError, GoldLabels
+from crowdrel.data import DataError
 from crowdrel.evaluate import (
     REPORT_CSV_HEADER,
     DenoiseResult,
@@ -46,7 +46,7 @@ class TestF1:
             f1(np.array([0, 1]), np.array([-1, -1]))
 
     def test_partial_gold_uses_covered_instances(self):
-        scores = f1(np.array([0, 1, 0]), GoldLabels({0: 0, 2: 1}))
+        scores = f1(np.array([0, 1, 0]), np.array([0, -1, 1]))
         assert scores.micro == pytest.approx(0.5)
 
     def test_micro_equals_accuracy(self):
@@ -175,7 +175,7 @@ class TestReliabilityReport:
     def test_gold_label_outside_the_label_set_is_an_error(self):
         # with K = 2, class 2 would otherwise land in the total column
         ann, scores, _ = self._setup()
-        with pytest.raises(ValueError, match="gold labels must lie below n_labels = 2"):
+        with pytest.raises(DataError, match="gold labels must lie below n_labels = 2"):
             reliability_report(scores, ann, np.array([0, 1, 2, 1, 0]), k=3)
 
     @given(data=st.data())
@@ -288,3 +288,23 @@ class TestDenoise:
                                         np.array([0, 1]))
         assert result.n_skipped == 1
         assert result.n_removed == 1
+
+
+FOUR_PAIRS = make_annotations([(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)], 2, 2, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: f1(np.array([0, 1, 0]), np.array([0, 1])),
+     "need 3 gold labels, one per prediction; got 2"),
+    (lambda: reliability_report(np.full(4, 0.5), FOUR_PAIRS, np.array([0]), 1),
+     "need 2 gold labels, one per instance; got 1"),
+    (lambda: drop_least_reliable(FOUR_PAIRS, np.full(3, 0.5)),
+     "need 4 reliability scores, one per annotation; got 3"),
+    (lambda: denoise_experiment(FOUR_PAIRS, np.full(3, 0.5), majority_vote, np.array([0, 1])),
+     "need 4 reliability scores, one per annotation; got 3"),
+    (lambda: denoise_experiment(FOUR_PAIRS, np.full(4, 0.5), majority_vote, np.array([0])),
+     "need 2 gold labels, one per instance; got 1"),
+], ids=["f1-gold", "report-gold", "drop-scores", "denoise-scores", "denoise-gold"])
+def test_arrays_of_another_length_are_data_errors(call, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        call()

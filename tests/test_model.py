@@ -331,7 +331,7 @@ def moon_setup():
     instances, gold = gen_2d("moon", 400, seed=1)
     ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
                                instance_ids=[inst.id for inst in instances])
-    return feature_matrix(instances), ann, gold.to_array(400)
+    return feature_matrix(instances), ann, gold
 
 
 class TestPretrain:
@@ -344,7 +344,7 @@ class TestPretrain:
         x = feature_matrix(instances)
         state = pretrain(x, ann, TrainConfig(pretrain_source="mv", pretrain_epochs=2000, seed=1))
         pred = forward(state.classifier, x)[0].argmax(axis=1)
-        assert np.mean(pred == gold.to_array(300)) == 1.0
+        assert np.mean(pred == gold) == 1.0
 
     def test_ds_pretrained_classifier_tracks_ds_score(self, moon_setup):
         x, ann, gold = moon_setup

@@ -21,13 +21,13 @@ class TestGen2d:
     ])
     def test_class_counts_at_1000(self, kind, expected):
         _, gold = gen_2d(kind, 1000, seed=0)
-        counts = np.bincount(gold.to_array(1000))
+        counts = np.bincount(gold)
         assert counts.tolist() == expected
 
     def test_same_seed_is_bit_identical(self):
         a_inst, a_gold = gen_2d("moon", 200, seed=7)
         b_inst, b_gold = gen_2d("moon", 200, seed=7)
-        assert a_gold.by_index == b_gold.by_index
+        assert np.array_equal(a_gold, b_gold)
         assert np.array_equal(feature_matrix(a_inst), feature_matrix(b_inst))
 
     def test_different_seeds_differ(self):
@@ -111,7 +111,8 @@ class TestSimulateAnnotations:
         instances, gold = gen_2d("three-class", 300, seed=4)
         ann = simulate_annotations(gold, 3, default_panel(3), seed=4,
                                    instance_ids=[inst.id for inst in instances])
-        assert validate(instances, ann, gold) == []
+        assert len(gold) == len(instances)
+        assert validate(instances, ann) == []
 
     def test_subsampling_keeps_coverage(self):
         truth = np.random.default_rng(0).integers(0, 2, size=400)
@@ -122,6 +123,11 @@ class TestSimulateAnnotations:
     def test_requires_full_gold(self):
         with pytest.raises(DataError):
             simulate_annotations(np.array([0, -1]), 2, default_panel(2), seed=0)
+
+    def test_instance_ids_must_fit_the_gold(self):
+        with pytest.raises(DataError, match="instance_ids must hold 6 distinct ids, got 2"):
+            simulate_annotations(np.zeros(6, dtype=np.int64), 2, default_panel(2), seed=0,
+                                 instance_ids=["a", "b"])
 
     def test_requires_profiles(self):
         with pytest.raises(DataError):
@@ -134,14 +140,14 @@ class TestTextFixture:
         b_inst, b_gold = gen_text_fixture(500, 3, seed=0)
         assert len(a_inst) == 500
         assert [inst.text for inst in a_inst] == [inst.text for inst in b_inst]
-        assert a_gold.by_index == b_gold.by_index
-        counts = np.bincount(a_gold.to_array(500))
+        assert np.array_equal(a_gold, b_gold)
+        counts = np.bincount(a_gold)
         assert counts.tolist() == [167, 167, 166]
 
     def test_classes_have_disjoint_keywords(self):
         instances, gold = gen_text_fixture(60, 3, seed=1)
         for inst in instances:
-            c = gold.by_index[int(inst.id[1:])]
+            c = gold[int(inst.id[1:])]
             assert f"topic{c}word" in inst.text
 
 
