@@ -37,7 +37,7 @@ HIDDEN_DEFAULTS = {
 # config keys that set the TrainConfig field of the same name (pretrain sets
 # pretrain_source), with their parsers; the defaults live in TrainConfig
 TRAIN_KEYS = {
-    "mode": str, "pretrain": str, "estimator_input": str,
+    "mode": str, "pretrain": str,
     "inner_iters": int, "max_outer": int, "pretrain_epochs": int,
     "classifier_hidden": int, "estimator_hidden": int, "seed": int,
     "early_stop_tol": float, "learning_rate": float, "weight_decay": float, "clip_norm": float,
@@ -253,13 +253,12 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
 @click.option("--mode", default=None, help=" | ".join(model.MODES))
 @click.option("--pretrain", default=None, help=" | ".join(model.PRETRAIN_SOURCES))
 @click.option("--max-outer", default=None, type=int)
-@click.option("--estimator-input", default=None, help=" | ".join(model.ESTIMATOR_INPUTS))
 @click.option("--seed", default=None, type=int)
-def cmd_train(config_path, out_dir, mode, pretrain, max_outer, estimator_input, seed):
+def cmd_train(config_path, out_dir, mode, pretrain, max_outer, seed):
     """Pre-train and fit the reliability model; write checkpoint, trace and predictions."""
     try:
         cfg = _merge(config_path, {"mode": mode, "pretrain": pretrain, "max_outer": max_outer,
-                                   "estimator_input": estimator_input, "seed": seed})
+                                   "seed": seed})
         out = _resolve_out_dir(cfg, out_dir)
         instances, annotations, gold, label_set = _load_dataset(cfg, out)
         features, featurizer = _features(cfg, instances)

@@ -355,6 +355,10 @@ def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
                instance_ids: Sequence[str]) -> None:
     """Write gold labels or predictions: a row for each entry >= 0 of ``gold``, in index order."""
     gold = one_per(gold, len(instance_ids), "labels", "instance id")
+    bad = np.flatnonzero(gold >= len(label_set))
+    if bad.size:  # checked before the file is opened, so a misfit writes nothing
+        raise DataError(f"labels[{bad[0]}] = {gold[bad[0]]} is not one of the "
+                        f"{len(label_set)} labels")
     write_table(path, GOLD_HEADER, ([instance_ids[i], label_set.labels[t]]
                                     for i, t in enumerate(gold.tolist()) if t >= 0))
 

@@ -2,7 +2,9 @@
 
 A classifier network provides a prior over each instance's label and a
 reliability-estimator network provides, per (instance, annotator) pair,
-the prior probability that the annotation is correct. A reliable
+the prior probability that the annotation is correct; it reads the
+classifier's last hidden layer for the instance and a one-hot code of
+the annotator (``estimator_pair_inputs``). A reliable
 annotator emits the true label; an unreliable one emits a label drawn
 uniformly over all categories. Exact per-pair posteriors over
 (label, reliable) follow in closed form: given the label, an
@@ -15,9 +17,10 @@ entropies (``ce-jt``).
 
 Every network update (pretraining and the joint step of EM and ``ce-jt``)
 is one ``_fit`` loop of full-batch Adam steps under one optimizer
-state. ``perfbench/child.py`` traces ``forward``, ``backward``, ``adam_step``
-and ``estimator_pair_inputs`` by their names in this module, and
-``predict_labels`` and ``reliability_scores`` are kept only for it.
+state. ``perfbench/child.py`` traces ``forward``, ``backward``, ``adam_step``,
+``train``, ``pretrain``, ``e_step``, ``posterior_from_priors``,
+``estimator_pair_inputs``, ``predict_labels`` and ``reliability_scores`` by
+their names in this module; the last two are kept only for it.
 
 This module alone writes and reads the checkpoint, ``model.json``; one
 format version covers the whole file, and ``load_model`` checks all of it.
@@ -52,8 +55,7 @@ from .neural import (
 
 MODES = ("em", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
-ESTIMATOR_INPUTS = ("hidden", "feature")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -74,7 +76,6 @@ class TrainConfig:
     pretrain_epochs: int = 200
     classifier_hidden: int = 5
     estimator_hidden: int = 5
-    estimator_input: str = "hidden"
     learning_rate: float = 0.001
     weight_decay: float = 0.001
     clip_norm: float = 5.0
@@ -86,8 +87,7 @@ class TrainConfig:
             kind = {"str": str, "int": Integral, "float": Real}[kind]
             if isinstance(value, bool) or not (isinstance(value, kind) or value is None and optional):
                 raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
-        for name, choices in (("mode", MODES), ("pretrain_source", PRETRAIN_SOURCES),
-                              ("estimator_input", ESTIMATOR_INPUTS)):
+        for name, choices in (("mode", MODES), ("pretrain_source", PRETRAIN_SOURCES)):
             if getattr(self, name) not in choices:
                 raise DataError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for name, ok, rule in (
@@ -112,11 +112,10 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """Trained (or pre-trained) networks and the estimator input they were trained on."""
+    """Trained (or pre-trained) networks; the estimator reads the classifier's last hidden layer."""
 
     classifier: FnnParams
     estimator: FnnParams
-    estimator_input: str
 
 
 @dataclass
@@ -181,17 +180,10 @@ def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet
                      annotations.n_annotators)
 
 
-def _pair_input(estimator_input: str, features: np.ndarray, hidden: np.ndarray,
-                annotations: AnnotationSet) -> PairInput:
-    """The estimator's pair input: the raw features or the classifier's hidden output."""
-    rep = np.asarray(features, dtype=np.float64) if estimator_input == "feature" else hidden
-    return estimator_pair_inputs(rep, annotations)
-
-
 def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
     """One forward pass of each network: label prior (N, K), pair inputs, reliability prior (P,)."""
     label_prior, hidden = forward(state.classifier, features)
-    pair_x = _pair_input(state.estimator_input, features, hidden, annotations)
+    pair_x = estimator_pair_inputs(hidden, annotations)
     reliability_prior, _ = forward(state.estimator, pair_x)
     return label_prior, pair_x, reliability_prior
 
@@ -201,11 +193,10 @@ def e_step(state: ModelState, features: np.ndarray,
     """Posteriors under the current networks; DataError for data they do not fit."""
     features = np.asarray(features, dtype=np.float64)
     clf, est = state.classifier.weights, state.estimator.weights
-    rep_width = features.shape[1] if state.estimator_input == "feature" else clf[1].shape[1]
     for what, got, want in (("feature width", features.shape[1], len(clf[0])),
                             ("label count", annotations.n_labels, clf[-1].shape[1]),
                             ("estimator input width (representation + annotators)",
-                             rep_width + annotations.n_annotators, len(est[0]))):
+                             clf[1].shape[1] + annotations.n_annotators, len(est[0]))):
         if got != want:
             raise DataError(f"the data's {what} is {got}, but the model's is {want}")
     label_prior, _, reliability_prior = _priors(state, features, annotations)
@@ -257,16 +248,14 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     _fit([(classifier, features, np.eye(k)[labels], float(len(features)))],
          config.pretrain_epochs, _adam_from_config(config))
 
-    pair_x = _pair_input(config.estimator_input, features, forward(classifier, features)[1],
-                         annotations)
+    pair_x = estimator_pair_inputs(forward(classifier, features)[1], annotations)
     estimator = init_fnn(pair_x.shape[1], config.estimator_hidden,
                          config.estimator_hidden, 1, "sigmoid",
                          np.random.default_rng(est_seed))
     agreement = (annotations.label_idx == labels[annotations.instance_idx]).astype(np.float64)
     _fit([(estimator, pair_x, agreement, float(annotations.n_pairs))],
          config.pretrain_epochs, _adam_from_config(config))
-    return ModelState(classifier=classifier, estimator=estimator,
-                      estimator_input=config.estimator_input)
+    return ModelState(classifier=classifier, estimator=estimator)
 
 
 def q_objective(label_prior: np.ndarray, reliability_prior: np.ndarray,
@@ -309,8 +298,8 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     """Pre-train, then repeat inference and a joint refit of both networks.
 
     Each outer iteration freezes the posteriors under the current
-    parameters (and, in hidden mode, the estimator's input
-    representation) and runs ``inner_iters`` steps of ``_fit`` on both
+    parameters and the estimator's input (the classifier's hidden
+    layer), then runs ``inner_iters`` steps of ``_fit`` on both
     networks under one Adam state. ``mode`` chooses only the normalizers,
     which act only through coupled weight decay and the global clip, and
     the default ``max_outer``. Training stops at the iteration cap or,
@@ -451,8 +440,7 @@ def load_model(path: str | Path) -> tuple[ModelState, LabelSet, TrainConfig]:
         config = TrainConfig(*_fields(config, "config", *(f.name for f in fields(TrainConfig))))
         state = ModelState(
             _network(classifier, "classifier", "softmax", config.classifier_hidden, len(labels)),
-            _network(estimator, "estimator", "sigmoid", config.estimator_hidden, 1),
-            config.estimator_input)
+            _network(estimator, "estimator", "sigmoid", config.estimator_hidden, 1))
     except (ValueError, RecursionError) as exc:  # a DataError, bad UTF-8 JSON, deep nests, ragged lists
         raise DataError(f"{path}: {exc}") from None
     return state, label_set, config

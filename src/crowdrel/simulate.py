@@ -170,6 +170,9 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
     truth = np.asarray(gold)
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")
+    bad = np.flatnonzero(truth >= n_labels)
+    if bad.size:
+        raise DataError(f"gold[{bad[0]}] = {truth[bad[0]]} is not one of the {n_labels} labels")
     n, m = len(truth), len(profiles)
 
     streams = _seed_sequence(seed).spawn(m + 1)

@@ -532,7 +532,6 @@ class TestConfigHandling:
         ("simulate", "--dataset", tuple(simulate.DATASET_KINDS)),
         ("train", "--mode", model.MODES),
         ("train", "--pretrain", model.PRETRAIN_SOURCES),
-        ("train", "--estimator-input", model.ESTIMATOR_INPUTS),
         ("eval", "--denoise", model.PRETRAIN_SOURCES + ("off",)),
     ])
     def test_help_lists_the_validated_choices(self, runner, command, option, choices):

@@ -410,7 +410,10 @@ def test_internal_invariants_are_not_data_errors(call):
      "need 2 scores, one per annotation; got 1"),
     (lambda path: write_gold(path, np.array([0, 1, 0]), LabelSet(("0", "1")), ["a", "b"]),
      "need 2 labels, one per instance id; got 3"),
-], ids=["score-count", "gold-range", "write-scores-count", "write-gold-count"])
+    (lambda path: write_gold(path, np.array([0, 2]), LabelSet(("0", "1")), ["a", "b"]),
+     "labels[1] = 2 is not one of the 2 labels"),
+], ids=["score-count", "gold-range", "write-scores-count", "write-gold-count",
+        "write-gold-range"])
 def test_arrays_that_do_not_fit_are_data_errors(tmp_path, call, message):
     # library callers hand these arrays in, so a misfit is bad input; a writer writes nothing
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):

@@ -164,19 +164,19 @@ class TestPosteriorFromPriors:
         assert np.array_equal(table[:, :, 1].sum(axis=1), rel)
 
 
-def small_state(rng, n_labels=3, n_annotators=4, input_dim=2, estimator_input="feature"):
-    rep_dim = input_dim if estimator_input == "feature" else 3
+def small_state(rng, n_labels=3, n_annotators=4, input_dim=2):
+    """Both networks 3 wide; the estimator reads the classifier's 3-wide hidden layer."""
     classifier = init_fnn(input_dim, 3, 3, n_labels, "softmax", rng)
-    estimator = init_fnn(rep_dim + n_annotators, 3, 3, 1, "sigmoid", rng)
+    estimator = init_fnn(3 + n_annotators, 3, 3, 1, "sigmoid", rng)
     for net in (classifier, estimator):
         for b in net.biases:
             b[:] = rng.normal(0.0, 0.3, size=b.shape)  # keep ReLU kinks off the data
-    return ModelState(classifier=classifier, estimator=estimator, estimator_input=estimator_input)
+    return ModelState(classifier=classifier, estimator=estimator)
 
 
-def random_model_setup(rng, estimator_input="feature"):
+def random_model_setup(rng):
     n, m, k = 8, 4, 3
-    state = small_state(rng, n_labels=k, n_annotators=m, estimator_input=estimator_input)
+    state = small_state(rng, n_labels=k, n_annotators=m)
     x = rng.normal(size=(n, 2))
     triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)
                if rng.random() < 0.8 or j == 0]
@@ -184,10 +184,10 @@ def random_model_setup(rng, estimator_input="feature"):
     return state, x, ann
 
 
-def feature_priors(state, x, ann):
-    """Label and reliability priors of a feature-mode state, computed directly."""
-    return (forward(state.classifier, x)[0],
-            forward(state.estimator, estimator_pair_inputs(x, ann))[0])
+def direct_priors(state, x, ann):
+    """Label and reliability priors, the estimator fed the classifier's hidden layer."""
+    label_prior, hidden = forward(state.classifier, x)
+    return label_prior, forward(state.estimator, estimator_pair_inputs(hidden, ann))[0]
 
 
 class TestObjectives:
@@ -196,7 +196,7 @@ class TestObjectives:
         for _ in range(10):
             state, x, ann = random_model_setup(rng)
             post = e_step(state, x, ann)
-            lp, rel = feature_priors(state, x, ann)
+            lp, rel = direct_priors(state, x, ann)
             expected = q_objective_oracle(lp, rel, posterior_table(lp, rel, ann), ann)
             assert q_objective(lp, rel, post) == pytest.approx(expected, abs=1e-9)
 
@@ -204,7 +204,7 @@ class TestObjectives:
         # when priors equal posteriors the first two terms hit the entropy bound
         rng = np.random.default_rng(7)
         state, x, ann = random_model_setup(rng)
-        lp, rel = feature_priors(state, x, ann)
+        lp, rel = direct_priors(state, x, ann)
         matched = posterior_from_priors(lp, rel, ann)
         # construct the three Q terms directly from the matched posteriors
         value = q_objective(lp, rel, matched)
@@ -234,28 +234,32 @@ class TestObjectives:
         triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)]
         ann = make_annotations(triples, n, m, k)
         post = e_step(state, x, ann)
-        loss_t = soft_ce_loss(feature_priors(state, x, ann)[0], post.label_posterior, float(n))
+        loss_t = soft_ce_loss(direct_priors(state, x, ann)[0], post.label_posterior, float(n))
         assert loss_t == pytest.approx(math.log(6.0), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
-        # feature mode: the estimator input does not depend on the classifier,
-        # so the analytic per-network gradients are the full derivative
+        # the estimator's input is built once from the unperturbed classifier and
+        # held fixed, as train freezes it, so the analytic per-network gradients
+        # are the full derivative
         rng = np.random.default_rng(9)
-        state, x, ann = random_model_setup(rng, estimator_input="feature")
+        state, x, ann = random_model_setup(rng)
         post = e_step(state, x, ann)
         n, p = float(len(x)), float(ann.n_pairs)
-        pair_x = estimator_pair_inputs(x, ann)
+        pair_x = estimator_pair_inputs(forward(state.classifier, x)[1], ann)
         grads_t = backward(state.classifier, x, post.label_posterior, n)
         grads_r = backward(state.estimator, pair_x, post.reliability_posterior, p)
         h = 1e-5
 
+        def frozen_priors():
+            return forward(state.classifier, x)[0], forward(state.estimator, pair_x)[0]
+
         def ce_total():
-            lp, rel = feature_priors(state, x, ann)
+            lp, rel = frozen_priors()
             return (soft_ce_loss(lp, post.label_posterior, n)
                     + soft_ce_loss(rel, post.reliability_posterior, p))
 
         def q_value():
-            return q_objective(*feature_priors(state, x, ann), post)
+            return q_objective(*frozen_priors(), post)
 
         for arrays, grads, norm in ((state.classifier.arrays(), grads_t, n),
                                     (state.estimator.arrays(), grads_r, p)):
@@ -304,18 +308,18 @@ class TestEstimatorPairInputs:
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), m=st.integers(1, 6),
-           k=st.integers(2, 4), estimator_input=st.sampled_from(["feature", "hidden"]))
+           k=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
-    def test_permuting_pairs_permutes_reliability_only(self, seed, n, m, k, estimator_input):
+    def test_permuting_pairs_permutes_reliability_only(self, seed, n, m, k):
         rng = np.random.default_rng(seed)
-        state = small_state(rng, n_labels=k, n_annotators=m, estimator_input=estimator_input)
+        state = small_state(rng, n_labels=k, n_annotators=m)
         x = rng.normal(size=(n, 2))
         triples = [(i, j, int(rng.integers(0, k))) for i in range(n) for j in range(m)
                    if rng.random() < 0.6 or j == i % m]
         perm = rng.permutation(len(triples))
         ann = make_annotations(triples, n, m, k)
         shuffled = make_annotations([triples[p] for p in perm], n, m, k)
-        rep = forward(state.classifier, x)[1] if estimator_input == "hidden" else x
+        rep = forward(state.classifier, x)[1]
         prior = forward(state.estimator, estimator_pair_inputs(rep, ann))[0]
         prior_shuffled = forward(state.estimator, estimator_pair_inputs(rep, shuffled))[0]
         np.testing.assert_allclose(prior_shuffled, prior[perm], rtol=0.0, atol=1e-12)
@@ -449,9 +453,9 @@ class TestTrain:
             assert len(once.trace) < 150 and once.stopped == four.stopped == "tol"
             assert len(four.trace) == len(once.trace)
 
-    @pytest.mark.parametrize("estimator_input", ["hidden", "feature"])
-    @pytest.mark.parametrize("mode", MODES)
-    def test_every_mode_matches_hand_rolled_schedule(self, mode, estimator_input):
+    # the estimator reads the classifier's hidden layer, as the ids say
+    @pytest.mark.parametrize("mode", MODES, ids=[f"{mode}-hidden" for mode in MODES])
+    def test_every_mode_matches_hand_rolled_schedule(self, mode):
         # pretraining fits the classifier to one-hot DS labels, then the
         # estimator to agreement with them, each under its own Adam state.
         # Each outer iteration freezes the posteriors and the estimator's
@@ -467,8 +471,7 @@ class TestTrain:
         # clipping fires on every step, so a joint step under two Adam states
         # (two clip norms) differs from one under a single state
         cfg = TrainConfig(mode=mode, max_outer=2, inner_iters=2, pretrain_epochs=5,
-                          classifier_hidden=2, clip_norm=0.01, estimator_input=estimator_input,
-                          seed=4)
+                          classifier_hidden=2, clip_norm=0.01, seed=4)
         result = train(x, ann, cfg)
 
         def adam():
@@ -484,7 +487,7 @@ class TestTrain:
 
         def pair_input(classifier):
             hidden = reference_forward(classifier, x)[1]
-            return estimator_pair_inputs(x if estimator_input == "feature" else hidden, ann)
+            return estimator_pair_inputs(hidden, ann)
 
         n, p = float(len(x)), float(ann.n_pairs)
         clf_seed, est_seed = np.random.SeedSequence(cfg.seed).spawn(2)
@@ -546,7 +549,7 @@ class TestTrain:
         ("inner_iters", 2.5), ("max_outer", 2.0), ("pretrain_epochs", "200"),
         ("classifier_hidden", True), ("estimator_hidden", None), ("seed", 1.5),
         ("learning_rate", "0.1"), ("early_stop_tol", None), ("weight_decay", True),
-        ("clip_norm", [5.0]), ("mode", 1), ("estimator_input", None),
+        ("clip_norm", [5.0]), ("mode", 1), ("pretrain_source", None),
     ])
     def test_config_type_is_checked_before_range(self, key, value):
         with pytest.raises(DataError, match=rf"^{key} must be of type "):
@@ -597,16 +600,15 @@ class TestPredict:
 class TestAnnotatorPermutation:
     def test_equivariance_under_annotator_relabeling(self):
         rng = np.random.default_rng(13)
-        state, x, ann = random_model_setup(rng, estimator_input="feature")
+        state, x, ann = random_model_setup(rng)
         m = ann.n_annotators
         perm = np.random.default_rng(0).permutation(m)
 
         permuted_est = copy.deepcopy(state.estimator)
-        rep_dim = x.shape[1]
+        rep_dim = 3  # the classifier's hidden width
         for j in range(m):
             permuted_est.weights[0][rep_dim + perm[j]] = state.estimator.weights[0][rep_dim + j]
-        permuted_state = ModelState(classifier=state.classifier, estimator=permuted_est,
-                                    estimator_input="feature")
+        permuted_state = ModelState(classifier=state.classifier, estimator=permuted_est)
         permuted_ann = AnnotationSet(
             n_instances=ann.n_instances, n_annotators=m, n_labels=ann.n_labels,
             instance_idx=ann.instance_idx, annotator_idx=perm[ann.annotator_idx],
@@ -623,7 +625,7 @@ class TestAnnotatorPermutation:
 def checkpoint(tmp_path):
     """The path and parsed content of a valid checkpoint, for a test to break."""
     state = small_state(np.random.default_rng(2), n_labels=3)  # hidden layers 3 wide
-    cfg = TrainConfig(classifier_hidden=3, estimator_hidden=3, estimator_input="feature")
+    cfg = TrainConfig(classifier_hidden=3, estimator_hidden=3)
     path = tmp_path / "model.json"
     save_model(path, state, LabelSet(("a", "b", "c")), cfg)
     load_model(path)
@@ -684,7 +686,7 @@ MALFORMED = {
         "classifier layer 2 must have 3 biases and 3 x 3 weights, got 3 and 12"),
     "hidden-width-not-config": (
         lambda p: p["config"].update(estimator_hidden=4),
-        "estimator layer 1 must have 4 biases and 4 x 4 weights, got 3 and 18"),
+        "estimator layer 1 must have 4 biases and 5 x 4 weights, got 3 and 21"),
     "outputs-not-label-count": (
         lambda p: p.update(labels=["a", "b"]),
         "classifier layer 3 must have 2 biases and 3 x 2 weights, got 3 and 9"),
@@ -703,7 +705,6 @@ class TestCheckpoint:
         restored, labels, cfg_back = load_model(path)
         assert labels.labels == ("0", "1")
         assert cfg_back == cfg
-        assert restored.estimator_input == cfg.estimator_input
         for saved, loaded in ((result.state.classifier, restored.classifier),
                               (result.state.estimator, restored.estimator)):
             assert loaded.head == saved.head
@@ -716,12 +717,13 @@ class TestCheckpoint:
         assert np.array_equal(before.reliability_posterior, after.reliability_posterior)
 
     def test_unknown_checkpoint_version_is_a_data_error(self, tmp_path):
-        # every version-1 checkpoint is rejected by its version, whatever else it holds
+        # every older checkpoint is rejected by its version, whatever else it holds
         path = tmp_path / "model.json"
-        path.write_text('{"format_version": 1}')
-        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: "
-                                            "unsupported model checkpoint version 1, expected 2"):
-            load_model(path)
+        for version in (1, 2):
+            path.write_text(f'{{"format_version": {version}}}')
+            with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: unsupported model "
+                                                f"checkpoint version {version}, expected 3"):
+                load_model(path)
 
     @pytest.mark.parametrize("n_features, n_annotators, n_labels, fault", [
         (2, 6, 2, r"estimator input width \(representation \+ annotators\) is 9, "
@@ -734,7 +736,7 @@ class TestCheckpoint:
         # networks for 2 features, 5 annotators and 2 labels, the estimator on
         # the classifier's 3-wide hidden layer
         rng = np.random.default_rng(11)
-        state = small_state(rng, n_labels=2, n_annotators=5, estimator_input="hidden")
+        state = small_state(rng, n_labels=2, n_annotators=5)
         ann = make_annotations([(i, j, (i + j) % n_labels) for i in range(4)
                                 for j in range(n_annotators)], 4, n_annotators, n_labels)
         with pytest.raises(DataError, match=rf"^the data's {fault}$"):

@@ -145,17 +145,19 @@ class TestFeatureMajorKernels:
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), n_pairs=st.integers(1, 8),
            m=st.integers(1, 12), width=st.integers(1, 5),
-           estimator_input=st.sampled_from(["hidden", "feature"]))
-    @example(seed=0, n=2, n_pairs=1, m=1, width=1, estimator_input="hidden")
-    @example(seed=1, n=4, n_pairs=3, m=9, width=2, estimator_input="feature")
-    @example(seed=2, n=3, n_pairs=8, m=1, width=5, estimator_input="hidden")
+           layout=st.sampled_from(["transposed", "row-major"]))
+    @example(seed=0, n=2, n_pairs=1, m=1, width=1, layout="transposed")
+    @example(seed=1, n=4, n_pairs=3, m=9, width=2, layout="row-major")
+    @example(seed=2, n=3, n_pairs=8, m=1, width=5, layout="transposed")
     @settings(max_examples=60, deadline=None)
-    def test_pair_input_matches_row_major(self, seed, n, n_pairs, m, width, estimator_input):
+    def test_pair_input_matches_row_major(self, seed, n, n_pairs, m, width, layout):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(n, 3))
         classifier = init_fnn(3, 4, 3, 2, "softmax", rng)
-        # the classifier's hidden output is a transposed view; raw features are row-major
-        rep = forward(classifier, x)[1] if estimator_input == "hidden" else x
+        # the classifier's hidden output is a transposed view; its copy is row-major
+        rep = forward(classifier, x)[1]
+        if layout == "row-major":
+            rep = np.ascontiguousarray(rep)
         # the last instance is never used, and with two or more pairs one repeats
         instance_idx = rng.integers(0, n - 1, size=n_pairs)
         instance_idx[-1] = instance_idx[0]
@@ -418,7 +420,7 @@ def random_state(rng):
         for b in net.biases:
             b[:] = rng.normal(0, 0.3, size=b.shape)
         nets.append(net)
-    return ModelState(*nets, cfg.estimator_input), cfg
+    return ModelState(*nets), cfg
 
 
 class TestCheckpoint:
@@ -446,7 +448,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         cfg = TrainConfig(classifier_hidden=100, estimator_hidden=100)
         state = ModelState(init_fnn(39, 100, 100, 3, "softmax", rng),
-                           init_fnn(106, 100, 100, 1, "sigmoid", rng), cfg.estimator_input)
+                           init_fnn(106, 100, 100, 1, "sigmoid", rng))
         tracemalloc.start()
         try:
             save_model(tmp_path / "model.json", state, LabelSet(("a", "b", "c")), cfg)

@@ -124,6 +124,10 @@ class TestSimulateAnnotations:
         with pytest.raises(DataError):
             simulate_annotations(np.array([0, -1]), 2, default_panel(2), seed=0)
 
+    def test_gold_label_outside_the_labels_names_the_entry(self):
+        with pytest.raises(DataError, match=r"^gold\[1\] = 3 is not one of the 2 labels$"):
+            simulate_annotations(np.array([0, 3]), 2, default_panel(2), 0)
+
     def test_instance_ids_must_fit_the_gold(self):
         with pytest.raises(DataError, match="instance_ids must hold 6 distinct ids, got 2"):
             simulate_annotations(np.zeros(6, dtype=np.int64), 2, default_panel(2), seed=0,
