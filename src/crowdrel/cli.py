@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import click
 import numpy as np
@@ -35,13 +36,9 @@ HIDDEN_DEFAULTS = {
 }
 
 # config keys that set the TrainConfig field of the same name (pretrain sets
-# pretrain_source), with their parsers; the defaults live in TrainConfig
-TRAIN_KEYS = {
-    "mode": str, "pretrain": str,
-    "inner_iters": int, "max_outer": int, "pretrain_epochs": int,
-    "classifier_hidden": int, "estimator_hidden": int, "seed": int,
-    "early_stop_tol": float, "learning_rate": float, "weight_decay": float, "clip_norm": float,
-}
+# pretrain_source), each parsed by its field's type; the defaults live in TrainConfig
+TRAIN_KEYS = {"pretrain" if name == "pretrain_source" else name: cast
+              for name, cast in get_type_hints(model.TrainConfig).items()}
 
 # every key some command reads: one config file drives all three commands,
 # so a key outside this table is a misspelling, not another command's key
@@ -54,6 +51,7 @@ CONFIG_KEYS = frozenset(TRAIN_KEYS) | {
 
 def parse_config(path: str | Path) -> dict[str, str]:
     cfg: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -63,7 +61,10 @@ def parse_config(path: str | Path) -> dict[str, str]:
         key, value = (part.strip() for part in stripped.split("=", 1))
         if key not in CONFIG_KEYS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        cfg[key] = value
+        if key in cfg:
+            raise DataError(f"{path}:{lineno}: config key {key!r} is already set "
+                            f"on line {first_line[key]}")
+        cfg[key], first_line[key] = value, lineno
     return cfg
 
 
@@ -250,9 +251,11 @@ def cmd_simulate(config_path, out_dir, dataset, n, noise, panel, keep_prob, seed
 @main.command("train")
 @click.option("-c", "--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("-o", "--out-dir", default=None)
-@click.option("--mode", default=None, help=" | ".join(model.MODES))
+@click.option("--mode", default=None,
+              help=" | ".join(model.MODES) + ": picks the normalizers of the joint refit")
 @click.option("--pretrain", default=None, help=" | ".join(model.PRETRAIN_SOURCES))
-@click.option("--max-outer", default=None, type=int)
+@click.option("--max-outer", default=None, type=int,
+              help="cap on outer iterations (default 500); 0 keeps the pretrained networks")
 @click.option("--seed", default=None, type=int)
 def cmd_train(config_path, out_dir, mode, pretrain, max_outer, seed):
     """Pre-train and fit the reliability model; write checkpoint, trace and predictions."""

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import dawid_skene, majority_vote
-from .data import AnnotationSet, DataError, LabelSet
+from .data import AnnotationSet, DataError, LabelSet, one_per
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -62,15 +62,15 @@ CHECKPOINT_VERSION = 3
 class TrainConfig:
     """Training loop and optimizer settings.
 
-    ``max_outer`` defaults to 500 for EM and 20 for ``ce-jt`` when left
-    as None. The inner loop always runs ``inner_iters`` full-batch
-    optimizer steps per outer iteration. A config key sets each field;
-    Adam's moment decay rates are constants of ``neural``.
+    ``mode`` picks only the two normalizers (see ``train``). Training runs
+    at most ``max_outer`` outer iterations in every mode, each of
+    ``inner_iters`` full-batch optimizer steps. A config key sets each
+    field; Adam's moment decay rates are constants of ``neural``.
     """
 
     mode: str = "ce-jt"
     inner_iters: int = 50
-    max_outer: int | None = None
+    max_outer: int = 500
     early_stop_tol: float = 1e-3
     pretrain_source: str = "ds"
     pretrain_epochs: int = 200
@@ -82,17 +82,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # types before ranges; annotations are strings, e.g. "int | None"
-            value, (kind, *optional) = getattr(self, f.name), f.type.split(" | ")
-            kind = {"str": str, "int": Integral, "float": Real}[kind]
-            if isinstance(value, bool) or not (isinstance(value, kind) or value is None and optional):
+        kinds = {"str": str, "int": Integral, "float": Real}
+        for f in fields(self):  # types before ranges; annotations are strings, e.g. "int"
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
                 raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name, choices in (("mode", MODES), ("pretrain_source", PRETRAIN_SOURCES)):
             if getattr(self, name) not in choices:
                 raise DataError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
         for name, ok, rule in (
                 ("inner_iters", self.inner_iters >= 1, ">= 1"),
-                ("max_outer", self.max_outer is None or self.max_outer >= 0, ">= 0"),
+                ("max_outer", self.max_outer >= 0, ">= 0"),
                 ("pretrain_epochs", self.pretrain_epochs >= 0, ">= 0"),
                 ("classifier_hidden", self.classifier_hidden >= 1, ">= 1"),
                 ("estimator_hidden", self.estimator_hidden >= 1, ">= 1"),
@@ -103,11 +103,6 @@ class TrainConfig:
                 ("clip_norm", 0 <= self.clip_norm < np.inf, "finite and >= 0 (0 is off)")):
             if not ok:
                 raise DataError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-
-    def resolved_max_outer(self) -> int:
-        if self.max_outer is not None:
-            return self.max_outer
-        return 500 if self.mode == "em" else 20
 
 
 @dataclass
@@ -188,10 +183,19 @@ def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet)
     return label_prior, pair_x, reliability_prior
 
 
+def _feature_rows(features: np.ndarray, annotations: AnnotationSet) -> np.ndarray:
+    """``features`` as float64, one row per instance of ``annotations``; else DataError."""
+    features = np.asarray(features, dtype=np.float64)
+    if len(features) != annotations.n_instances:
+        raise DataError(f"the data has {len(features)} feature rows, "
+                        f"but {annotations.n_instances} instances")
+    return features
+
+
 def e_step(state: ModelState, features: np.ndarray,
            annotations: AnnotationSet) -> JointPosterior:
     """Posteriors under the current networks; DataError for data they do not fit."""
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_rows(features, annotations)
     clf, est = state.classifier.weights, state.estimator.weights
     for what, got, want in (("feature width", features.shape[1], len(clf[0])),
                             ("label count", annotations.n_labels, clf[-1].shape[1]),
@@ -237,7 +241,7 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     Dawid-Skene labels; the estimator then fits binary agreement targets
     (1 where the annotation matches the baseline label).
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_rows(features, annotations)
     k = annotations.n_labels
     clf_seed, est_seed = np.random.SeedSequence(config.seed).spawn(2)
 
@@ -301,8 +305,8 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     parameters and the estimator's input (the classifier's hidden
     layer), then runs ``inner_iters`` steps of ``_fit`` on both
     networks under one Adam state. ``mode`` chooses only the normalizers,
-    which act only through coupled weight decay and the global clip, and
-    the default ``max_outer``. Training stops at the iteration cap or,
+    which act only through coupled weight decay and the global clip.
+    Training stops at the iteration cap ``max_outer`` or,
     from the second outer iteration on, when the marginal log likelihood
     gains less than ``early_stop_tol`` per instance and annotation, so the
     rule does not depend on dataset size; the trace holds Q in every mode.
@@ -310,14 +314,22 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     update gives the end Q's classifier term, the trace F1, the log
     likelihood and the next iteration's posteriors. ``gold`` (label index
     per instance, -1 for missing) only feeds the diagnostic F1 column of
-    the trace, which stays empty when no instance has a gold label.
+    the trace, which stays empty when no instance has a gold label. The
+    features and ``gold`` are checked against ``annotations`` before
+    pretraining.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = _feature_rows(features, annotations)
+    if gold is not None:
+        gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
+        bad = np.flatnonzero(gold >= annotations.n_labels)
+        if bad.size:
+            raise DataError(f"gold[{bad[0]}] = {gold[bad[0]]} is not one of the "
+                            f"{annotations.n_labels} labels")
     state = pretrain(features, annotations, config)
     label_prior, pair_x, rel_prior = _priors(state, features, annotations)
     post = posterior_from_priors(label_prior, rel_prior, annotations)
     trace: list[TraceRow] = []
-    has_gold = gold is not None and bool(np.any(np.asarray(gold) >= 0))
+    has_gold = gold is not None and bool(np.any(gold >= 0))
 
     n = float(len(features))
     n_pairs = float(annotations.n_pairs)
@@ -327,7 +339,7 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     opt = _adam_from_config(config)
 
     stopped = "cap"
-    for outer in range(1, config.resolved_max_outer() + 1):
+    for outer in range(1, config.max_outer + 1):
         start = q_objective(label_prior, rel_prior, post)
         groups = [(state.classifier, features, post.label_posterior, norm_t),
                   (state.estimator, pair_x, post.reliability_posterior, norm_r)]

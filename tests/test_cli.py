@@ -176,12 +176,15 @@ class TestTrainCommand:
         assert [row[4] for row in rows[1:]] == ["", ""]
 
 
-def dense_files_config(tmp_path: Path, instances: str, annotations: str) -> Path:
-    (tmp_path / "inst.csv").write_text(instances)
-    (tmp_path / "ann.csv").write_text(annotations)
-    return write_config(tmp_path / "files.cfg", dataset="files", labels="0,1",
-                        instances=tmp_path / "inst.csv", annotations=tmp_path / "ann.csv",
-                        max_outer=1, pretrain_epochs=5, inner_iters=2, out_dir=tmp_path / "out")
+def dense_files_config(tmp_path: Path, inst_csv: str, ann_csv: str, **items) -> Path:
+    """A files-dataset config over inst.csv and ann.csv, which hold ``inst_csv`` and
+    ``ann_csv``; ``items`` add or replace keys."""
+    (tmp_path / "inst.csv").write_text(inst_csv)
+    (tmp_path / "ann.csv").write_text(ann_csv)
+    return write_config(tmp_path / "files.cfg", **{
+        "dataset": "files", "labels": "0,1", "instances": tmp_path / "inst.csv",
+        "annotations": tmp_path / "ann.csv", "max_outer": 1, "pretrain_epochs": 5,
+        "inner_iters": 2, "out_dir": tmp_path / "out", **items})
 
 
 class TestFilesValidation:
@@ -214,11 +217,8 @@ class TestFilesValidation:
         """The two-document text dataset, featurized as ``items`` say."""
         docs = "".join(json.dumps({"id": i, "text": f"words about {i}"}) + "\n" for i in "ab")
         (tmp_path / "docs.jsonl").write_text(docs)
-        cfg = dense_files_config(tmp_path, "", self.ANNOTATIONS)
-        with open(cfg, "a") as fh:
-            fh.write(f"instances = {tmp_path / 'docs.jsonl'}\ninstances_format = text-jsonl\n")
-            fh.writelines(f"{key} = {value}\n" for key, value in items.items())
-        return cfg
+        return dense_files_config(tmp_path, "", self.ANNOTATIONS, instances=tmp_path / "docs.jsonl",
+                                  instances_format="text-jsonl", **items)
 
     @pytest.mark.parametrize("content, message", [
         ("words 0.1 0.2\nabout 0.3 zz\n", "emb.txt:2: could not convert string to float"),
@@ -237,9 +237,8 @@ class TestFilesValidation:
     @pytest.mark.parametrize("featurizer", ["tfidf", "avg-embed"])
     def test_text_featurizer_on_dense_instances_exits_one(self, runner, tmp_path, featurizer):
         (tmp_path / "emb.txt").write_text("words 0.1 0.2\n")
-        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
-        with open(cfg, "a") as fh:
-            fh.write(f"featurizer = {featurizer}\nembeddings = {tmp_path / 'emb.txt'}\n")
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS,
+                                 featurizer=featurizer, embeddings=tmp_path / "emb.txt")
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1, result.output
         assert f"featurizer {featurizer!r} needs text instances" in result.output
@@ -275,10 +274,9 @@ class TestFilesValidation:
         else:
             docs = "".join(json.dumps({"id": i, "text": "some words"}) + "\n" for i in "aab")
             (tmp_path / "docs.jsonl").write_text(docs)
-            cfg = dense_files_config(tmp_path, "", self.ANNOTATIONS)
-            with open(cfg, "a") as fh:
-                fh.write(f"instances = {tmp_path / 'docs.jsonl'}\ninstances_format = text-jsonl\n"
-                         "featurizer = tfidf\n")
+            cfg = dense_files_config(tmp_path, "", self.ANNOTATIONS,
+                                     instances=tmp_path / "docs.jsonl",
+                                     instances_format="text-jsonl", featurizer="tfidf")
             name, line = "docs.jsonl", 2
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1, result.output
@@ -299,28 +297,25 @@ class TestFilesValidation:
 
     @pytest.mark.parametrize("key", ["instances", "annotations", "gold"])
     def test_directory_as_input_path_exits_one(self, runner, tmp_path, key):
-        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS,
+                                 **{key: tmp_path / "somedir"})
         (tmp_path / "somedir").mkdir()
-        with open(cfg, "a") as fh:
-            fh.write(f"{key} = {tmp_path / 'somedir'}\n")  # the last value of a key wins
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1, result.output
         assert "Is a directory" in result.output and "somedir" in result.output
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_missing_gold_file_names_the_path(self, runner, tmp_path, command):
-        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
-        with open(cfg, "a") as fh:
-            fh.write(f"gold = {tmp_path / 'gold_TYPO.csv'}\n")
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS,
+                                 gold=tmp_path / "gold_TYPO.csv")
         result = runner.invoke(cli.main, [command, "-c", str(cfg)])
         assert result.exit_code == 1, result.output
         assert "gold_TYPO.csv" in result.output
 
     @pytest.mark.parametrize("bad_file", ["ann.csv", "gold.csv", "out/predictions.csv"])
     def test_unknown_label_names_file_and_line(self, runner, tmp_path, bad_file):
-        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS)
-        with open(cfg, "a") as fh:
-            fh.write(f"gold = {tmp_path / 'gold.csv'}\n")
+        cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,0.2\nb,0.3,0.4\n", self.ANNOTATIONS,
+                                 gold=tmp_path / "gold.csv")
         (tmp_path / "out").mkdir()
         for name in ("gold.csv", "out/predictions.csv"):
             (tmp_path / name).write_text("instance_id,label\na,0\nb,1\n")
@@ -473,10 +468,9 @@ class TestFilesDataset:
     def eval_config(self, tmp_path: Path, annotations: str, gold: str) -> Path:
         """Two instances with ``annotations`` and ``gold``, predictions and a score per pair."""
         cfg = dense_files_config(tmp_path, "id,x0\ni0,0.1\ni1,0.2\n",
-                                 "instance_id,annotator_id,label\n" + annotations)
+                                 "instance_id,annotator_id,label\n" + annotations,
+                                 gold=tmp_path / "gold.csv")
         (tmp_path / "gold.csv").write_text("instance_id,label\n" + gold)
-        with open(cfg, "a") as fh:
-            fh.write(f"gold = {tmp_path / 'gold.csv'}\n")
         out = tmp_path / "out"
         out.mkdir()
         (out / "predictions.csv").write_text("instance_id,label\ni0,0\ni1,1\n")
@@ -537,7 +531,8 @@ class TestConfigHandling:
     def test_help_lists_the_validated_choices(self, runner, command, option, choices):
         result = runner.invoke(cli.main, [command, "--help"])
         assert result.exit_code == 0, result.output
-        listed = re.search(rf"{option} TEXT (.+?) --", " ".join(result.output.split())).group(1)
+        # the choices lead the help text, which a colon may continue
+        listed = re.search(rf"{option} TEXT (.+?)(:| --)", " ".join(result.output.split())).group(1)
         assert tuple(listed.split(" | ")) == choices
 
     @pytest.mark.parametrize("key, value", [
@@ -584,6 +579,18 @@ class TestConfigHandling:
         result = runner.invoke(cli.main, [command, "-c", str(cfg)])
         assert result.exit_code == 1, result.output
         assert f"run.cfg:{line}: unknown config key 'max_outter'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train"])
+    def test_repeated_key_names_file_both_lines_and_key(self, runner, tmp_path, command):
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
+        first = 2 + list(BASE).index("seed")  # line 1 is the comment
+        with open(cfg, "a") as fh:
+            fh.write("seed = 2\n")
+        line = len(cfg.read_text().splitlines())
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert f"run.cfg:{line}: config key 'seed' is already set on line {first}" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_flag_overrides_file(self, runner, tmp_path):

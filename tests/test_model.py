@@ -21,6 +21,7 @@ from helpers import (
     reference_backward,
     reference_forward,
 )
+from crowdrel import model
 from crowdrel.baselines import dawid_skene
 from crowdrel.data import AnnotationSet, DataError, LabelSet, feature_matrix
 from crowdrel.evaluate import f1
@@ -540,16 +541,43 @@ class TestTrain:
         improved = [row.objective_end >= row.objective_start for row in result.trace]
         assert all(improved)
 
-    def test_modes_resolve_outer_caps(self):
-        assert TrainConfig(mode="em").resolved_max_outer() == 500
-        assert TrainConfig(mode="ce-jt").resolved_max_outer() == 20
-        assert TrainConfig(mode="ce-jt", max_outer=7).resolved_max_outer() == 7
+    def test_every_mode_caps_at_500_outer_iterations(self):
+        assert [TrainConfig(mode=mode).max_outer for mode in MODES] == [500] * len(MODES)
+
+    def test_default_cap_lets_ce_jt_stop_by_tolerance(self):
+        # a cap of 20 cut this run off at iteration 20; it stops by tolerance at 22
+        instances, gold = gen_2d("moon", 1000, seed=1)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
+                                   instance_ids=[inst.id for inst in instances])
+        result = train(feature_matrix(instances), ann, TrainConfig(mode="ce-jt", seed=1))
+        assert result.stopped == "tol" and len(result.trace) > 20
+
+    def test_features_that_do_not_fit_the_annotations_are_a_data_error(self, moon_setup):
+        x, ann, _ = moon_setup
+        for rows in (x[:-5], np.vstack([x, x[:3]])):
+            with pytest.raises(DataError, match=rf"^the data has {len(rows)} feature rows, "
+                                                f"but {ann.n_instances} instances$"):
+                train(rows, ann, TrainConfig(max_outer=1, pretrain_epochs=1))
+
+    @pytest.mark.parametrize("gold, fault", [
+        (np.zeros(399, dtype=np.int64), "need 400 gold labels, one per instance; got 399"),
+        (np.r_[np.zeros(399, dtype=np.int64), 7], "gold[399] = 7 is not one of the 2 labels"),
+    ], ids=["length", "label"])
+    def test_gold_is_checked_before_pretraining(self, moon_setup, monkeypatch, gold, fault):
+        x, ann, _ = moon_setup
+
+        def must_not_run(*args):
+            raise AssertionError("pretrain ran before gold was checked")
+
+        monkeypatch.setattr(model, "pretrain", must_not_run)
+        with pytest.raises(DataError, match=rf"^{re.escape(fault)}$"):
+            train(x, ann, TrainConfig(max_outer=1), gold=gold)
 
     @pytest.mark.parametrize("key, value", [
         ("inner_iters", 2.5), ("max_outer", 2.0), ("pretrain_epochs", "200"),
         ("classifier_hidden", True), ("estimator_hidden", None), ("seed", 1.5),
         ("learning_rate", "0.1"), ("early_stop_tol", None), ("weight_decay", True),
-        ("clip_norm", [5.0]), ("mode", 1), ("pretrain_source", None),
+        ("clip_norm", [5.0]), ("mode", 1), ("pretrain_source", None), ("max_outer", None),
     ])
     def test_config_type_is_checked_before_range(self, key, value):
         with pytest.raises(DataError, match=rf"^{key} must be of type "):
@@ -557,7 +585,7 @@ class TestTrain:
 
     def test_config_takes_any_integer_or_real_number(self):
         cfg = TrainConfig(inner_iters=np.int64(3), seed=np.uint8(1), clip_norm=5,
-                          learning_rate=np.float32(0.01), max_outer=None)
+                          learning_rate=np.float32(0.01))
         assert cfg.inner_iters == 3 and cfg.clip_norm == 5
 
     def test_config_validation(self):
@@ -658,6 +686,8 @@ MALFORMED = {
     "config-unknown-mode": (lambda p: p["config"].update(mode="sgd"), "mode must be one of"),
     "config-removed-mode": (lambda p: p["config"].update(mode="ce-alt"),
                             re.escape("mode must be one of ('em', 'ce-jt'), got 'ce-alt'")),
+    "config-null-cap": (lambda p: p["config"].update(max_outer=None),
+                        "max_outer must be of type int, got None$"),
     # the networks
     "network-not-an-object": (lambda p: p.update(classifier=[]),
                               "classifier must be a JSON object"),
@@ -725,22 +755,24 @@ class TestCheckpoint:
                                                 f"checkpoint version {version}, expected 3"):
                 load_model(path)
 
-    @pytest.mark.parametrize("n_features, n_annotators, n_labels, fault", [
-        (2, 6, 2, r"estimator input width \(representation \+ annotators\) is 9, "
-                  "but the model's is 8"),
-        (4, 5, 2, "feature width is 4, but the model's is 2"),
-        (2, 5, 3, "label count is 3, but the model's is 2"),
-    ], ids=["annotators", "features", "labels"])
-    def test_data_the_networks_do_not_fit_is_a_data_error(self, n_features, n_annotators,
-                                                          n_labels, fault):
+    @pytest.mark.parametrize("n_rows, n_features, n_annotators, n_labels, fault", [
+        (4, 2, 6, 2, r"the data's estimator input width \(representation \+ annotators\) is 9, "
+                     "but the model's is 8"),
+        (4, 4, 5, 2, "the data's feature width is 4, but the model's is 2"),
+        (4, 2, 5, 3, "the data's label count is 3, but the model's is 2"),
+        (3, 2, 5, 2, "the data has 3 feature rows, but 4 instances"),
+        (7, 2, 5, 2, "the data has 7 feature rows, but 4 instances"),
+    ], ids=["annotators", "features", "labels", "fewer-rows", "more-rows"])
+    def test_data_the_networks_do_not_fit_is_a_data_error(self, n_rows, n_features,
+                                                          n_annotators, n_labels, fault):
         # networks for 2 features, 5 annotators and 2 labels, the estimator on
-        # the classifier's 3-wide hidden layer
+        # the classifier's 3-wide hidden layer; the annotations cover 4 instances
         rng = np.random.default_rng(11)
         state = small_state(rng, n_labels=2, n_annotators=5)
         ann = make_annotations([(i, j, (i + j) % n_labels) for i in range(4)
                                 for j in range(n_annotators)], 4, n_annotators, n_labels)
-        with pytest.raises(DataError, match=rf"^the data's {fault}$"):
-            e_step(state, rng.normal(size=(4, n_features)), ann)
+        with pytest.raises(DataError, match=rf"^{fault}$"):
+            e_step(state, rng.normal(size=(n_rows, n_features)), ann)
 
     @pytest.mark.parametrize("text, fault", [
         (b'{"format_version": 2,', "Expecting property name"),
