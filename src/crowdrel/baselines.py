@@ -20,11 +20,13 @@ DS_MAX_ITERS = 100
 DS_TOL = 1e-6
 
 
-def vote_counts(annotations: AnnotationSet) -> np.ndarray:
-    """(N, K) number of each instance's annotations that carry each label."""
+def vote_counts(annotations: AnnotationSet, weights: np.ndarray | None = None) -> np.ndarray:
+    """(N, K) number of each instance's annotations that carry each label; with (P,)
+    ``weights``, the sum of those annotations' weights."""
     n, k = annotations.n_instances, annotations.n_labels
     keys = annotations.instance_idx * k + annotations.label_idx
-    return np.bincount(keys, minlength=n * k).reshape(n, k).astype(np.float64)
+    counts = np.bincount(keys, weights=weights, minlength=n * k).reshape(n, k)
+    return counts.astype(np.float64, copy=False)
 
 
 def majority_vote(annotations: AnnotationSet) -> np.ndarray:

@@ -38,6 +38,9 @@ class LabelSet:
     def __post_init__(self) -> None:
         if len(self.labels) < 2:
             raise DataError(f"need at least 2 labels, got {len(self.labels)}")
+        if "" in self.labels:
+            position = self.labels.index("")
+            raise DataError(f"label {position} of {list(self.labels)} is an empty name")
         if len(set(self.labels)) != len(self.labels):
             raise DataError("duplicate label names")
         object.__setattr__(self, "_index", {l: i for i, l in enumerate(self.labels)})
@@ -159,6 +162,25 @@ def one_per(values, n: int, what: str, per: str, dtype=None) -> np.ndarray:
     return arr
 
 
+def label_indices(values, n: int, k: int | None, per: str = "instance", name: str = "gold",
+                  what: str = "gold labels") -> np.ndarray:
+    """``values`` as (n,) int64 label indices, -1 where there is none; else a DataError.
+
+    ``one_per`` checks the count (naming ``what`` and ``per``); the entries
+    must be integers in [-1, k), and with ``k`` None only >= -1. The first
+    entry out of range is named as ``name[i]``.
+    """
+    arr = one_per(values, n, what, per)
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise DataError(f"{what} must hold integers, got dtype {arr.dtype}")
+    arr = arr.astype(np.int64, copy=False)
+    bad = np.flatnonzero((arr < -1) | (arr >= (np.inf if k is None else k)))
+    if bad.size:
+        labels = "labels" if k is None else f"{k} labels"
+        raise DataError(f"{name}[{bad[0]}] = {arr[bad[0]]} is not one of the {labels}")
+    return arr
+
+
 def _at(path: str | Path, line: int, exc: ValueError) -> DataError:
     """A DataError with ``exc``'s message, led by the ``path:line`` of the row that raised it."""
     return DataError(f"{path}:{line}: {exc}")
@@ -169,15 +191,15 @@ def _table(path: str | Path, header: Sequence[str],
     """Yield (line number, row) for each non-blank row below a CSV table's header.
 
     The header must be ``header`` or, with ``more``, begin with it and name
-    further columns. Every row must be as wide as the header. An empty file
-    yields nothing.
+    at least one further column. Every row must be as wide as the header.
+    An empty file yields nothing.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         found = next(reader, None)
         if found is None:
             return
-        if found[:len(header)] != list(header) or (len(found) != len(header) and not more):
+        if found[:len(header)] != list(header) or (len(found) > len(header)) != more:
             raise DataError(f"{path}: header must be {','.join(header)}{',...' if more else ''}")
         width = len(found)
         for row in reader:
@@ -354,11 +376,9 @@ def load_gold(
 def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
                instance_ids: Sequence[str]) -> None:
     """Write gold labels or predictions: a row for each entry >= 0 of ``gold``, in index order."""
-    gold = one_per(gold, len(instance_ids), "labels", "instance id")
-    bad = np.flatnonzero(gold >= len(label_set))
-    if bad.size:  # checked before the file is opened, so a misfit writes nothing
-        raise DataError(f"labels[{bad[0]}] = {gold[bad[0]]} is not one of the "
-                        f"{len(label_set)} labels")
+    # checked before the file is opened, so a misfit writes nothing
+    gold = label_indices(gold, len(instance_ids), len(label_set), per="instance id",
+                         name="labels", what="labels")
     write_table(path, GOLD_HEADER, ([instance_ids[i], label_set.labels[t]]
                                     for i, t in enumerate(gold.tolist()) if t >= 0))
 

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import vote_counts
-from .data import AnnotationSet, DataError, one_per
+from .data import AnnotationSet, DataError, label_indices, one_per
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ def f1(pred: np.ndarray, gold: np.ndarray) -> F1Scores:
     the macro average is the unweighted mean of per-class F1.
     """
     pred = np.asarray(pred, dtype=np.int64)
-    gold = one_per(gold, len(pred), "gold labels", "prediction", np.int64)
+    gold = label_indices(gold, len(pred), None, per="prediction")
     mask = gold >= 0
     if not mask.any():
         raise DataError("no gold labels to evaluate against")
@@ -126,9 +126,7 @@ def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
     if k < 0:
         raise DataError(f"k must be >= 0, got {k}")
     scores = one_per(scores, annotations.n_pairs, "reliability scores", "annotation", np.float64)
-    gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
-    if np.any(gold >= annotations.n_labels):
-        raise DataError(f"gold labels must lie below n_labels = {annotations.n_labels}")
+    gold = label_indices(gold, annotations.n_instances, annotations.n_labels)
     m, width = annotations.n_annotators, annotations.n_labels + 1
     pair_gold = gold[annotations.instance_idx]
     cells, pairs = [], []
@@ -190,7 +188,7 @@ def denoise_experiment(annotations: AnnotationSet, scores: np.ndarray,
                        aggregator: Callable[[AnnotationSet], np.ndarray],
                        gold: np.ndarray) -> DenoiseResult:
     """Re-aggregate after removing each instance's least reliable annotation."""
-    gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
+    gold = label_indices(gold, annotations.n_instances, annotations.n_labels)
     reduced, n_removed, n_skipped = drop_least_reliable(annotations, scores)
     before = f1(aggregator(annotations), gold)
     if n_skipped:

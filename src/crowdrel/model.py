@@ -38,8 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import dawid_skene, majority_vote
-from .data import AnnotationSet, DataError, LabelSet, one_per
+from .baselines import dawid_skene, majority_vote, vote_counts
+from .data import AnnotationSet, DataError, LabelSet, label_indices
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -145,7 +145,7 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
     With the softmax's per-instance max shift_i and shifted sum total_i, they
     return in log p(A | X) = sum_i (shift_i + log total_i) + sum_p log(p0_p / K).
     """
-    n, k = label_prior.shape
+    k = label_prior.shape[1]
     ii, ll = annotations.instance_idx, annotations.label_idx
 
     p1 = np.asarray(reliability_prior, dtype=np.float64)
@@ -156,8 +156,7 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
     log_gamma_a = np.logaddexp(log_r0, log_p1)
 
     scores = np.log(np.maximum(label_prior, PROB_FLOOR))
-    scores += np.bincount(ii * k + ll, weights=log_gamma_a - log_r0,
-                          minlength=n * k).reshape(n, k)
+    scores += vote_counts(annotations, log_gamma_a - log_r0)
     shift = scores.max(axis=1, keepdims=True)
     label_posterior = np.exp(scores - shift)
     total = label_posterior.sum(axis=1, keepdims=True)
@@ -184,8 +183,12 @@ def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet)
 
 
 def _feature_rows(features: np.ndarray, annotations: AnnotationSet) -> np.ndarray:
-    """``features`` as float64, one row per instance of ``annotations``; else DataError."""
+    """``features`` as a float64 matrix with a column or more and one row per instance of
+    ``annotations``; else DataError."""
     features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] == 0:
+        raise DataError(f"features must be a 2-D array with at least one column, "
+                        f"got shape {features.shape}")
     if len(features) != annotations.n_instances:
         raise DataError(f"the data has {len(features)} feature rows, "
                         f"but {annotations.n_instances} instances")
@@ -320,11 +323,7 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     """
     features = _feature_rows(features, annotations)
     if gold is not None:
-        gold = one_per(gold, annotations.n_instances, "gold labels", "instance", np.int64)
-        bad = np.flatnonzero(gold >= annotations.n_labels)
-        if bad.size:
-            raise DataError(f"gold[{bad[0]}] = {gold[bad[0]]} is not one of the "
-                            f"{annotations.n_labels} labels")
+        gold = label_indices(gold, annotations.n_instances, annotations.n_labels)
     state = pretrain(features, annotations, config)
     label_prior, pair_x, rel_prior = _priors(state, features, annotations)
     post = posterior_from_priors(label_prior, rel_prior, annotations)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnnotationSet, DataError, Instance
+from .data import AnnotationSet, DataError, Instance, label_indices
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
@@ -167,12 +167,9 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
                             f"is not one of the {n_labels} labels")
     if not 0.0 <= keep_prob <= 1.0:
         raise DataError(f"keep_prob must be in [0, 1], got {keep_prob}")
-    truth = np.asarray(gold)
+    truth = label_indices(gold, np.size(gold), n_labels)
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")
-    bad = np.flatnonzero(truth >= n_labels)
-    if bad.size:
-        raise DataError(f"gold[{bad[0]}] = {truth[bad[0]]} is not one of the {n_labels} labels")
     n, m = len(truth), len(profiles)
 
     streams = _seed_sequence(seed).spawn(m + 1)

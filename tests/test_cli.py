@@ -198,6 +198,21 @@ class TestFilesValidation:
         assert result.exit_code == 1, result.output
         assert "'lonely' has no annotations" in result.output
 
+    def test_instances_without_a_feature_column_exit_one(self, runner, tmp_path):
+        cfg = dense_files_config(tmp_path, "id\na\nb\n", self.ANNOTATIONS)
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "inst.csv: header must be id,..." in result.output
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    def test_empty_label_name_exits_one(self, runner, tmp_path):
+        cfg = dense_files_config(tmp_path, "id,x0\na,0.1\nb,0.3\n", self.ANNOTATIONS,
+                                 labels="0,1,")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "label 2 of ['0', '1', ''] is an empty name" in result.output
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_non_finite_feature_exits_one(self, runner, tmp_path):
         cfg = dense_files_config(tmp_path, "id,x0,x1\na,0.1,nan\nb,0.3,0.4\n",
                                  self.ANNOTATIONS)
@@ -592,6 +607,42 @@ class TestConfigHandling:
         assert result.exit_code == 1, result.output
         assert f"run.cfg:{line}: config key 'seed' is already set on line {first}" in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_unparseable_value_names_file_line_and_key(self, runner, tmp_path, command):
+        # every key is converted when the file is read, also in a command that never uses it
+        cfg = write_config(tmp_path / "run.cfg", **{**BASE, "max_outer": "abc"},
+                           out_dir=tmp_path / "out")
+        line = 2 + list(BASE).index("max_outer")  # line 1 is the comment
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert (f"run.cfg:{line}: config key 'max_outer': cannot parse 'abc' as int"
+                in result.output)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value, kind", [
+        ("simulate", "--n", "abc", "int"), ("simulate", "--noise", "x", "float"),
+        ("train", "--max-outer", "1.5", "int"), ("eval", "--report-reliability", "k", "int"),
+    ])
+    def test_unparseable_flag_exits_one_naming_the_flag(self, runner, tmp_path, command, flag,
+                                                         value, kind):
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
+        result = runner.invoke(cli.main, [command, "-c", str(cfg), flag, value])
+        assert result.exit_code == 1, result.output
+        assert f"flag {flag}: cannot parse {value!r} as {kind}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_unset_dataset_and_seed_take_their_defaults(self, runner, tmp_path):
+        unset = {k: v for k, v in BASE.items() if k not in ("dataset", "seed")}
+        for sub, items in (("unset", unset), ("set", {**unset, "dataset": "moon", "seed": 0})):
+            cfg = write_config(tmp_path / f"{sub}.cfg", **items, out_dir=tmp_path / sub)
+            result = runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
+            assert result.exit_code == 0, result.output
+        for name in ("instances.csv", "gold.csv", "annotations.csv"):
+            assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "set" / name).read_bytes()
+        manifests = [json.loads((tmp_path / sub / "manifest_simulate.json").read_text())
+                     for sub in ("unset", "set")]
+        assert manifests[0]["seed"] == manifests[1]["seed"] == "0"
 
     def test_flag_overrides_file(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")

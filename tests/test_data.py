@@ -22,7 +22,7 @@ from crowdrel.data import (
     write_instances_jsonl,
     write_scores,
 )
-from crowdrel.evaluate import reliability_report
+from crowdrel.evaluate import f1, reliability_report
 from crowdrel.neural import AdamState, PairInput, adam_step, forward, init_fnn
 
 
@@ -42,6 +42,10 @@ class TestLabelSet:
             LabelSet(("a", "a"))
         with pytest.raises(DataError):
             LabelSet(("only",))
+
+    def test_rejects_an_empty_name_naming_its_position(self):
+        with pytest.raises(DataError, match=r"^label 2 of \['0', '1', ''\] is an empty name$"):
+            LabelSet(("0", "1", ""))
 
 
 class TestLoadInstances:
@@ -303,6 +307,10 @@ class TestRoundTrip:
             values, min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
         base = tmp_path_factory.mktemp("rt")
         write_instances(base / "x.csv", instances)
+        if width == 0 or not ids:  # the header names no feature column
+            with pytest.raises(DataError, match=r"x\.csv: header must be id,\.\.\.$"):
+                load_instances(base / "x.csv", "dense-csv")
+            return
         if len(set(ids)) < len(ids):
             with pytest.raises(DataError, match="duplicate instance id|non-finite feature"):
                 load_instances(base / "x.csv", "dense-csv")
@@ -333,7 +341,8 @@ class TestRoundTrip:
         assert (base / "again.jsonl").read_bytes() == (base / "x.jsonl").read_bytes()
 
     @given(inst_ids=any_ids, ann_ids=any_ids,
-           labels=st.lists(any_text, min_size=2, max_size=4, unique=True), data=st.data())
+           labels=st.lists(any_text.filter(bool), min_size=2, max_size=4, unique=True),
+           data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_annotations_gold_and_scores(self, tmp_path_factory, inst_ids, ann_ids, labels, data):
         label_set = LabelSet(tuple(labels))
@@ -405,15 +414,24 @@ def test_internal_invariants_are_not_data_errors(call):
     (lambda path: reliability_report(np.zeros(1), TWO_PAIRS, np.array([0, 1]), 1),
      "need 2 reliability scores, one per annotation; got 1"),
     (lambda path: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, 2]), 1),
-     "gold labels must lie below n_labels = 2"),
+     "gold[1] = 2 is not one of the 2 labels"),
+    (lambda path: reliability_report(np.zeros(2), TWO_PAIRS, np.array([0, -7]), 1),
+     "gold[1] = -7 is not one of the 2 labels"),
+    (lambda path: f1(np.array([0, 1]), np.array([0, -7])),
+     "gold[1] = -7 is not one of the labels"),
     (lambda path: write_scores(path, TWO_PAIRS, np.zeros(1)),
      "need 2 scores, one per annotation; got 1"),
     (lambda path: write_gold(path, np.array([0, 1, 0]), LabelSet(("0", "1")), ["a", "b"]),
      "need 2 labels, one per instance id; got 3"),
     (lambda path: write_gold(path, np.array([0, 2]), LabelSet(("0", "1")), ["a", "b"]),
      "labels[1] = 2 is not one of the 2 labels"),
-], ids=["score-count", "gold-range", "write-scores-count", "write-gold-count",
-        "write-gold-range"])
+    (lambda path: write_gold(path, np.array([0, -2, 1]), LabelSet(("0", "1")), ["a", "b", "c"]),
+     "labels[1] = -2 is not one of the 2 labels"),
+    (lambda path: write_gold(path, np.array([0.0, 1.0]), LabelSet(("0", "1")), ["a", "b"]),
+     "labels must hold integers, got dtype float64"),
+], ids=["score-count", "gold-range", "gold-below-none", "f1-gold-below-none",
+        "write-scores-count", "write-gold-count", "write-gold-range", "write-gold-below-none",
+        "write-gold-float"])
 def test_arrays_that_do_not_fit_are_data_errors(tmp_path, call, message):
     # library callers hand these arrays in, so a misfit is bad input; a writer writes nothing
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):

@@ -175,7 +175,7 @@ class TestReliabilityReport:
     def test_gold_label_outside_the_label_set_is_an_error(self):
         # with K = 2, class 2 would otherwise land in the total column
         ann, scores, _ = self._setup()
-        with pytest.raises(DataError, match="gold labels must lie below n_labels = 2"):
+        with pytest.raises(DataError, match=r"^gold\[2\] = 2 is not one of the 2 labels$"):
             reliability_report(scores, ann, np.array([0, 1, 2, 1, 0]), k=3)
 
     @given(data=st.data())

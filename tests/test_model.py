@@ -558,11 +558,20 @@ class TestTrain:
             with pytest.raises(DataError, match=rf"^the data has {len(rows)} feature rows, "
                                                 f"but {ann.n_instances} instances$"):
                 train(rows, ann, TrainConfig(max_outer=1, pretrain_epochs=1))
+        state = pretrain(x, ann, TrainConfig(pretrain_epochs=1))
+        for shape in ((400,), (400, 0)):
+            fault = re.escape(f"features must be a 2-D array with at least one column, "
+                              f"got shape {shape}")
+            with pytest.raises(DataError, match=rf"^{fault}$"):
+                train(np.zeros(shape), ann, TrainConfig(max_outer=1, pretrain_epochs=1))
+            with pytest.raises(DataError, match=rf"^{fault}$"):
+                e_step(state, np.zeros(shape), ann)
 
     @pytest.mark.parametrize("gold, fault", [
         (np.zeros(399, dtype=np.int64), "need 400 gold labels, one per instance; got 399"),
         (np.r_[np.zeros(399, dtype=np.int64), 7], "gold[399] = 7 is not one of the 2 labels"),
-    ], ids=["length", "label"])
+        (np.r_[np.zeros(399, dtype=np.int64), -2], "gold[399] = -2 is not one of the 2 labels"),
+    ], ids=["length", "label", "below-none"])
     def test_gold_is_checked_before_pretraining(self, moon_setup, monkeypatch, gold, fault):
         x, ann, _ = moon_setup
 

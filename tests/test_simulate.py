@@ -125,8 +125,9 @@ class TestSimulateAnnotations:
             simulate_annotations(np.array([0, -1]), 2, default_panel(2), seed=0)
 
     def test_gold_label_outside_the_labels_names_the_entry(self):
-        with pytest.raises(DataError, match=r"^gold\[1\] = 3 is not one of the 2 labels$"):
-            simulate_annotations(np.array([0, 3]), 2, default_panel(2), 0)
+        for label in (3, -2):
+            with pytest.raises(DataError, match=rf"^gold\[1\] = {label} is not one of the 2 labels$"):
+                simulate_annotations(np.array([0, label]), 2, default_panel(2), 0)
 
     def test_instance_ids_must_fit_the_gold(self):
         with pytest.raises(DataError, match="instance_ids must hold 6 distinct ids, got 2"):
