@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Callable, NamedTuple, get_type_hints
 
 import click
 import numpy as np
@@ -41,29 +41,54 @@ TRAIN_KEYS = {"pretrain" if f.name == "pretrain_source" else f.name: f
 
 REQUIRED = object()  # the default of a key that a command must be given
 
-# config key -> (type, default), the one place a key is typed and defaulted; a key
-# outside it is a misspelling. Training keys take both from TrainConfig (the hidden
-# widths default by featurizer); noise None leaves each dataset kind its own noise.
-SETTINGS = {key: (get_type_hints(model.TrainConfig)[f.name], f.default)
+
+class Setting(NamedTuple):
+    """A config key's type and default, and the (description, test) its value must pass."""
+
+    type: type
+    default: object
+    check: tuple[str, Callable[[object], bool]] | None = None
+
+
+def _one_of(choices) -> tuple[str, Callable[[object], bool]]:
+    choices = tuple(choices)
+    return f"one of {choices}", choices.__contains__
+
+
+# config key -> Setting, the one place a key is typed, defaulted and checked; a key
+# outside it is a misspelling. Training keys take type and default from TrainConfig
+# (the hidden widths default by featurizer); noise None leaves each dataset kind its
+# own noise.
+TRAIN_CHECKS = {"mode": _one_of(model.MODES), "pretrain": _one_of(model.PRETRAIN_SOURCES)}
+SETTINGS = {key: Setting(get_type_hints(model.TrainConfig)[f.name], f.default,
+                         TRAIN_CHECKS.get(key))
             for key, f in TRAIN_KEYS.items()} | {
-    "out_dir": (str, "crowdrel_out"), "dataset": (str, "moon"), "n": (int, 1000),
-    "noise": (float, None), "panel": (str, REQUIRED), "keep_prob": (float, 1.0),
-    "labels": (str, REQUIRED), "instances": (str, REQUIRED),
-    "instances_format": (str, "dense-csv"), "annotations": (str, REQUIRED),
-    "gold": (str, None), "featurizer": (str, "none"), "embeddings": (str, REQUIRED),
-    "metrics": (str, "f1,iaa"), "report_reliability": (int, 0), "denoise": (str, "off"),
+    "out_dir": Setting(str, "crowdrel_out"),
+    "dataset": Setting(str, "moon", _one_of([*simulate.DATASET_KINDS, "files"])),
+    "n": Setting(int, 1000), "noise": Setting(float, None), "panel": Setting(str, REQUIRED),
+    "keep_prob": Setting(float, 1.0), "labels": Setting(str, REQUIRED),
+    "instances": Setting(str, REQUIRED),
+    "instances_format": Setting(str, "dense-csv", _one_of(data.INSTANCE_FORMATS)),
+    "annotations": Setting(str, REQUIRED), "gold": Setting(str, None),
+    "featurizer": Setting(str, "none", _one_of(HIDDEN_DEFAULTS)),
+    "embeddings": Setting(str, REQUIRED), "metrics": Setting(str, "f1,iaa"),
+    "report_reliability": Setting(int, 0, (">= 0 (0 is off)", lambda k: k >= 0)),
+    "denoise": Setting(str, "off", _one_of(model.PRETRAIN_SOURCES + ("off",))),
 }
 
 Config = dict[str, tuple[str, object]]  # key -> (text as given, value of the key's type)
 
 
 def _setting(key: str, text: str, where: str) -> tuple[str, object]:
-    """``text`` and its value as config ``key``'s type; else a DataError led by ``where``."""
-    cast = SETTINGS[key][0]
+    """``text`` and its checked value as ``key``'s type; else a DataError led by ``where``."""
+    cast, _, check = SETTINGS[key]
     try:
-        return text, cast(text)
+        value = cast(text)
     except ValueError:
         raise DataError(f"{where}: cannot parse {text!r} as {cast.__name__}") from None
+    if check and not check[1](value):
+        raise DataError(f"{where}: {key} must be {check[0]}, got {value!r}")
+    return text, value
 
 
 def parse_config(path: str | Path) -> Config:
@@ -94,7 +119,7 @@ def config_hash(cfg: Config) -> str:
 def _get(cfg: Config, key: str):
     if key in cfg:
         return cfg[key][1]
-    default = SETTINGS[key][1]
+    default = SETTINGS[key].default
     if default is REQUIRED:
         raise DataError(f"missing config key {key!r}")
     return default
@@ -103,7 +128,7 @@ def _get(cfg: Config, key: str):
 def _resolve_out_dir(cfg: Config) -> Path:
     """The out_dir key's directory, made if need be; $CROWDREL_OUT stands in for an unset key."""
     given = _get(cfg, "out_dir") if "out_dir" in cfg else os.environ.get(OUT_DIR_ENV)
-    path = Path(given or SETTINGS["out_dir"][1])
+    path = Path(given or SETTINGS["out_dir"].default)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -179,8 +204,6 @@ def _load_dataset(cfg: Config, out_dir: Path):
 
 def _features(cfg: Config, instances: list[data.Instance]) -> tuple[np.ndarray, str]:
     kind = _get(cfg, "featurizer")
-    if kind not in HIDDEN_DEFAULTS:
-        raise DataError(f"unknown featurizer {kind!r}; expected one of {list(HIDDEN_DEFAULTS)}")
     if kind == "none":
         return data.feature_matrix(instances), kind
     dense = next((inst.id for inst in instances if inst.text is None), None)
@@ -232,7 +255,7 @@ def _command(name: str, *keys: str, **helps: str):
 
         for key, flag in reversed(flags.items()):
             short = ["-o"] if key == "out_dir" else []
-            metavar = {str: "TEXT", int: "INTEGER", float: "FLOAT"}[SETTINGS[key][0]]
+            metavar = {str: "TEXT", int: "INTEGER", float: "FLOAT"}[SETTINGS[key].type]
             callback = click.option(*short, flag, key, metavar=metavar,
                                     help=helps.get(key))(callback)
         callback = click.option("-c", "--config", "config_path",
@@ -266,7 +289,7 @@ def cmd_simulate(cfg: Config) -> None:
 @_command("train", "mode", "pretrain", "max_outer", "seed",
           mode=" | ".join(model.MODES) + ": picks the normalizers of the joint refit",
           pretrain=" | ".join(model.PRETRAIN_SOURCES),
-          max_outer=f"cap on outer iterations (default {SETTINGS['max_outer'][1]}); "
+          max_outer=f"cap on outer iterations (default {SETTINGS['max_outer'].default}); "
                     "0 keeps the pretrained networks")
 def cmd_train(cfg: Config) -> None:
     """Pre-train and fit the reliability model; write checkpoint, trace and predictions."""
@@ -327,8 +350,6 @@ def cmd_eval(cfg: Config) -> None:
 
     files = ["metrics.csv"]
     k = _get(cfg, "report_reliability")
-    if k < 0:
-        raise DataError(f"report_reliability must be >= 0 (0 is off), got {k}")
     if k > 0:
         if not np.any(gold >= 0):
             raise DataError("reliability report needs gold labels")

@@ -219,6 +219,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(rows)
 
 
+INSTANCE_FORMATS = ("dense-csv", "text-jsonl")
+
+
 def load_instances(path: str | Path, format: str) -> list[Instance]:
     """Load instances from ``dense-csv`` (header id,x0,x1,...) or ``text-jsonl``.
 
@@ -269,12 +272,18 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
 
 
 def write_instances(path: str | Path, instances: Sequence[Instance]) -> None:
-    """Write dense-feature instances as CSV (inverse of dense-csv loading)."""
+    """Write dense-feature instances as CSV (inverse of dense-csv loading).
+
+    The instances must share one width of at least one feature, as the
+    reader requires; else DataError, before the file is opened.
+    """
     for inst in instances:
         if inst.features is None:
             raise DataError(f"instance {inst.id!r} has no dense features")
-    width = 0 if not instances else len(instances[0].features)  # type: ignore[arg-type]
-    write_table(path, ["id"] + [f"x{k}" for k in range(width)],
+    widths = sorted({len(inst.features) for inst in instances})  # type: ignore[arg-type]
+    if len(widths) != 1 or widths[0] == 0:
+        raise DataError(f"dense instances need one width of at least 1 feature, got {widths}")
+    write_table(path, ["id"] + [f"x{k}" for k in range(widths[0])],
                 ([inst.id] + [repr(float(v)) for v in inst.features]  # type: ignore[union-attr]
                  for inst in instances))
 

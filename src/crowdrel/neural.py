@@ -16,12 +16,11 @@ A ``PairInput`` owns the workspace of the estimator's pair pass: both
 hidden layers go into two (width, P) float buffers and their ReLU masks
 into one (width, P) bool buffer, which the input creates on its first
 pass at a width and reuses on every later one, so a training step
-allocates no (width, P) array. Beside them the input holds one
-gather/scatter index of 2 * min(width, 8) * P entries, for blocks of at
-most ``ROW_BLOCK`` rows. ``forward`` hands the second layer's buffer
-over as its hidden output, so no result is overwritten later. One
-``PairInput`` must not be shared across threads. A dense input gets
-fresh arrays on every pass.
+allocates no (width, P) array. The gathers and scatters read the two pair
+index arrays directly, so memory is O(N * h + width * P). ``forward``
+hands the second layer's buffer over as its hidden output, so no result
+is overwritten later. One ``PairInput`` must not be shared across
+threads. A dense input gets fresh arrays on every pass.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ import numpy as np
 
 PROB_FLOOR = 1e-12
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-# rows of a (width, P) layer that one gather or scatter of a PairInput covers
-ROW_BLOCK = 8
 
 
 @dataclass
@@ -105,10 +102,9 @@ class PairInput:
 
     The input owns the pass's workspace: the hidden layers and their ReLU
     masks live in (width, P) buffers made on first use at a width and
-    overwritten by every later pass. The gathers and scatters run over
-    blocks of at most ``ROW_BLOCK`` rows, through one index of
-    2 * min(width, ROW_BLOCK) * P entries, so memory is
-    O(N * h + width * P) with no index of width * P entries.
+    overwritten by every later pass. The gathers and scatters read
+    ``instance_idx`` and ``annotator_idx`` directly, so memory is
+    O(N * h + width * P) with no index of its own.
     ``first_layer`` returns such a buffer, and ``release`` stops the reuse
     of one that a caller keeps. One ``PairInput`` must not be shared
     across threads.
@@ -130,7 +126,6 @@ class PairInput:
         self.instance_idx = instance_idx
         self.annotator_idx = annotator_idx
         self.n_annotators = n_annotators
-        self._index: tuple[np.ndarray, np.ndarray] | None = None
         self._work: dict[tuple[str, int], np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -139,25 +134,6 @@ class PairInput:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), self.rep.shape[1] + self.n_annotators
-
-    def _blocks(self, width: int):
-        """(rows, row count, instance index, annotator index) per block of a (width, P) array.
-
-        The indices hold the flat positions of entry (c, p) of the block in
-        (rows, N) and (rows, M). One pair, built for the widest block yet
-        (at most ``ROW_BLOCK`` rows), serves every block: a block of r rows
-        takes its first r * P entries.
-        """
-        n_rows = min(width, ROW_BLOCK)
-        if self._index is None or len(self._index[0]) < n_rows * len(self):
-            rows = np.arange(n_rows, dtype=np.intp)[:, None]
-            self._index = ((rows * len(self.rep) + self.instance_idx).ravel(),
-                           (rows * self.n_annotators + self.annotator_idx).ravel())
-        by_instance, by_annotator = self._index
-        for start in range(0, width, ROW_BLOCK):
-            n_rows = min(ROW_BLOCK, width - start)
-            size = n_rows * len(self)
-            yield slice(start, start + n_rows), n_rows, by_instance[:size], by_annotator[:size]
 
     def workspace(self, name: str, width: int, dtype=np.float64) -> np.ndarray:
         """The (width, P) buffer ``name``: made on the first request, the same array after."""
@@ -181,15 +157,10 @@ class PairInput:
         # layer's buffer of this width (the layer-2 product's own when the two
         # layers are equally wide, as in every model here)
         rows = self.workspace("layer2", width)
-        by_instance_rows = w[:h].T @ self.rep.T
-        by_annotator_rows = np.ascontiguousarray((w[h:] + b).T)
-        for block, _, by_instance, by_annotator in self._blocks(width):
-            # mode="clip" writes straight into out (the default buffers it); the
-            # indices were range-checked in __init__, so nothing is clipped
-            np.take(by_instance_rows[block].ravel(), by_instance, out=z[block].reshape(-1),
-                    mode="clip")
-            np.take(by_annotator_rows[block].ravel(), by_annotator, out=rows[block].reshape(-1),
-                    mode="clip")
+        # mode="clip" writes straight into out (the default buffers it); the
+        # indices were range-checked in __init__, so nothing is clipped
+        np.take(w[:h].T @ self.rep.T, self.instance_idx, axis=1, out=z, mode="clip")
+        np.take((w[h:] + b).T, self.annotator_idx, axis=1, out=rows, mode="clip")
         z += rows
         return z
 
@@ -199,13 +170,10 @@ class PairInput:
         n, m = len(self.rep), self.n_annotators
         per_instance = np.empty((width, n), dtype=np.float64)
         grad = np.empty((h + m, width), dtype=np.float64)
-        for block, n_rows, by_instance, by_annotator in self._blocks(width):
-            flat = dz[block].ravel()
-            # every bin sums its pairs in increasing p, whatever the block size
-            per_instance[block] = np.bincount(by_instance, weights=flat,
-                                              minlength=n_rows * n).reshape(n_rows, n)
-            grad[h:, block] = np.bincount(by_annotator, weights=flat,
-                                          minlength=n_rows * m).reshape(n_rows, m).T
+        # every bin sums its pairs in increasing p
+        for row in range(width):
+            per_instance[row] = np.bincount(self.instance_idx, weights=dz[row], minlength=n)
+            grad[h:, row] = np.bincount(self.annotator_idx, weights=dz[row], minlength=m)
         grad[:h] = self.rep.T @ per_instance.T
         return grad
 

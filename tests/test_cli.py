@@ -269,7 +269,8 @@ class TestFilesValidation:
         cfg = self.text_config(tmp_path, featurizer="glove", embeddings=tmp_path / "absent.txt")
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1, result.output
-        assert "unknown featurizer 'glove'" in result.output
+        assert "featurizer must be one of ('none', 'tfidf', " in result.output
+        assert "got 'glove'" in result.output
         assert "absent.txt" not in result.output
 
     @pytest.mark.parametrize("line", ["5", '{"id": "b", "text": null}', '{"id": 5, "text": "x"}'])
@@ -519,7 +520,8 @@ class TestFilesDataset:
         result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa",
                                           "--denoise", "median"])
         assert result.exit_code == 1, result.output
-        assert "aggregator must be one of ('mv', 'ds'), got 'median'" in result.output
+        assert ("flag --denoise: denoise must be one of ('mv', 'ds', 'off'), got 'median'"
+                in result.output)
 
     def test_unknown_metric_fails_validation(self, runner, pipeline_dir):
         _, cfg = pipeline_dir
@@ -630,6 +632,37 @@ class TestConfigHandling:
         result = runner.invoke(cli.main, [command, "-c", str(cfg), flag, value])
         assert result.exit_code == 1, result.output
         assert f"flag {flag}: cannot parse {value!r} as {kind}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    @pytest.mark.parametrize("key, value", [
+        ("dataset", "moom"), ("mode", "sgd"), ("pretrain", "dss"), ("featurizer", "tfidff"),
+        ("instances_format", "csv"), ("denoise", "dss"), ("report_reliability", "-2"),
+    ])
+    def test_value_outside_its_range_names_file_line_and_key(self, runner, tmp_path, command,
+                                                              key, value):
+        # every key is checked when the file is read, also in a command that never uses it
+        items = {**BASE, key: value}
+        cfg = write_config(tmp_path / "run.cfg", **items, out_dir=tmp_path / "out")
+        line = 2 + list(items).index(key)  # line 1 is the comment
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        got = int(value) if key == "report_reliability" else value
+        assert f"run.cfg:{line}: config key {key!r}: {key} must be " in result.output
+        assert result.output.rstrip().endswith(f"got {got!r}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("simulate", "--dataset", "moom"), ("train", "--mode", "sgd"),
+        ("train", "--pretrain", "dss"), ("eval", "--denoise", "dss"),
+        ("eval", "--report-reliability", "-2"),
+    ])
+    def test_flag_outside_its_range_exits_one_naming_the_flag(self, runner, tmp_path, command,
+                                                               flag, value):
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
+        result = runner.invoke(cli.main, [command, "-c", str(cfg), flag, value])
+        assert result.exit_code == 1, result.output
+        assert f"flag {flag}: {flag[2:].replace('-', '_')} must be " in result.output
         assert not (tmp_path / "out").exists()
 
     def test_unset_dataset_and_seed_take_their_defaults(self, runner, tmp_path):

@@ -297,6 +297,12 @@ class TestRoundTrip:
         loaded = load_annotations(path, labels, instance_ids=inst_ids, annotator_ids=ann_ids)
         assert loaded.triples() == ann.triples()
 
+    def test_dense_csv_writer_refuses_mixed_widths(self, tmp_path):
+        instances = [Instance(id="a", features=np.zeros(2)), Instance(id="b", features=np.ones(3))]
+        with pytest.raises(DataError, match=r"one width of at least 1 feature, got \[2, 3\]"):
+            write_instances(tmp_path / "x.csv", instances)
+        assert not (tmp_path / "x.csv").exists()
+
     @given(ids=st.lists(any_text), width=st.integers(0, 3), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_dense_csv_instances(self, tmp_path_factory, ids, width, data):
@@ -306,11 +312,12 @@ class TestRoundTrip:
         instances = [Instance(id=i, features=np.array(data.draw(st.lists(
             values, min_size=width, max_size=width)), dtype=np.float64)) for i in ids]
         base = tmp_path_factory.mktemp("rt")
-        write_instances(base / "x.csv", instances)
-        if width == 0 or not ids:  # the header names no feature column
-            with pytest.raises(DataError, match=r"x\.csv: header must be id,\.\.\.$"):
-                load_instances(base / "x.csv", "dense-csv")
+        if width == 0 or not ids:  # no feature column: the reader would refuse the file
+            with pytest.raises(DataError, match=r"one width of at least 1 feature"):
+                write_instances(base / "x.csv", instances)
+            assert not (base / "x.csv").exists()
             return
+        write_instances(base / "x.csv", instances)
         if len(set(ids)) < len(ids):
             with pytest.raises(DataError, match="duplicate instance id|non-finite feature"):
                 load_instances(base / "x.csv", "dense-csv")

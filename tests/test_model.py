@@ -297,7 +297,7 @@ class TestEstimatorPairInputs:
         dense = dense_pair_input(pairs)
         assert len(pairs) == ann.n_pairs and np.array_equal(dense[:, :3], rep[ann.instance_idx])
         targets = rng.uniform(size=ann.n_pairs)
-        # one gather block, its edge, and two or three blocks, on one input
+        # several widths on one input
         for width in (4, 8, 9, 16, 17, 20):
             params = init_fnn(3 + m, width, 3, 1, "sigmoid", rng)
             for b in params.biases:

@@ -23,7 +23,6 @@ from crowdrel.neural import (
     ADAM_BETA2,
     ADAM_EPS,
     PROB_FLOOR,
-    ROW_BLOCK,
     AdamState,
     PairInput,
     _sigmoid,
@@ -217,7 +216,7 @@ class TestPairInputBuffers:
                            max_size=5))
     @example(seed=0, head="sigmoid", n_pairs=5, m=3, widths=[(3, 3), (2, 3), (3, 3), (3, 2)])
     @example(seed=1, head="softmax", n_pairs=1, m=1, widths=[(1, 1), (1, 1)])
-    # widths at and across the edges of the gather blocks, changing on one input
+    # widths changing on one input, equal and unequal across the two layers
     @example(seed=2, head="sigmoid", n_pairs=7, m=4, widths=[(8, 8), (9, 9), (16, 8), (17, 17)])
     @example(seed=3, head="softmax", n_pairs=6, m=2, widths=[(17, 9), (8, 16), (3, 17), (17, 17)])
     @settings(max_examples=60, deadline=None)
@@ -249,7 +248,8 @@ class TestPairInputBuffers:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_pairs=st.integers(1, 12),
            m=st.integers(1, 5), widths=st.lists(st.integers(1, 20), min_size=1, max_size=4))
     @example(seed=0, n=4, n_pairs=9, m=3, widths=[8, 9, 16, 17, 1, 17])
-    @example(seed=1, n=1, n_pairs=1, m=1, widths=[20, 7, ROW_BLOCK])
+    @example(seed=1, n=1, n_pairs=1, m=1, widths=[20, 7, 8])
+    @example(seed=2, n=30, n_pairs=200, m=4, widths=[100, 3, 100])
     @settings(max_examples=60, deadline=None)
     def test_blocks_equal_a_full_width_index_exactly(self, seed, n, n_pairs, m, widths):
         rng = np.random.default_rng(seed)
@@ -275,9 +275,26 @@ class TestPairInputBuffers:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the two (width, P) float64 buffers, the mask and a gather index of
-        # ROW_BLOCK rows: an index of width rows would add 2 * width * P entries
+        # the two (width, P) float64 buffers and the mask: an index of width
+        # rows would add 2 * width * P entries
         assert peak < 3 * width * n_pairs * 8
+
+    def test_holds_only_its_pairs_and_workspace(self):
+        rng = np.random.default_rng(0)
+        n, n_pairs, h, m = 6, 40, 3, 4
+        pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
+                          rng.integers(0, m, size=n_pairs), m)
+        for width in (5, 9):
+            params = init_fnn(h + m, width, width, 1, "sigmoid", rng)
+            backward(params, pairs, rng.uniform(size=n_pairs), float(n_pairs))
+        # no index or other array of its own beside the pairs and the (width, P) buffers
+        for name, value in vars(pairs).items():
+            if name == "_work":
+                assert sorted(value) == sorted((kind, width) for width in (5, 9)
+                                               for kind in ("layer1", "layer2", "mask"))
+                assert all(buf.shape == (width, n_pairs) for (_, width), buf in value.items())
+            elif name not in ("rep", "instance_idx", "annotator_idx"):
+                assert not isinstance(value, (np.ndarray, tuple, list, dict)), name
 
     def test_repeat_backward_allocates_no_activation(self):
         rng = np.random.default_rng(0)
