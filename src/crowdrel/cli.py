@@ -112,7 +112,9 @@ def parse_config(path: str | Path) -> Config:
 
 
 def config_hash(cfg: Config) -> str:
-    canonical = "\n".join(f"{k}={cfg[k][0]}" for k in sorted(cfg))
+    """Hash of every value's text but ``out_dir``'s: where a run writes does not change
+    what it writes."""
+    canonical = "\n".join(f"{k}={cfg[k][0]}" for k in sorted(cfg) if k != "out_dir")
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -136,7 +138,8 @@ def _resolve_out_dir(cfg: Config) -> Path:
 def _write_manifest(out_dir: Path, command: str, cfg: Config, files: list[str]) -> None:
     payload = {"command": command, "config_hash": config_hash(cfg),
                "seed": str(_get(cfg, "seed")), "files": sorted(files)}
-    (out_dir / f"manifest_{command}.json").write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    with data.whole_file(out_dir / f"manifest_{command}.json") as fh:
+        json.dump(payload, fh, indent=2)
 
 
 def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
@@ -354,8 +357,8 @@ def cmd_eval(cfg: Config) -> None:
         if not np.any(gold >= 0):
             raise DataError("reliability report needs gold labels")
         report = evaluate.reliability_report(scores, annotations, gold, k)
-        (out / "reliability_report.txt").write_text(
-            evaluate.report_to_text(report, label_set.labels), encoding="utf-8")
+        with data.whole_file(out / "reliability_report.txt") as fh:
+            fh.write(evaluate.report_to_text(report, label_set.labels))
         data.write_table(out / "reliability_report.csv", evaluate.REPORT_CSV_HEADER,
                          evaluate.report_to_rows(report, label_set.labels))
         files += ["reliability_report.txt", "reliability_report.csv"]

@@ -2,6 +2,8 @@
 
 Every CSV table, input or artifact, is read by ``_table`` and written by
 ``write_table``; a bad row is a DataError that names its ``path:line``.
+Every artifact is written through ``whole_file``, so it appears whole or
+not at all.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices assigned at load time. Gold labels and
@@ -14,9 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -211,9 +215,25 @@ def _table(path: str | Path, header: Sequence[str],
             yield reader.line_num, row
 
 
+@contextmanager
+def whole_file(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """A text file to write ``path`` through: a temporary file in the same directory,
+    which replaces ``path`` when the block ends and is removed if the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w", newline=newline, encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV table: ``header``, then one line per row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with whole_file(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -289,7 +309,7 @@ def write_instances(path: str | Path, instances: Sequence[Instance]) -> None:
 
 
 def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         for inst in instances:
             if inst.text is None:
                 raise DataError(f"instance {inst.id!r} has no text payload")

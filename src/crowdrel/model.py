@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import dawid_skene, majority_vote, vote_counts
-from .data import AnnotationSet, DataError, LabelSet, label_indices
+from .data import AnnotationSet, DataError, LabelSet, label_indices, whole_file
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -220,12 +220,15 @@ def _fit(groups: list[tuple[FnnParams, np.ndarray | PairInput, np.ndarray, float
 
     Each group is (network, inputs, targets, normalizer). A step joins the
     groups' gradients in list order and updates all their arrays at once,
-    so the groups share one clip norm.
+    so the groups share one clip norm. Each ``PairInput`` group keeps one
+    workspace for every step, so its pass allocates no (width, P) array
+    after the first; a dense group's pass makes fresh arrays.
     """
     arrays = [a for params, *_ in groups for a in params.arrays()]
+    works = [{} if isinstance(inputs, PairInput) else None for _, inputs, _, _ in groups]
     for _ in range(steps):
-        adam_step(arrays, [g for params, inputs, targets, normalizer in groups
-                           for g in backward(params, inputs, targets, normalizer)], opt)
+        adam_step(arrays, [g for (params, inputs, targets, normalizer), work in zip(groups, works)
+                           for g in backward(params, inputs, targets, normalizer, work)], opt)
 
 
 def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
@@ -393,7 +396,7 @@ def save_model(path: str | Path, state: ModelState, label_set: LabelSet,
         layers = zip(net.weights, net.biases)
         payload[name] = {"head": net.head, "layers": [
             {"weights": w.ravel().tolist(), "biases": b.tolist()} for w, b in layers]}
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         json.dump(payload, fh)
 
 

@@ -12,15 +12,16 @@ kernels keep activations feature-major, as (width, B): every product is
 gradient sums a contiguous row. ``forward`` and ``backward`` still take
 and return batch-major arrays; the outputs are transposed views.
 
-A ``PairInput`` owns the workspace of the estimator's pair pass: both
-hidden layers go into two (width, P) float buffers and their ReLU masks
-into one (width, P) bool buffer, which the input creates on its first
-pass at a width and reuses on every later one, so a training step
-allocates no (width, P) array. The gathers and scatters read the two pair
-index arrays directly, so memory is O(N * h + width * P). ``forward``
-hands the second layer's buffer over as its hidden output, so no result
-is overwritten later. One ``PairInput`` must not be shared across
-threads. A dense input gets fresh arrays on every pass.
+A ``PairInput`` is the estimator's input for (instance, annotator) pairs,
+a read-only value whose gathers and scatters read the two pair index
+arrays directly, so memory is O(N * h + width * P). The training loop
+owns the buffers of its pass: ``backward`` given a workspace dict takes
+both hidden layers' (width, P) float buffers and their (width, P) bool
+ReLU mask from it, making each on its first request, so a loop that keeps
+one workspace per input allocates no (width, P) array after its first
+step. ``forward``, and ``backward`` without a workspace, make fresh
+arrays, so nothing they return is overwritten later. Threads may share a
+``PairInput`` but not a workspace.
 """
 
 from __future__ import annotations
@@ -100,14 +101,9 @@ class PairInput:
     annotator's row of the weights. Its outputs are feature-major,
     (width, P), like every activation in this module.
 
-    The input owns the pass's workspace: the hidden layers and their ReLU
-    masks live in (width, P) buffers made on first use at a width and
-    overwritten by every later pass. The gathers and scatters read
-    ``instance_idx`` and ``annotator_idx`` directly, so memory is
-    O(N * h + width * P) with no index of its own.
-    ``first_layer`` returns such a buffer, and ``release`` stops the reuse
-    of one that a caller keeps. One ``PairInput`` must not be shared
-    across threads.
+    It holds nothing but the three arrays and ``n_annotators``, and no
+    pass writes to it: ``first_layer`` writes into the buffers it is
+    given, so threads may share one input.
     """
 
     def __init__(self, rep: np.ndarray, instance_idx: np.ndarray, annotator_idx: np.ndarray,
@@ -126,7 +122,6 @@ class PairInput:
         self.instance_idx = instance_idx
         self.annotator_idx = annotator_idx
         self.n_annotators = n_annotators
-        self._work: dict[tuple[str, int], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.instance_idx)
@@ -135,28 +130,11 @@ class PairInput:
     def shape(self) -> tuple[int, int]:
         return len(self), self.rep.shape[1] + self.n_annotators
 
-    def workspace(self, name: str, width: int, dtype=np.float64) -> np.ndarray:
-        """The (width, P) buffer ``name``: made on the first request, the same array after."""
-        buf = self._work.get((name, width))
-        if buf is None:
-            buf = self._work[name, width] = np.empty((width, len(self)), dtype=dtype)
-        return buf
-
-    def release(self, buf: np.ndarray) -> None:
-        """Hand ``buf`` over to the caller: the next pass makes a new buffer in its place."""
-        self._work = {key: held for key, held in self._work.items() if held is not buf}
-
-    def first_layer(self, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """(x @ w + b).T: the per-instance product gathered per pair, plus each annotator's row.
-
-        The result is the "layer1" buffer, overwritten by the next pass.
-        """
-        h, width = self.rep.shape[1], w.shape[1]
-        z = self.workspace("layer1", width)
-        # b folded into the looked-up rows, gathered as scratch into the second
-        # layer's buffer of this width (the layer-2 product's own when the two
-        # layers are equally wide, as in every model here)
-        rows = self.workspace("layer2", width)
+    def first_layer(self, w: np.ndarray, b: np.ndarray, z: np.ndarray,
+                    rows: np.ndarray) -> np.ndarray:
+        """(x @ w + b).T into ``z``: the per-instance product gathered per pair, plus each
+        annotator's row; ``rows`` (as wide as ``z``) is scratch for those rows."""
+        h = self.rep.shape[1]
         # mode="clip" writes straight into out (the default buffers it); the
         # indices were range-checked in __init__, so nothing is clipped
         np.take(w[:h].T @ self.rep.T, self.instance_idx, axis=1, out=z, mode="clip")
@@ -170,7 +148,8 @@ class PairInput:
         n, m = len(self.rep), self.n_annotators
         per_instance = np.empty((width, n), dtype=np.float64)
         grad = np.empty((h + m, width), dtype=np.float64)
-        # every bin sums its pairs in increasing p
+        # every bin sums its pairs in increasing p; np.add.reduceat over a sorted
+        # permutation was 1.1 to 3.7 times slower at every benchmark shape
         for row in range(width):
             per_instance[row] = np.bincount(self.instance_idx, weights=dz[row], minlength=n)
             grad[h:, row] = np.bincount(self.annotator_idx, weights=dz[row], minlength=m)
@@ -178,16 +157,21 @@ class PairInput:
         return grad
 
 
-def _workspace(x, name: str, width: int, dtype=np.float64) -> np.ndarray | None:
-    """A ``PairInput``'s reusable (width, P) buffer; None, so a fresh array, for a dense input."""
-    return x.workspace(name, width, dtype) if isinstance(x, PairInput) else None
+def _buffer(work: dict | None, name: str, shape: tuple[int, int], dtype=np.float64):
+    """The array ``name`` of this shape in ``work``, made on its first request; fresh without one."""
+    if work is None:
+        return np.empty(shape, dtype=dtype)
+    buf = work.get((name, shape))
+    if buf is None:
+        buf = work[name, shape] = np.empty(shape, dtype=dtype)
+    return buf
 
 
-def _forward_cache(params: FnnParams, x):
+def _forward_cache(params: FnnParams, x, work: dict | None = None):
     """Feature-major activations (width, B) of both hidden layers and the output probabilities.
 
-    Softmax probabilities are (K, B); the sigmoid head gives (B,). For a
-    ``PairInput`` both hidden layers are its buffers.
+    Softmax probabilities are (K, B); the sigmoid head gives (B,). Both
+    hidden layers are buffers of ``work`` when one is given.
     """
     if not isinstance(x, PairInput):
         x = np.asarray(x, dtype=np.float64)
@@ -195,13 +179,16 @@ def _forward_cache(params: FnnParams, x):
         raise ValueError(f"input shape {x.shape} does not match input_dim {params.input_dim}")
     (w1, w2, w3), (b1, b2, b3) = params.weights, params.biases
     if isinstance(x, PairInput):
-        h1 = x.first_layer(w1, b1)
+        # the annotator rows, b1 folded in, go to layer 2's buffer as scratch
+        # (its product's own when both layers are equally wide, as here)
+        shape = (w1.shape[1], len(x))
+        h1 = x.first_layer(w1, b1, _buffer(work, "layer1", shape), _buffer(work, "layer2", shape))
     else:
         h1 = w1.T @ x.T
         h1 += b1[:, None]
     # ReLU in place: the mask h > 0 equals z > 0, so z need not be kept
     np.maximum(h1, 0.0, out=h1)
-    h2 = np.matmul(w2.T, h1, out=_workspace(x, "layer2", w2.shape[1]))
+    h2 = np.matmul(w2.T, h1, out=_buffer(work, "layer2", (w2.shape[1], h1.shape[1])))
     h2 += b2[:, None]
     np.maximum(h2, 0.0, out=h2)
     z3 = w3.T @ h2
@@ -217,14 +204,10 @@ def forward(params: FnnParams, x: np.ndarray | PairInput) -> tuple[np.ndarray, n
 
     Softmax probabilities have shape (B, K); the sigmoid head yields a
     (B,) vector of Bernoulli success probabilities. The hidden output is
-    (B, width). Both 2-d outputs are transposed views of feature-major
-    arrays; neither is a buffer that a later pass overwrites. A
-    ``PairInput`` hands its second-layer buffer over as the hidden output
-    and makes a new one on its next pass.
+    (B, width). Both 2-d outputs are transposed views of fresh
+    feature-major arrays, which no later pass overwrites.
     """
-    x, _, h2, probs = _forward_cache(params, x)
-    if isinstance(x, PairInput):
-        x.release(h2)
+    _, _, h2, probs = _forward_cache(params, x)
     return (probs.T if probs.ndim == 2 else probs), h2.T
 
 
@@ -246,18 +229,20 @@ def soft_ce_loss(probs: np.ndarray, targets: np.ndarray, normalizer: float) -> f
 
 
 def backward(params: FnnParams, x: np.ndarray | PairInput, targets: np.ndarray,
-             normalizer: float) -> list[np.ndarray]:
+             normalizer: float, work: dict | None = None) -> list[np.ndarray]:
     """Exact gradients of soft_ce_loss(forward(params, x), targets, normalizer).
 
     Returned in the order of ``params.arrays()``: W1, b1, W2, b2, W3, b3.
     For the softmax head each target row must sum to 1 (the output-layer
-    delta below relies on it).
+    delta below relies on it). ``work`` is a dict that holds the pass's
+    (width, B) buffers from one call to the next; without it every pass
+    makes fresh ones.
     """
-    x, h1, h2, probs = _forward_cache(params, x)
+    x, h1, h2, probs = _forward_cache(params, x, work)
     targets = np.asarray(targets, dtype=np.float64)
     # each delta overwrites its layer's output once that is used up, so a pass
     # allocates no (width, B) float array beyond the forward's, and nothing of
-    # that size for a PairInput past its first pass
+    # that size past the first pass that shares ``work``
     dz3 = probs if params.head == "softmax" else probs[None, :]
     dz3 -= targets.T
     dz3 /= normalizer
@@ -266,13 +251,13 @@ def backward(params: FnnParams, x: np.ndarray | PairInput, targets: np.ndarray,
     db3 = dz3.sum(axis=1)
     # one mask buffer per width serves both layers: the second's is used up
     # before the first's is written
-    active = np.greater(h2, 0.0, out=_workspace(x, "mask", h2.shape[0], bool))
+    active = np.greater(h2, 0.0, out=_buffer(work, "mask", h2.shape, bool))
     # np.dot, not matmul: numpy's matmul leaves BLAS when the inner dimension is 1
     dz2 = np.dot(w3, dz3, out=h2)
     dz2 *= active
     dw2 = h1 @ dz2.T
     db2 = dz2.sum(axis=1)
-    active = np.greater(h1, 0.0, out=_workspace(x, "mask", h1.shape[0], bool))
+    active = np.greater(h1, 0.0, out=_buffer(work, "mask", h1.shape, bool))
     dz1 = np.matmul(w2, dz2, out=h1)
     dz1 *= active
     dw1 = x.weight_grad(dz1) if isinstance(x, PairInput) else x.T @ dz1.T

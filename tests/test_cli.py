@@ -57,7 +57,8 @@ class TestSimulateCommand:
         for sub in ("a", "b"):
             cfg = write_config(tmp_path / f"{sub}.cfg", **BASE, out_dir=tmp_path / sub)
             assert runner.invoke(cli.main, ["simulate", "-c", str(cfg)]).exit_code == 0
-        for name in ("instances.csv", "gold.csv", "annotations.csv"):
+        # the manifests too: out_dir is left out of the config hash
+        for name in ("instances.csv", "gold.csv", "annotations.csv", "manifest_simulate.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_readme_walkthrough_config_runs(self, runner, tmp_path):
@@ -426,6 +427,31 @@ class TestFilesDataset:
         assert metrics["f1_micro"] > 0.6
         assert "fleiss_kappa" in metrics
 
+    def test_text_training_artifacts_are_reproducible(self, runner, tmp_path):
+        from crowdrel.data import write_annotations, write_gold, write_instances_jsonl
+        from crowdrel.simulate import default_panel, gen_text_fixture, simulate_annotations
+
+        instances, gold = gen_text_fixture(60, 3, seed=1)
+        labels = LabelSet(("0", "1", "2"))
+        ann = simulate_annotations(gold, 3, default_panel(3), seed=1,
+                                   instance_ids=[inst.id for inst in instances])
+        write_instances_jsonl(tmp_path / "docs.jsonl", instances)
+        write_annotations(tmp_path / "ann.csv", ann, labels)
+        write_gold(tmp_path / "gold.csv", gold, labels, [inst.id for inst in instances])
+        for sub in ("a", "b"):
+            # the tf-idf defaults: hidden 100/100
+            cfg = write_config(
+                tmp_path / f"{sub}.cfg", dataset="files", labels="0,1,2",
+                instances=tmp_path / "docs.jsonl", instances_format="text-jsonl",
+                annotations=tmp_path / "ann.csv", gold=tmp_path / "gold.csv",
+                featurizer="tfidf", max_outer=2, out_dir=tmp_path / sub)
+            result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+            assert result.exit_code == 0, result.output
+        assert load_model(tmp_path / "a" / "model.json")[2].classifier_hidden == 100
+        for name in ("model.json", "trace.csv", "predictions.csv", "reliability.csv",
+                     "manifest_train.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_tfidf_training_does_not_depend_on_hash_seed(self, tmp_path):
         from crowdrel.data import write_annotations, write_instances_jsonl
         from crowdrel.simulate import default_panel, gen_text_fixture, simulate_annotations
@@ -697,5 +723,6 @@ class TestConfigHandling:
             cfg = write_config(tmp_path / f"{sub}.cfg", **small, out_dir=tmp_path / sub)
             assert runner.invoke(cli.main, ["simulate", "-c", str(cfg)]).exit_code == 0
             assert runner.invoke(cli.main, ["train", "-c", str(cfg)]).exit_code == 0
-        for name in ("model.json", "predictions.csv", "reliability.csv", "trace.csv"):
+        for name in ("model.json", "predictions.csv", "reliability.csv", "trace.csv",
+                     "manifest_simulate.json", "manifest_train.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -21,6 +21,7 @@ from crowdrel.data import (
     write_instances,
     write_instances_jsonl,
     write_scores,
+    write_table,
 )
 from crowdrel.evaluate import f1, reliability_report
 from crowdrel.neural import AdamState, PairInput, adam_step, forward, init_fnn
@@ -296,6 +297,23 @@ class TestRoundTrip:
         write_annotations(path, ann, labels)
         loaded = load_annotations(path, labels, instance_ids=inst_ids, annotator_ids=ann_ids)
         assert loaded.triples() == ann.triples()
+
+    def test_table_that_fails_half_way_writes_nothing(self, tmp_path):
+        def rows():
+            yield ["a", "1"]
+            raise DataError("row 2 is bad")
+
+        path = tmp_path / "t.csv"
+        with pytest.raises(DataError, match="row 2 is bad"):
+            write_table(path, ["id", "x"], rows())
+        assert list(tmp_path.iterdir()) == []
+        write_table(path, ["id", "x"], [["a", "1"], ["b", "2"]])
+        older = path.read_bytes()
+        with pytest.raises(DataError, match="row 2 is bad"):
+            write_table(path, ["id", "x"], rows())
+        # the older file is left as it was, and no temporary file beside it
+        assert path.read_bytes() == older == b"id,x\r\na,1\r\nb,2\r\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_dense_csv_writer_refuses_mixed_widths(self, tmp_path):
         instances = [Instance(id="a", features=np.zeros(2)), Instance(id="b", features=np.ones(3))]

@@ -208,7 +208,7 @@ class TestPairInput:
 
 
 class TestPairInputBuffers:
-    """A PairInput reuses its (width, P) buffers from one pass to the next."""
+    """A workspace carries a pass's (width, P) buffers from one backward to the next."""
 
     @given(seed=st.integers(0, 2**32 - 1), head=st.sampled_from(["softmax", "sigmoid"]),
            n_pairs=st.integers(1, 8), m=st.integers(1, 5),
@@ -216,7 +216,7 @@ class TestPairInputBuffers:
                            max_size=5))
     @example(seed=0, head="sigmoid", n_pairs=5, m=3, widths=[(3, 3), (2, 3), (3, 3), (3, 2)])
     @example(seed=1, head="softmax", n_pairs=1, m=1, widths=[(1, 1), (1, 1)])
-    # widths changing on one input, equal and unequal across the two layers
+    # widths changing on one workspace, equal and unequal across the two layers
     @example(seed=2, head="sigmoid", n_pairs=7, m=4, widths=[(8, 8), (9, 9), (16, 8), (17, 17)])
     @example(seed=3, head="softmax", n_pairs=6, m=2, widths=[(17, 9), (8, 16), (3, 17), (17, 17)])
     @settings(max_examples=60, deadline=None)
@@ -226,6 +226,7 @@ class TestPairInputBuffers:
         pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
                           rng.integers(0, m, size=n_pairs), m)
         k = 1 if head == "sigmoid" else 3
+        work = {}
         outputs = []
         for width1, width2 in widths:
             params = init_fnn(h + m, width1, width2, k, head, rng)
@@ -233,7 +234,7 @@ class TestPairInputBuffers:
                 for arr in params.arrays():
                     arr += rng.normal(0.0, 0.3, size=arr.shape)
                 targets = random_targets(rng, n_pairs, params)
-                got = backward(params, pairs, targets, 3.0)
+                got = backward(params, pairs, targets, 3.0, work)
                 want = reference_backward(params, pairs, targets, 3.0)
                 for g, w in zip(got, want):
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
@@ -241,7 +242,7 @@ class TestPairInputBuffers:
                 for g, w in zip((probs, hidden), reference_forward(params, pairs)):
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
                 outputs.append((probs, hidden, probs.copy(), hidden.copy()))
-        # later passes overwrite the buffers, never what forward returned
+        # later passes overwrite the workspace, never what forward returned
         for probs, hidden, probs_then, hidden_then in outputs:
             assert np.array_equal(probs, probs_then) and np.array_equal(hidden, hidden_then)
 
@@ -251,14 +252,17 @@ class TestPairInputBuffers:
     @example(seed=1, n=1, n_pairs=1, m=1, widths=[20, 7, 8])
     @example(seed=2, n=30, n_pairs=200, m=4, widths=[100, 3, 100])
     @settings(max_examples=60, deadline=None)
-    def test_blocks_equal_a_full_width_index_exactly(self, seed, n, n_pairs, m, widths):
+    def test_first_layer_and_weight_grad_equal_a_full_width_index_exactly(self, seed, n, n_pairs,
+                                                                           m, widths):
         rng = np.random.default_rng(seed)
         h = 3
         pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
                           rng.integers(0, m, size=n_pairs), m)
         for width in widths:
             w, b = rng.normal(size=(h + m, width)), rng.normal(size=width)
-            assert np.array_equal(pairs.first_layer(w, b), flat_index_first_layer(pairs, w, b))
+            z, rows = np.empty((width, n_pairs)), np.empty((width, n_pairs))
+            assert pairs.first_layer(w, b, z, rows) is z
+            assert np.array_equal(z, flat_index_first_layer(pairs, w, b))
             dz = rng.normal(size=(width, n_pairs))
             assert np.array_equal(pairs.weight_grad(dz), flat_index_weight_grad(pairs, dz))
 
@@ -271,7 +275,7 @@ class TestPairInputBuffers:
         targets = rng.uniform(size=n_pairs)
         tracemalloc.start()
         try:
-            backward(params, pairs, targets, float(n_pairs))
+            backward(params, pairs, targets, float(n_pairs), {})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -279,22 +283,32 @@ class TestPairInputBuffers:
         # rows would add 2 * width * P entries
         assert peak < 3 * width * n_pairs * 8
 
-    def test_holds_only_its_pairs_and_workspace(self):
+    def test_holds_only_its_three_arrays(self):
         rng = np.random.default_rng(0)
         n, n_pairs, h, m = 6, 40, 3, 4
         pairs = PairInput(rng.normal(size=(n, h)), rng.integers(0, n, size=n_pairs),
                           rng.integers(0, m, size=n_pairs), m)
+        before = dict(vars(pairs))
+        works = [{}, {}]
+        # one input driven by two workspaces in turn, at two widths
         for width in (5, 9):
             params = init_fnn(h + m, width, width, 1, "sigmoid", rng)
-            backward(params, pairs, rng.uniform(size=n_pairs), float(n_pairs))
-        # no index or other array of its own beside the pairs and the (width, P) buffers
-        for name, value in vars(pairs).items():
-            if name == "_work":
-                assert sorted(value) == sorted((kind, width) for width in (5, 9)
-                                               for kind in ("layer1", "layer2", "mask"))
-                assert all(buf.shape == (width, n_pairs) for (_, width), buf in value.items())
-            elif name not in ("rep", "instance_idx", "annotator_idx"):
-                assert not isinstance(value, (np.ndarray, tuple, list, dict)), name
+            for work in works + works:
+                targets = rng.uniform(size=n_pairs)
+                got = backward(params, pairs, targets, float(n_pairs), work)
+                want = reference_backward(params, pairs, targets, float(n_pairs))
+                for g, w in zip(got, want):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+        assert vars(pairs).keys() == before.keys()
+        assert all(vars(pairs)[name] is value for name, value in before.items())
+        assert sorted(name for name, value in before.items()
+                      if isinstance(value, np.ndarray)) == ["annotator_idx", "instance_idx", "rep"]
+        assert not any(isinstance(value, (tuple, list, dict)) for value in before.values())
+        # the passes' buffers are the workspaces': both hidden layers and the mask per width
+        for work in works:
+            assert sorted(work) == sorted((kind, (width, n_pairs)) for width in (5, 9)
+                                          for kind in ("layer1", "layer2", "mask"))
+            assert all(buf.shape == shape for (_, shape), buf in work.items())
 
     def test_repeat_backward_allocates_no_activation(self):
         rng = np.random.default_rng(0)
@@ -303,10 +317,11 @@ class TestPairInputBuffers:
                           rng.integers(0, m, size=n_pairs), m)
         params = init_fnn(h + m, width, width, 1, "sigmoid", rng)
         targets = rng.uniform(size=n_pairs)
-        backward(params, pairs, targets, float(n_pairs))
+        work = {}
+        backward(params, pairs, targets, float(n_pairs), work)
         tracemalloc.start()
         try:
-            backward(params, pairs, targets, float(n_pairs))
+            backward(params, pairs, targets, float(n_pairs), work)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
