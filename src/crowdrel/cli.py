@@ -1,94 +1,85 @@
 """Command-line pipelines: simulate -> train -> eval.
 
 A run is driven by a declarative key=value config file; command-line
-flags override file values, and ``SETTINGS`` converts both. Every command
-writes a manifest carrying the hash of the effective config. Bad input,
-whether a file row, a config or flag value or an argument a library
-function rejects, raises ``DataError`` where it is checked. Exit codes: 0
-success; 1 for a DataError or an input path that is missing or a
-directory; 2 for anything else, such as a FloatingPointError in training.
+flags override file values, and ``SETTINGS`` converts both and checks each
+value that has a rule. Every command writes a manifest carrying the hash
+of the effective config. Bad input, whether a file row, a config or flag
+value or an argument a library function rejects, raises ``DataError``
+where it is checked. Exit codes: 0 success; 1 for a DataError or an input
+path that is missing or a directory; 2 for anything else, such as a
+FloatingPointError in training.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sys
 from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Callable, NamedTuple, get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import click
 import numpy as np
 
 from . import baselines, data, evaluate, featurize, model, simulate
-from .data import DataError
-
-OUT_DIR_ENV = "CROWDREL_OUT"
+from .data import DataError, Rule, one_of
 
 # (classifier_hidden, estimator_hidden) defaults per featurizer
-HIDDEN_DEFAULTS = {
-    "none": (5, 5),
-    "tfidf": (100, 100),
-    "avg-embed": (50, 25),
-    "concat-avg-embed": (100, 50),
-}
-
-# config key -> the TrainConfig field it sets (pretrain sets pretrain_source)
-TRAIN_KEYS = {"pretrain" if f.name == "pretrain_source" else f.name: f
-              for f in fields(model.TrainConfig)}
+HIDDEN_DEFAULTS = {"none": (5, 5), "tfidf": (100, 100), "avg-embed": (50, 25),
+                   "concat-avg-embed": (100, 50)}
+METRICS = ("f1", "iaa", "baselines")
 
 REQUIRED = object()  # the default of a key that a command must be given
 
 
 class Setting(NamedTuple):
-    """A config key's type and default, and the (description, test) its value must pass."""
+    """A config key's type and default, and the rule its value must pass, if any."""
 
     type: type
     default: object
-    check: tuple[str, Callable[[object], bool]] | None = None
+    rule: Rule | None = None
 
 
-def _one_of(choices) -> tuple[str, Callable[[object], bool]]:
-    choices = tuple(choices)
-    return f"one of {choices}", choices.__contains__
+def _metric_names(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
 
 
 # config key -> Setting, the one place a key is typed, defaulted and checked; a key
-# outside it is a misspelling. Training keys take type and default from TrainConfig
-# (the hidden widths default by featurizer); noise None leaves each dataset kind its
-# own noise.
-TRAIN_CHECKS = {"mode": _one_of(model.MODES), "pretrain": _one_of(model.PRETRAIN_SOURCES)}
-SETTINGS = {key: Setting(get_type_hints(model.TrainConfig)[f.name], f.default,
-                         TRAIN_CHECKS.get(key))
-            for key, f in TRAIN_KEYS.items()} | {
+# outside it is a misspelling. A training key is a TrainConfig field's name and takes
+# its type, default and rule (the hidden widths default by featurizer); other rules
+# are their owners'. noise None leaves each dataset kind its own noise.
+SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default,
+                            model.TRAIN_RULES[f.name])
+            for f in fields(model.TrainConfig)} | {
     "out_dir": Setting(str, "crowdrel_out"),
-    "dataset": Setting(str, "moon", _one_of([*simulate.DATASET_KINDS, "files"])),
-    "n": Setting(int, 1000), "noise": Setting(float, None), "panel": Setting(str, REQUIRED),
-    "keep_prob": Setting(float, 1.0), "labels": Setting(str, REQUIRED),
-    "instances": Setting(str, REQUIRED),
-    "instances_format": Setting(str, "dense-csv", _one_of(data.INSTANCE_FORMATS)),
+    "dataset": Setting(str, "moon", one_of([*simulate.DATASET_KINDS, "files"])),
+    "n": Setting(int, 1000), "noise": Setting(float, None, simulate.NOISE),
+    "panel": Setting(str, REQUIRED), "keep_prob": Setting(float, 1.0, simulate.KEEP_PROB),
+    "labels": Setting(str, REQUIRED), "instances": Setting(str, REQUIRED),
+    "instances_format": Setting(str, "dense-csv", data.INSTANCE_FORMAT),
     "annotations": Setting(str, REQUIRED), "gold": Setting(str, None),
-    "featurizer": Setting(str, "none", _one_of(HIDDEN_DEFAULTS)),
-    "embeddings": Setting(str, REQUIRED), "metrics": Setting(str, "f1,iaa"),
-    "report_reliability": Setting(int, 0, (">= 0 (0 is off)", lambda k: k >= 0)),
-    "denoise": Setting(str, "off", _one_of(model.PRETRAIN_SOURCES + ("off",))),
+    "featurizer": Setting(str, "none", one_of(HIDDEN_DEFAULTS)),
+    "embeddings": Setting(str, REQUIRED),
+    "metrics": Setting(str, "f1,iaa", (f"a comma list from {METRICS}",
+                                       lambda text: set(_metric_names(text)) <= set(METRICS))),
+    "report_reliability": Setting(int, 0, evaluate.REPORT_K),
+    "denoise": Setting(str, "off", one_of(model.PRETRAIN_SOURCES + ("off",))),
 }
 
 Config = dict[str, tuple[str, object]]  # key -> (text as given, value of the key's type)
 
 
 def _setting(key: str, text: str, where: str) -> tuple[str, object]:
-    """``text`` and its checked value as ``key``'s type; else a DataError led by ``where``."""
-    cast, _, check = SETTINGS[key]
+    """``text`` and its value, of ``key``'s type and rule; else a DataError led by ``where``."""
+    cast, _, rule = SETTINGS[key]
     try:
         value = cast(text)
+        return text, data.check(key, value, rule) if rule else value
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
     except ValueError:
         raise DataError(f"{where}: cannot parse {text!r} as {cast.__name__}") from None
-    if check and not check[1](value):
-        raise DataError(f"{where}: {key} must be {check[0]}, got {value!r}")
-    return text, value
 
 
 def parse_config(path: str | Path) -> Config:
@@ -128,9 +119,8 @@ def _get(cfg: Config, key: str):
 
 
 def _resolve_out_dir(cfg: Config) -> Path:
-    """The out_dir key's directory, made if need be; $CROWDREL_OUT stands in for an unset key."""
-    given = _get(cfg, "out_dir") if "out_dir" in cfg else os.environ.get(OUT_DIR_ENV)
-    path = Path(given or SETTINGS["out_dir"].default)
+    """The out_dir key's directory, made if need be."""
+    path = Path(_get(cfg, "out_dir"))
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -229,7 +219,7 @@ def _features(cfg: Config, instances: list[data.Instance]) -> tuple[np.ndarray, 
 
 def _train_config(cfg: Config, featurizer: str) -> model.TrainConfig:
     settings = dict(zip(("classifier_hidden", "estimator_hidden"), HIDDEN_DEFAULTS[featurizer]))
-    settings.update((f.name, cfg[key][1]) for key, f in TRAIN_KEYS.items() if key in cfg)
+    settings.update((key, cfg[key][1]) for key in model.TRAIN_RULES if key in cfg)
     return model.TrainConfig(**settings)
 
 
@@ -318,8 +308,8 @@ def cmd_train(cfg: Config) -> None:
 
 
 @_command("eval", "metrics", "report_reliability", "denoise",
-          metrics="comma list from: f1, iaa, baselines",
-          report_reliability="emit top/bottom-k reliability tables",
+          metrics="comma list from: " + ", ".join(METRICS),
+          report_reliability="emit top/bottom-k reliability tables (0, the default, is off)",
           denoise=" | ".join(model.PRETRAIN_SOURCES + ("off",)))
 def cmd_eval(cfg: Config) -> None:
     """Score predictions and reliability artifacts from a train run."""
@@ -332,8 +322,7 @@ def cmd_eval(cfg: Config) -> None:
     scores = data.load_scores(out / "reliability.csv", annotations)
 
     rows: list[tuple[str, str]] = []
-    wanted = [m.strip() for m in _get(cfg, "metrics").split(",") if m.strip()]
-    for metric in wanted:
+    for metric in _metric_names(_get(cfg, "metrics")):
         if metric == "f1":
             s = evaluate.f1(pred, gold)
             rows += [("f1_micro", repr(s.micro)), ("f1_macro", repr(s.macro))]
@@ -344,12 +333,10 @@ def cmd_eval(cfg: Config) -> None:
             else:
                 rows.append(("krippendorff_alpha",
                              repr(evaluate.krippendorff_alpha(annotations))))
-        elif metric == "baselines":
+        else:  # "baselines", the last of METRICS
             mv = evaluate.f1(baselines.majority_vote(annotations), gold)
             ds = evaluate.f1(baselines.dawid_skene(annotations).hard_labels, gold)
             rows += [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))]
-        else:
-            raise DataError(f"unknown metric {metric!r}")
 
     files = ["metrics.csv"]
     k = _get(cfg, "report_reliability")

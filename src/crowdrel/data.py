@@ -3,7 +3,7 @@
 Every CSV table, input or artifact, is read by ``_table`` and written by
 ``write_table``; a bad row is a DataError that names its ``path:line``.
 Every artifact is written through ``whole_file``, so it appears whole or
-not at all.
+not at all. ``check`` tests a setting's value against its ``Rule``.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices assigned at load time. Gold labels and
@@ -20,7 +20,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -31,6 +31,23 @@ class DataError(ValueError):
     The one exception type for bad files, config values and library
     arguments; its message names the fault. The CLI maps it to exit code 1.
     """
+
+
+# a setting's rule: what its value must be, in words, and the test that it is
+Rule = tuple[str, Callable[[Any], bool]]
+NON_NEGATIVE = (">= 0", lambda value: value >= 0)
+
+
+def one_of(choices) -> Rule:
+    return f"one of {tuple(choices)}", tuple(choices).__contains__
+
+
+def check(name: str, value, rule: Rule):
+    """``value`` if it passes ``rule``; else a DataError: "<name> must be <rule>, got <value>"."""
+    text, test = rule
+    if not test(value):
+        raise DataError(f"{name} must be {text}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -129,6 +146,7 @@ class AnnotationSet:
         return len(self.instance_idx)
 
     def triples(self) -> list[tuple[int, int, int]]:
+        """(instance, annotator, label) per pair; kept only for ``perfbench/run.py``."""
         return list(zip(self.instance_idx.tolist(), self.annotator_idx.tolist(), self.label_idx.tolist()))
 
     def counts_per_instance(self) -> np.ndarray:
@@ -239,7 +257,7 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
         writer.writerows(rows)
 
 
-INSTANCE_FORMATS = ("dense-csv", "text-jsonl")
+INSTANCE_FORMAT = one_of(("dense-csv", "text-jsonl"))
 
 
 def load_instances(path: str | Path, format: str) -> list[Instance]:
@@ -251,6 +269,7 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
     Malformed rows or lines, non-finite features and repeated ids raise
     DataError naming the file and line. An empty file yields an empty list.
     """
+    check("format", format, INSTANCE_FORMAT)
     seen: set[str] = set()
 
     def new_id(key: str, line: int) -> str:
@@ -270,25 +289,23 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
                 raise _at(path, line, DataError(f"non-finite feature value in instance {row[0]!r}"))
             instances.append(Instance(id=new_id(row[0], line), features=vec))
         return instances
-    if format == "text-jsonl":
-        instances = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: {exc}") from None
-                if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
-                    raise DataError(f"{path}:{lineno}: each line must be a JSON object "
-                                    "with 'id' and 'text'")
-                key, text, text2 = obj["id"], obj["text"], obj.get("text2")
-                if not all(isinstance(v, str) for v in (key, text, obj.get("text2", ""))):
-                    raise DataError(f"{path}:{lineno}: 'id', 'text' and 'text2' must be strings")
-                instances.append(Instance(id=new_id(key, lineno), text=text, text2=text2))
-        return instances
-    raise DataError(f"unknown instance format {format!r}")
+    instances = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            if not isinstance(obj, dict) or "id" not in obj or "text" not in obj:
+                raise DataError(f"{path}:{lineno}: each line must be a JSON object "
+                                "with 'id' and 'text'")
+            key, text, text2 = obj["id"], obj["text"], obj.get("text2")
+            if not all(isinstance(v, str) for v in (key, text, obj.get("text2", ""))):
+                raise DataError(f"{path}:{lineno}: 'id', 'text' and 'text2' must be strings")
+            instances.append(Instance(id=new_id(key, lineno), text=text, text2=text2))
+    return instances
 
 
 def write_instances(path: str | Path, instances: Sequence[Instance]) -> None:
@@ -377,10 +394,15 @@ def load_annotations(
     )
 
 
+def _pair_ids(annotations: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
+    """The instance id and the annotator id of each pair, as two (P,) object arrays."""
+    return (np.array(annotations.instance_ids, dtype=object)[annotations.instance_idx],
+            np.array(annotations.annotator_ids, dtype=object)[annotations.annotator_idx])
+
+
 def write_annotations(path: str | Path, annotations: AnnotationSet, label_set: LabelSet) -> None:
-    write_table(path, ANNOTATIONS_HEADER,
-                ([annotations.instance_ids[i], annotations.annotator_ids[j], label_set.labels[l]]
-                 for i, j, l in annotations.triples()))
+    labels = np.array(label_set.labels, dtype=object)[annotations.label_idx]
+    write_table(path, ANNOTATIONS_HEADER, zip(*_pair_ids(annotations), labels))
 
 
 def load_gold(
@@ -423,12 +445,14 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
     """
     inst_pos = {v: i for i, v in enumerate(annotations.instance_ids)}
     ann_pos = {v: j for j, v in enumerate(annotations.annotator_ids)}
-    pair_pos = {(i, j): p for p, (i, j, _) in enumerate(annotations.triples())}
+    m = annotations.n_annotators  # pair (i, j) has the key i * m + j
+    pair_pos = dict(zip((annotations.instance_idx * m + annotations.annotator_idx).tolist(),
+                        range(annotations.n_pairs)))
     scores: list[float | None] = [None] * annotations.n_pairs
     for line, row in _table(path, SCORES_HEADER):
         try:
-            p = pair_pos.get((_index_of(inst_pos, row[0], False, "instance"),
-                              _index_of(ann_pos, row[1], False, "annotator")))
+            p = pair_pos.get(_index_of(inst_pos, row[0], False, "instance") * m
+                             + _index_of(ann_pos, row[1], False, "annotator"))
             if p is None:
                 raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
             if scores[p] is not None:
@@ -452,10 +476,8 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
 
 def write_scores(path: str | Path, annotations: AnnotationSet, scores: np.ndarray) -> None:
     """Write one score per annotation (inverse of ``load_scores``)."""
-    scores = one_per(scores, annotations.n_pairs, "scores", "annotation")
-    write_table(path, SCORES_HEADER,
-                ([annotations.instance_ids[i], annotations.annotator_ids[j], repr(float(score))]
-                 for (i, j, _), score in zip(annotations.triples(), scores)))
+    scores = one_per(scores, annotations.n_pairs, "scores", "annotation", np.float64)
+    write_table(path, SCORES_HEADER, zip(*_pair_ids(annotations), map(repr, scores.tolist())))
 
 
 def validate(

@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import vote_counts
-from .data import AnnotationSet, DataError, label_indices, one_per
+from .data import NON_NEGATIVE, AnnotationSet, DataError, check, label_indices, one_per
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ def _rank_within(groups: np.ndarray, key: np.ndarray, tiebreak: np.ndarray) -> n
 
 
 _SIDES = ("top", "bottom")
+REPORT_K = NON_NEGATIVE  # the rule for the report's k
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,8 +124,7 @@ def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
 
     Ordering ties break toward the lower instance index.
     """
-    if k < 0:
-        raise DataError(f"k must be >= 0, got {k}")
+    check("k", k, REPORT_K)
     scores = one_per(scores, annotations.n_pairs, "reliability scores", "annotation", np.float64)
     gold = label_indices(gold, annotations.n_instances, annotations.n_labels)
     m, width = annotations.n_annotators, annotations.n_labels + 1

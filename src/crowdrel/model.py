@@ -39,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import dawid_skene, majority_vote, vote_counts
-from .data import AnnotationSet, DataError, LabelSet, label_indices, whole_file
+from .data import (NON_NEGATIVE, AnnotationSet, DataError, LabelSet, check, label_indices, one_of,
+                   whole_file)
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -55,7 +56,17 @@ from .neural import (
 
 MODES = ("em", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+
+_AT_LEAST_1 = (">= 1", lambda value: value >= 1)
+_OFF_OR_FINITE = ("finite and >= 0 (0 is off)", lambda value: 0 <= value < np.inf)
+# TrainConfig field -> the rule its value must pass, in field order
+TRAIN_RULES = {"mode": one_of(MODES), "inner_iters": _AT_LEAST_1, "max_outer": NON_NEGATIVE,
+               "early_stop_tol": ("positive", lambda value: value > 0),
+               "pretrain": one_of(PRETRAIN_SOURCES), "pretrain_epochs": NON_NEGATIVE,
+               "classifier_hidden": _AT_LEAST_1, "estimator_hidden": _AT_LEAST_1,
+               "learning_rate": ("finite and positive", lambda value: 0 < value < np.inf),
+               "weight_decay": _OFF_OR_FINITE, "clip_norm": _OFF_OR_FINITE, "seed": NON_NEGATIVE}
 
 
 @dataclass
@@ -64,15 +75,16 @@ class TrainConfig:
 
     ``mode`` picks only the two normalizers (see ``train``). Training runs
     at most ``max_outer`` outer iterations in every mode, each of
-    ``inner_iters`` full-batch optimizer steps. A config key sets each
-    field; Adam's moment decay rates are constants of ``neural``.
+    ``inner_iters`` full-batch optimizer steps. The config key of its name
+    sets each field, which must pass its rule in ``TRAIN_RULES``; Adam's
+    moment decay rates are constants of ``neural``.
     """
 
     mode: str = "ce-jt"
     inner_iters: int = 50
     max_outer: int = 500
     early_stop_tol: float = 1e-3
-    pretrain_source: str = "ds"
+    pretrain: str = "ds"
     pretrain_epochs: int = 200
     classifier_hidden: int = 5
     estimator_hidden: int = 5
@@ -87,22 +99,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
                 raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
-        for name, choices in (("mode", MODES), ("pretrain_source", PRETRAIN_SOURCES)):
-            if getattr(self, name) not in choices:
-                raise DataError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
-        for name, ok, rule in (
-                ("inner_iters", self.inner_iters >= 1, ">= 1"),
-                ("max_outer", self.max_outer >= 0, ">= 0"),
-                ("pretrain_epochs", self.pretrain_epochs >= 0, ">= 0"),
-                ("classifier_hidden", self.classifier_hidden >= 1, ">= 1"),
-                ("estimator_hidden", self.estimator_hidden >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("early_stop_tol", self.early_stop_tol > 0, "positive"),
-                ("learning_rate", 0 < self.learning_rate < np.inf, "finite and positive"),
-                ("weight_decay", 0 <= self.weight_decay < np.inf, "finite and >= 0 (0 is off)"),
-                ("clip_norm", 0 <= self.clip_norm < np.inf, "finite and >= 0 (0 is off)")):
-            if not ok:
-                raise DataError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for name, rule in TRAIN_RULES.items():
+            check(name, getattr(self, name), rule)
 
 
 @dataclass
@@ -232,11 +230,8 @@ def _fit(groups: list[tuple[FnnParams, np.ndarray | PairInput, np.ndarray, float
 
 
 def pretrain_labels(annotations: AnnotationSet, source: str) -> np.ndarray:
-    if source == "mv":
-        return majority_vote(annotations)
-    if source == "ds":
-        return dawid_skene(annotations).hard_labels
-    raise DataError(f"aggregator must be one of {PRETRAIN_SOURCES}, got {source!r}")
+    check("aggregator", source, TRAIN_RULES["pretrain"])
+    return majority_vote(annotations) if source == "mv" else dawid_skene(annotations).hard_labels
 
 
 def pretrain(features: np.ndarray, annotations: AnnotationSet,
@@ -254,7 +249,7 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     classifier = init_fnn(features.shape[1], config.classifier_hidden,
                           config.classifier_hidden, k, "softmax",
                           np.random.default_rng(clf_seed))
-    labels = pretrain_labels(annotations, config.pretrain_source)
+    labels = pretrain_labels(annotations, config.pretrain)
     _fit([(classifier, features, np.eye(k)[labels], float(len(features)))],
          config.pretrain_epochs, _adam_from_config(config))
 

@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import AnnotationSet, DataError, Instance, label_indices
+from .data import NON_NEGATIVE, AnnotationSet, DataError, Instance, check, label_indices, one_of
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
+NOISE = ("finite and >= 0", lambda sigma: 0.0 <= sigma < np.inf)
+KEEP_PROB = ("in [0, 1]", lambda p: 0.0 <= p <= 1.0)
 
 BROAD_ERROR = 0.05
 GRADED_ERRORS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -69,9 +71,7 @@ def graded_panel() -> list[AnnotatorProfile]:
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, got {seed}")
-    return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(check("seed", seed, NON_NEGATIVE))
 
 
 def _class_counts(n: int, k: int) -> list[int]:
@@ -91,14 +91,10 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
     lowest class indices: 1000 points give 500/500 or 334/333/333).
     Returns the instances and their (N,) gold label indices.
     """
-    if kind not in DATASET_KINDS:
-        raise DataError(f"dataset kind must be one of {tuple(DATASET_KINDS)}")
-    k, default_noise = DATASET_KINDS[kind]
+    k, default_noise = DATASET_KINDS[check("dataset kind", kind, one_of(DATASET_KINDS))]
     if n < k:
         raise DataError(f"n must be at least {k} for {kind}, got {n}")
-    if noise is not None and not 0.0 <= noise < np.inf:
-        raise DataError(f"noise must be finite and >= 0, got {noise}")
-    sigma = default_noise if noise is None else noise
+    sigma = default_noise if noise is None else check("noise", noise, NOISE)
     rng = np.random.default_rng(_seed_sequence(seed))
     counts = _class_counts(n, k)
 
@@ -165,8 +161,7 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
         if profile.kind == "narrow" and profile.domain >= n_labels:
             raise DataError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
                             f"is not one of the {n_labels} labels")
-    if not 0.0 <= keep_prob <= 1.0:
-        raise DataError(f"keep_prob must be in [0, 1], got {keep_prob}")
+    check("keep_prob", keep_prob, KEEP_PROB)
     truth = label_indices(gold, np.size(gold), n_labels)
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")

@@ -161,7 +161,7 @@ def trained_2d():
             ann = simulate_annotations(gold, k, default_panel(k), seed=seed,
                                        instance_ids=[inst.id for inst in instances])
             x = feature_matrix(instances)
-            result = train(x, ann, TrainConfig(mode="ce-jt", pretrain_source="ds", seed=seed))
+            result = train(x, ann, TrainConfig(mode="ce-jt", pretrain="ds", seed=seed))
             pred = result.posterior.label_posterior.argmax(axis=1)
             runs[(kind, seed)] = {
                 "x": x, "ann": ann, "gold": gold,
@@ -275,7 +275,7 @@ def test_criterion_9_text_pipeline(tmp_path):
     dense_back = load_instances(tmp_path / "inst.csv", "dense-csv")
     dense_ok = np.array_equal(feature_matrix(dense), feature_matrix(dense_back))
 
-    result = train(x, ann, TrainConfig(mode="ce-jt", pretrain_source="ds",
+    result = train(x, ann, TrainConfig(mode="ce-jt", pretrain="ds",
                                        classifier_hidden=32, estimator_hidden=32, seed=0))
     scores = result.posterior.reliability_posterior
     pattern_ok = True

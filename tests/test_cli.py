@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -551,8 +552,10 @@ class TestFilesDataset:
 
     def test_unknown_metric_fails_validation(self, runner, pipeline_dir):
         _, cfg = pipeline_dir
-        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "auc"])
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "f1,auc"])
         assert result.exit_code == 1
+        assert ("flag --metrics: metrics must be a comma list from ('f1', 'iaa', 'baselines'), "
+                "got 'f1,auc'" in result.output)
 
 
 class TestConfigHandling:
@@ -596,10 +599,14 @@ class TestConfigHandling:
         assert f"{key} must be" in result.output
         assert not (out / "model.json").exists()
 
-    def test_train_keys_set_every_train_config_field(self):
-        # a TrainConfig field that no config key sets is a setting no run can change
-        keys = {"pretrain_source" if key == "pretrain" else key for key in cli.TRAIN_KEYS}
-        assert keys == {f.name for f in dataclasses.fields(TrainConfig)}
+    @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
+    def test_train_config_field_is_the_key_of_its_name(self, field):
+        # a TrainConfig field that no config key sets is a setting no run can change; the
+        # key takes the field's type, default and the very rule the field is checked by
+        hints = get_type_hints(TrainConfig)
+        assert cli.SETTINGS[field.name] == (hints[field.name], field.default,
+                                            model.TRAIN_RULES[field.name])
+        assert cli.SETTINGS[field.name].rule is model.TRAIN_RULES[field.name]
 
     def test_threads_option_is_gone(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
@@ -664,6 +671,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize("key, value", [
         ("dataset", "moom"), ("mode", "sgd"), ("pretrain", "dss"), ("featurizer", "tfidff"),
         ("instances_format", "csv"), ("denoise", "dss"), ("report_reliability", "-2"),
+        ("inner_iters", "0"), ("max_outer", "-1"), ("pretrain_epochs", "-1"),
+        ("classifier_hidden", "0"), ("estimator_hidden", "0"), ("seed", "-1"),
+        ("early_stop_tol", "0"), ("learning_rate", "nan"), ("weight_decay", "inf"),
+        ("clip_norm", "-1"), ("keep_prob", "1.5"), ("noise", "-0.5"), ("metrics", "f1,auc"),
     ])
     def test_value_outside_its_range_names_file_line_and_key(self, runner, tmp_path, command,
                                                               key, value):
@@ -673,7 +684,7 @@ class TestConfigHandling:
         line = 2 + list(items).index(key)  # line 1 is the comment
         result = runner.invoke(cli.main, [command, "-c", str(cfg)])
         assert result.exit_code == 1, result.output
-        got = int(value) if key == "report_reliability" else value
+        got = cli.SETTINGS[key].type(value)
         assert f"run.cfg:{line}: config key {key!r}: {key} must be " in result.output
         assert result.output.rstrip().endswith(f"got {got!r}")
         assert not (tmp_path / "out").exists()
@@ -681,7 +692,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--dataset", "moom"), ("train", "--mode", "sgd"),
         ("train", "--pretrain", "dss"), ("eval", "--denoise", "dss"),
-        ("eval", "--report-reliability", "-2"),
+        ("eval", "--report-reliability", "-2"), ("train", "--max-outer", "-1"),
+        ("simulate", "--keep-prob", "1.5"), ("eval", "--metrics", "auc"),
     ])
     def test_flag_outside_its_range_exits_one_naming_the_flag(self, runner, tmp_path, command,
                                                                flag, value):
@@ -709,13 +721,6 @@ class TestConfigHandling:
         assert result.exit_code == 0
         instances = load_instances(tmp_path / "out" / "instances.csv", "dense-csv")
         assert len(instances) == 120
-
-    def test_env_var_default_out_dir(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "from_env"))
-        cfg = write_config(tmp_path / "run.cfg", **{**BASE, "n": 60})
-        result = runner.invoke(cli.main, ["simulate", "-c", str(cfg)])
-        assert result.exit_code == 0
-        assert (tmp_path / "from_env" / "instances.csv").exists()
 
     def test_training_artifacts_are_reproducible(self, runner, tmp_path):
         small = {**BASE, "n": 150, "max_outer": 2, "pretrain_epochs": 50}

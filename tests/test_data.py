@@ -1,3 +1,4 @@
+import csv
 import re
 
 import numpy as np
@@ -57,6 +58,11 @@ class TestLoadInstances:
         assert len(loaded) == 1
         assert loaded[0].id == "a"
         np.testing.assert_allclose(loaded[0].features, [0.1, 0.2])
+
+    def test_unknown_format_is_named_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(DataError, match=re.escape(
+                "format must be one of ('dense-csv', 'text-jsonl'), got 'csv'")):
+            load_instances(tmp_path / "missing.csv", "csv")
 
     def test_text_jsonl(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -409,6 +415,25 @@ class TestRoundTrip:
         write_scores(base / "rel2.csv", loaded, loaded_scores)
         for name in ("ann", "gold", "rel"):
             assert (base / f"{name}2.csv").read_bytes() == (base / f"{name}.csv").read_bytes()
+
+    def test_writers_give_one_row_per_pair_in_pair_order(self, tmp_path):
+        ann = AnnotationSet(n_instances=3, n_annotators=2, n_labels=2,
+                            instance_idx=[2, 0, 1, 2], annotator_idx=[1, 1, 0, 0],
+                            label_idx=[0, 1, 1, 0], instance_ids=("x", "y", "z"),
+                            annotator_ids=("a,1", "b"))
+        labels = LabelSet(("no", "yes"))
+        scores = np.array([0.25, 1.0, 0.0, 1 / 3])
+        write_annotations(tmp_path / "ann.csv", ann, labels)
+        write_scores(tmp_path / "rel.csv", ann, scores)
+        expected = {"ann.csv": [["instance_id", "annotator_id", "label"]],
+                    "rel.csv": [["instance_id", "annotator_id", "score"]]}
+        for (i, j, t), score in zip(ann.triples(), scores.tolist()):
+            pair = [ann.instance_ids[i], ann.annotator_ids[j]]
+            expected["ann.csv"].append(pair + [labels.labels[t]])
+            expected["rel.csv"].append(pair + [repr(score)])
+        for name, rows in expected.items():
+            with open(tmp_path / name, newline="") as fh:
+                assert list(csv.reader(fh)) == rows
 
     def test_index_assignment_deterministic(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"

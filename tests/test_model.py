@@ -347,7 +347,7 @@ class TestPretrain:
         ann = simulate_annotations(gold, 3, perfect, seed=3,
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
-        state = pretrain(x, ann, TrainConfig(pretrain_source="mv", pretrain_epochs=2000, seed=1))
+        state = pretrain(x, ann, TrainConfig(pretrain="mv", pretrain_epochs=2000, seed=1))
         pred = forward(state.classifier, x)[0].argmax(axis=1)
         assert np.mean(pred == gold) == 1.0
 
@@ -355,7 +355,7 @@ class TestPretrain:
         x, ann, gold = moon_setup
         ds_f1 = float((dawid_skene(ann).hard_labels == gold).mean())
         # converged pretraining lands within two points of its own targets' quality
-        state = pretrain(x, ann, TrainConfig(pretrain_source="ds", pretrain_epochs=2000, seed=1))
+        state = pretrain(x, ann, TrainConfig(pretrain="ds", pretrain_epochs=2000, seed=1))
         clf_f1 = float((forward(state.classifier, x)[0].argmax(axis=1) == gold).mean())
         assert abs(clf_f1 - ds_f1) <= 0.02
 
@@ -586,7 +586,7 @@ class TestTrain:
         ("inner_iters", 2.5), ("max_outer", 2.0), ("pretrain_epochs", "200"),
         ("classifier_hidden", True), ("estimator_hidden", None), ("seed", 1.5),
         ("learning_rate", "0.1"), ("early_stop_tol", None), ("weight_decay", True),
-        ("clip_norm", [5.0]), ("mode", 1), ("pretrain_source", None), ("max_outer", None),
+        ("clip_norm", [5.0]), ("mode", 1), ("pretrain", None), ("max_outer", None),
     ])
     def test_config_type_is_checked_before_range(self, key, value):
         with pytest.raises(DataError, match=rf"^{key} must be of type "):
@@ -603,7 +603,21 @@ class TestTrain:
         with pytest.raises(DataError):
             TrainConfig(inner_iters=0)
         with pytest.raises(DataError):
-            TrainConfig(pretrain_source="glad")
+            TrainConfig(pretrain="glad")
+
+    @pytest.mark.parametrize("key, value, rule", [
+        ("mode", "sgd", "one of ('em', 'ce-jt')"), ("inner_iters", 0, ">= 1"),
+        ("max_outer", -1, ">= 0"), ("early_stop_tol", 0.0, "positive"),
+        ("pretrain", "glad", "one of ('mv', 'ds')"), ("pretrain_epochs", -1, ">= 0"),
+        ("classifier_hidden", 0, ">= 1"), ("estimator_hidden", -2, ">= 1"),
+        ("learning_rate", math.inf, "finite and positive"),
+        ("weight_decay", -0.5, "finite and >= 0 (0 is off)"),
+        ("clip_norm", math.nan, "finite and >= 0 (0 is off)"), ("seed", -1, ">= 0"),
+    ])
+    def test_config_range_message_names_key_rule_and_value(self, key, value, rule):
+        message = f"{key} must be {rule}, got {value!r}"
+        with pytest.raises(DataError, match=rf"^{re.escape(message)}$"):
+            TrainConfig(**{key: value})
 
 
 class TestPredict:
@@ -758,10 +772,10 @@ class TestCheckpoint:
     def test_unknown_checkpoint_version_is_a_data_error(self, tmp_path):
         # every older checkpoint is rejected by its version, whatever else it holds
         path = tmp_path / "model.json"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             path.write_text(f'{{"format_version": {version}}}')
             with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: unsupported model "
-                                                f"checkpoint version {version}, expected 3"):
+                                                f"checkpoint version {version}, expected 4"):
                 load_model(path)
 
     @pytest.mark.parametrize("n_rows, n_features, n_annotators, n_labels, fault", [
