@@ -25,9 +25,8 @@ import numpy as np
 from . import baselines, data, evaluate, featurize, model, simulate
 from .data import DataError, Rule, one_of
 
-# (classifier_hidden, estimator_hidden) defaults per featurizer
-HIDDEN_DEFAULTS = {"none": (5, 5), "tfidf": (100, 100), "avg-embed": (50, 25),
-                   "concat-avg-embed": (100, 50)}
+# (classifier_hidden, estimator_hidden) defaults per text featurizer; "none" keeps TrainConfig's
+HIDDEN_DEFAULTS = {"tfidf": (100, 100), "avg-embed": (50, 25), "concat-avg-embed": (100, 50)}
 METRICS = ("f1", "iaa", "baselines")
 
 REQUIRED = object()  # the default of a key that a command must be given
@@ -55,11 +54,11 @@ SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default
     "out_dir": Setting(str, "crowdrel_out"),
     "dataset": Setting(str, "moon", one_of([*simulate.DATASET_KINDS, "files"])),
     "n": Setting(int, 1000), "noise": Setting(float, None, simulate.NOISE),
-    "panel": Setting(str, REQUIRED), "keep_prob": Setting(float, 1.0, simulate.KEEP_PROB),
+    "panel": Setting(str, REQUIRED), "keep_prob": Setting(float, 1.0, data.PROBABILITY),
     "labels": Setting(str, REQUIRED), "instances": Setting(str, REQUIRED),
     "instances_format": Setting(str, "dense-csv", data.INSTANCE_FORMAT),
     "annotations": Setting(str, REQUIRED), "gold": Setting(str, None),
-    "featurizer": Setting(str, "none", one_of(HIDDEN_DEFAULTS)),
+    "featurizer": Setting(str, "none", one_of(["none", *HIDDEN_DEFAULTS])),
     "embeddings": Setting(str, REQUIRED),
     "metrics": Setting(str, "f1,iaa", (f"a comma list from {METRICS}",
                                        lambda text: set(_metric_names(text)) <= set(METRICS))),
@@ -139,31 +138,6 @@ def _validate(instances: list[data.Instance], annotations: data.AnnotationSet,
         raise DataError("; ".join(problems))
 
 
-def _parse_panel(value: str, n_labels: int) -> list[simulate.AnnotatorProfile]:
-    if value == "default":
-        return simulate.default_panel(n_labels)
-    if value == "graded":
-        return simulate.graded_panel()
-    profiles = []
-    for part in value.split(","):
-        part = part.strip()
-        kind, sep, arg = part.partition(":")
-        try:
-            if kind == "narrow":
-                profiles.append(simulate.AnnotatorProfile("narrow", domain=int(arg)))
-            elif kind == "graded":
-                profiles.append(simulate.AnnotatorProfile("graded", error_prob=float(arg)))
-            elif kind in ("broad", "random", "adversarial"):
-                if sep:
-                    raise DataError(f"{kind} takes no argument")
-                profiles.append(simulate.AnnotatorProfile(kind))
-            else:
-                raise DataError("unknown annotator kind")
-        except ValueError as exc:  # a DataError, or an argument that does not parse
-            raise DataError(f"panel entry {part!r}: {exc}") from None
-    return profiles
-
-
 def _label_set(cfg: Config) -> data.LabelSet:
     kind = _get(cfg, "dataset")
     if kind in simulate.DATASET_KINDS:
@@ -218,7 +192,8 @@ def _features(cfg: Config, instances: list[data.Instance]) -> tuple[np.ndarray, 
 
 
 def _train_config(cfg: Config, featurizer: str) -> model.TrainConfig:
-    settings = dict(zip(("classifier_hidden", "estimator_hidden"), HIDDEN_DEFAULTS[featurizer]))
+    hidden = HIDDEN_DEFAULTS.get(featurizer, ())
+    settings = dict(zip(("classifier_hidden", "estimator_hidden"), hidden))
     settings.update((key, cfg[key][1]) for key in model.TRAIN_RULES if key in cfg)
     return model.TrainConfig(**settings)
 
@@ -259,14 +234,14 @@ def _command(name: str, *keys: str, **helps: str):
 
 @_command("simulate", "dataset", "n", "noise", "panel", "keep_prob", "seed",
           dataset=" | ".join(simulate.DATASET_KINDS),
-          panel='"default", "graded" or e.g. "narrow:0,broad,random"')
+          panel=simulate.PANEL_HELP)
 def cmd_simulate(cfg: Config) -> None:
     """Generate a 2-D dataset with simulated noisy annotators."""
     seed = _get(cfg, "seed")
     instances, gold = simulate.gen_2d(_get(cfg, "dataset"), _get(cfg, "n"),
                                       _get(cfg, "noise"), seed)
     label_set = _label_set(cfg)
-    profiles = _parse_panel(_get(cfg, "panel"), len(label_set))
+    profiles = simulate.parse_panel(_get(cfg, "panel"), len(label_set))
     annotations = simulate.simulate_annotations(
         gold, len(label_set), profiles, seed, instance_ids=[inst.id for inst in instances],
         keep_prob=_get(cfg, "keep_prob"))

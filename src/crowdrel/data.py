@@ -36,6 +36,7 @@ class DataError(ValueError):
 # a setting's rule: what its value must be, in words, and the test that it is
 Rule = tuple[str, Callable[[Any], bool]]
 NON_NEGATIVE = (">= 0", lambda value: value >= 0)
+PROBABILITY = ("in [0, 1]", lambda p: 0.0 <= p <= 1.0)  # NaN fails it
 
 
 def one_of(choices) -> Rule:
@@ -461,9 +462,7 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
                 score = float(row[2])
             except ValueError:
                 raise DataError(f"cannot parse score {row[2]!r}") from None
-            if not 0.0 <= score <= 1.0:  # NaN fails this too
-                raise DataError(f"score {row[2]!r} is not a probability in [0, 1]")
-            scores[p] = score
+            scores[p] = check("score", score, PROBABILITY)
         except DataError as exc:
             raise _at(path, line, exc) from None
     if None in scores:

@@ -7,16 +7,16 @@ reshuffles the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import NON_NEGATIVE, AnnotationSet, DataError, Instance, check, label_indices, one_of
+from .data import (NON_NEGATIVE, PROBABILITY, AnnotationSet, DataError, Instance, check,
+                   label_indices, one_of)
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
 NOISE = ("finite and >= 0", lambda sigma: 0.0 <= sigma < np.inf)
-KEEP_PROB = ("in [0, 1]", lambda p: 0.0 <= p <= 1.0)
 
 BROAD_ERROR = 0.05
 GRADED_ERRORS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -24,39 +24,41 @@ NARROW_OFF_DOMAIN_CORRECT = 0.65
 ADVERSARIAL_ERROR = 0.8
 
 
+# annotator kind -> (id letter, then the profile field its argument sets with that field's
+# type and rule, or three Nones): the one place a kind is named. _annotate_one does its labeling.
+ANNOTATOR_KINDS = {
+    "narrow": ("N", "domain", int, NON_NEGATIVE),  # always right on its domain class
+    "broad": ("B", None, None, None),  # wrong with probability BROAD_ERROR
+    "random": ("R", None, None, None),  # uniform over all labels
+    "adversarial": ("A", None, None, None),  # wrong with probability ADVERSARIAL_ERROR
+    "graded": ("G", "error_prob", float, PROBABILITY),  # wrong with probability error_prob
+}
+ANNOTATOR_KIND = one_of(ANNOTATOR_KINDS)
+PANEL_HELP = '"default", "graded" or a comma list of ' + " | ".join(
+    name + (f":<{field}>" if field else "") for name, (_, field, _, _) in ANNOTATOR_KINDS.items())
+
+
 @dataclass(frozen=True)
 class AnnotatorProfile:
-    """Simulated labeling behavior.
-
-    kind:
-      narrow      always correct on its domain class, correct with
-                  probability 0.65 elsewhere (otherwise a uniformly
-                  random incorrect label)
-      broad       correct with probability 0.95 on everything
-      random      uniform over all labels
-      adversarial incorrect with probability 0.8
-      graded      incorrect with the given error probability
-    """
+    """One simulated annotator: a kind of ``ANNOTATOR_KINDS``, with its argument if it takes one."""
 
     kind: str
     domain: int | None = None
     error_prob: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("narrow", "broad", "random", "adversarial", "graded"):
-            raise DataError(f"unknown annotator kind {self.kind!r}")
-        if self.kind == "narrow" and (self.domain is None or self.domain < 0):
-            raise DataError("narrow annotator needs a domain class")
-        if self.kind == "graded":
-            if self.error_prob is None or not 0.0 <= self.error_prob <= 1.0:
-                raise DataError("graded annotator needs error_prob in [0, 1]")
+        _, own, _, rule = ANNOTATOR_KINDS[check("annotator kind", self.kind, ANNOTATOR_KIND)]
+        for f in fields(self)[1:]:  # the kind's own field is set, and no other
+            value = getattr(self, f.name)
+            if (f.name == own) != (value is not None):
+                verb = "needs" if value is None else "takes no"
+                raise DataError(f"{self.kind} {verb} {f.name}")
+            if value is not None:
+                check(f.name, value, rule)
 
     def short_name(self) -> str:
-        if self.kind == "narrow":
-            return f"N{self.domain}"
-        if self.kind == "graded":
-            return f"G{self.error_prob}"
-        return {"broad": "B", "random": "R", "adversarial": "A"}[self.kind]
+        letter, field, _, _ = ANNOTATOR_KINDS[self.kind]
+        return letter + ("" if field is None else str(getattr(self, field)))
 
 
 def default_panel(n_labels: int) -> list[AnnotatorProfile]:
@@ -68,6 +70,27 @@ def default_panel(n_labels: int) -> list[AnnotatorProfile]:
 
 def graded_panel() -> list[AnnotatorProfile]:
     return [AnnotatorProfile("graded", error_prob=p) for p in GRADED_ERRORS]
+
+
+def parse_panel(spec: str, n_labels: int) -> list[AnnotatorProfile]:
+    """The profiles of a panel in ``PANEL_HELP``'s grammar; a bad entry raises a DataError."""
+    if spec in ("default", "graded"):
+        return default_panel(n_labels) if spec == "default" else graded_panel()
+    profiles = []
+    for entry in map(str.strip, spec.split(",")):
+        name, sep, text = entry.partition(":")
+        try:
+            _, field, cast, _ = ANNOTATOR_KINDS[check("annotator kind", name, ANNOTATOR_KIND)]
+            if sep and field is None:
+                raise DataError(f"{name} takes no argument")
+            try:
+                args = {field: cast(text)} if field else {}
+            except ValueError:
+                raise DataError(f"cannot parse {text!r} as {cast.__name__}") from None
+            profiles.append(AnnotatorProfile(name, **args))
+        except DataError as exc:
+            raise DataError(f"panel entry {entry!r}: {exc}") from None
+    return profiles
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -161,7 +184,7 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
         if profile.kind == "narrow" and profile.domain >= n_labels:
             raise DataError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
                             f"is not one of the {n_labels} labels")
-    check("keep_prob", keep_prob, KEEP_PROB)
+    check("keep_prob", keep_prob, PROBABILITY)
     truth = label_indices(gold, np.size(gold), n_labels)
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")

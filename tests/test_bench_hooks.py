@@ -4,7 +4,8 @@
 wrappers whose info functions read positional arguments. A rename or a
 changed argument order breaks ``perfbench/run.py --trace 1``; the first
 test catches that in about a second. The second runs the benchmark's
-input path: the text fixture, ``crowdrel simulate`` and
+input path: the text fixture, ``crowdrel simulate`` (on the default
+panel and on a graded panel spelled as ``wide``'s) and
 ``run.validate_inputs``, which call the readers and writers of
 ``crowdrel.data``. Both run in a subprocess because the wrappers patch
 the modules, and ``run`` sets the BLAS environment, for the whole process.
@@ -50,12 +51,16 @@ text = run.Dataset(name="text", cfg={"dataset": "files", "n": "30", "labels": "0
                                      "seed": "1"}, dir=tmp / "text")
 moon = run.Dataset(name="moon", cfg={"dataset": "moon", "n": "40", "panel": "default",
                                      "seed": "1"}, dir=tmp / "moon")
-moon.write_cfg()
-assert child.main(["cli", "simulate", "-c", str(moon.cfg_path)]) == 0
-for ds in (text, moon):
+wide = run.Dataset(name="wide", cfg={"dataset": "moon", "n": "40",
+                                     "panel": run._graded(40, 0.05, 0.45), "keep_prob": "0.1",
+                                     "seed": "1"}, dir=tmp / "wide")
+for ds in (moon, wide):
+    ds.write_cfg()
+    assert child.main(["cli", "simulate", "-c", str(ds.cfg_path)]) == 0, ds.name
+for ds in (text, moon, wide):
     assert run.validate_inputs(ds) == [], ds.name
     assert set(ds.gold) == set(ds.instance_ids) and ds.pairs, ds.name
-print(len(text.gold), len(moon.gold))
+print(len(text.gold), len(moon.gold), len(wide.gold))
 """
 
 
@@ -76,4 +81,4 @@ def test_benchmark_inputs_are_written_and_pass_its_check(tmp_path):
     proc = subprocess.run([sys.executable, "-c", INPUTS_SCRIPT, str(PERFBENCH), str(tmp_path)],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1].split() == ["30", "40"]
+    assert proc.stdout.strip().splitlines()[-1].split() == ["30", "40", "40"]

@@ -85,6 +85,9 @@ class TestSimulateCommand:
         ("noise", "-0.5", "noise must be finite and >= 0"),
         ("n", "1", "n must be at least 2"),
         ("panel", "narrow:x", "panel entry 'narrow:x'"),
+        ("panel", "narrow", "panel entry 'narrow': cannot parse '' as int"),
+        ("panel", "graded:x", "panel entry 'graded:x': cannot parse 'x' as float"),
+        ("panel", "graded,broad", "panel entry 'graded': cannot parse '' as float"),
         ("panel", "graded:1.5", "panel entry 'graded:1.5'"),
         ("panel", "narrow:0,narrow:7", "annotator 1 (N7): domain 7"),
         ("keep_prob", "-1", "keep_prob must be in [0, 1]"),
@@ -490,10 +493,10 @@ class TestFilesDataset:
         ("i0,a0,high", "cannot parse score 'high'"),
         ("i1,a0,0.7", "duplicate score for instance 'i1' by 'a0'"),
         ("i0,a1,0.9", "no annotation for instance 'i0' by 'a1'"),
-        ("i0,a0,nan", "score 'nan' is not a probability in [0, 1]"),
-        ("i0,a0,inf", "score 'inf' is not a probability in [0, 1]"),
-        ("i0,a0,-3", "score '-3' is not a probability in [0, 1]"),
-        ("i0,a0,1.5", "score '1.5' is not a probability in [0, 1]"),
+        ("i0,a0,nan", "score must be in [0, 1], got nan"),
+        ("i0,a0,inf", "score must be in [0, 1], got inf"),
+        ("i0,a0,-3", "score must be in [0, 1], got -3.0"),
+        ("i0,a0,1.5", "score must be in [0, 1], got 1.5"),
     ])
     def test_bad_reliability_row_names_file_and_line(self, runner, tmp_path, bad_row, message):
         # a1 annotates i1 only, so (i0, a1) is a pair of known ids without an annotation

@@ -405,7 +405,7 @@ class TestRoundTrip:
                                 instance_ids=inst_ids).to_array(len(inst_ids))
         assert np.array_equal(loaded_gold, gold)
         if not np.all((scores >= 0.0) & (scores <= 1.0)):
-            with pytest.raises(DataError, match=r"rel\.csv:\d+: score .* is not a probability"):
+            with pytest.raises(DataError, match=r"rel\.csv:\d+: score must be in \[0, 1\], got "):
                 load_scores(base / "rel.csv", loaded)
             return
         loaded_scores = load_scores(base / "rel.csv", loaded)

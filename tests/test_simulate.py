@@ -9,6 +9,7 @@ from crowdrel.simulate import (
     gen_2d,
     gen_text_fixture,
     graded_panel,
+    parse_panel,
     simulate_annotations,
 )
 
@@ -92,6 +93,70 @@ class TestAnnotatorProfiles:
             AnnotatorProfile("graded", error_prob=1.5)
         with pytest.raises(DataError):
             AnnotatorProfile("wizard")
+        with pytest.raises(DataError, match="^broad takes no error_prob$"):
+            AnnotatorProfile("broad", error_prob=0.9)
+        with pytest.raises(DataError, match="^graded takes no domain$"):
+            AnnotatorProfile("graded", error_prob=0.3, domain=1)
+
+
+class TestParsePanel:
+    @pytest.mark.parametrize("spec, expected", [
+        ("narrow:2", AnnotatorProfile("narrow", domain=2)),
+        ("broad", AnnotatorProfile("broad")),
+        ("random", AnnotatorProfile("random")),
+        ("adversarial", AnnotatorProfile("adversarial")),
+        ("graded:0.25", AnnotatorProfile("graded", error_prob=0.25)),
+    ])
+    def test_each_kind(self, spec, expected):
+        assert parse_panel(spec, 3) == [expected]
+
+    def test_entries_keep_their_order_and_lose_surrounding_whitespace(self):
+        assert parse_panel(" graded:0.1 ,narrow:0,  broad", 2) == [
+            AnnotatorProfile("graded", error_prob=0.1), AnnotatorProfile("narrow", domain=0),
+            AnnotatorProfile("broad")]
+
+    @pytest.mark.parametrize("n_labels", [2, 3])
+    def test_named_panels(self, n_labels):
+        assert parse_panel("default", n_labels) == default_panel(n_labels)
+        assert parse_panel("graded", n_labels) == graded_panel()
+
+    def test_short_names(self):
+        names = [p.short_name() for p in parse_panel("narrow:1,broad,random,adversarial,"
+                                                       "graded:0.05", 2)]
+        assert names == ["N1", "B", "R", "A", "G0.05"]
+
+    @pytest.mark.parametrize("spec, message", [
+        ("narrow", "panel entry 'narrow': cannot parse '' as int"),
+        ("narrow:", "panel entry 'narrow:': cannot parse '' as int"),
+        ("narrow:x", "panel entry 'narrow:x': cannot parse 'x' as int"),
+        ("narrow:-1", "panel entry 'narrow:-1': domain must be >= 0, got -1"),
+        ("graded,broad", "panel entry 'graded': cannot parse '' as float"),
+        ("graded:x", "panel entry 'graded:x': cannot parse 'x' as float"),
+        ("graded:1.5", "panel entry 'graded:1.5': error_prob must be in [0, 1], got 1.5"),
+        ("graded:nan", "panel entry 'graded:nan': error_prob must be in [0, 1], got nan"),
+        ("broad:3", "panel entry 'broad:3': broad takes no argument"),
+        ("random:", "panel entry 'random:': random takes no argument"),
+        ("adversarial:1", "panel entry 'adversarial:1': adversarial takes no argument"),
+        ("broad,wizard:3", "panel entry 'wizard:3': annotator kind must be one of ('narrow', "
+                           "'broad', 'random', 'adversarial', 'graded'), got 'wizard'"),
+        ("broad,,random", "panel entry '': annotator kind must be one of"),
+    ])
+    def test_bad_entry_is_named(self, spec, message):
+        with pytest.raises(DataError) as err:
+            parse_panel(spec, 2)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("entry, kwargs", [
+        ("narrow:-1", dict(domain=-1)),
+        ("graded:1.5", dict(error_prob=1.5)),
+        ("wizard", {}),
+    ])
+    def test_entry_and_profile_give_one_message(self, entry, kwargs):
+        with pytest.raises(DataError) as from_profile:
+            AnnotatorProfile(entry.partition(":")[0], **kwargs)
+        with pytest.raises(DataError) as from_panel:
+            parse_panel(entry, 2)
+        assert str(from_panel.value) == f"panel entry {entry!r}: {from_profile.value}"
 
 
 class TestSimulateAnnotations:
