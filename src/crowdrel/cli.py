@@ -2,8 +2,11 @@
 
 A run is driven by a declarative key=value config file; command-line
 flags override file values, and ``SETTINGS`` converts both and checks each
-value that has a rule. Every command writes a manifest carrying the hash
-of the effective config. Bad input, whether a file row, a config or flag
+value that has a rule, each written by the module that takes the value.
+The modules do the work (``featurize.features`` builds the features and
+``evaluate.metric_rows`` the metrics); this one reads config and files and
+writes artifacts. Every command writes a manifest carrying the hash of the
+effective config. Bad input, whether a file row, a config or flag
 value or an argument a library function rejects, raises ``DataError``
 where it is checked. Exit codes: 0 success; 1 for a DataError or an input
 path that is missing or a directory; 2 for anything else, such as a
@@ -22,12 +25,8 @@ from typing import NamedTuple, get_type_hints
 import click
 import numpy as np
 
-from . import baselines, data, evaluate, featurize, model, simulate
+from . import data, evaluate, featurize, model, simulate
 from .data import DataError, Rule, one_of
-
-# (classifier_hidden, estimator_hidden) defaults per text featurizer; "none" keeps TrainConfig's
-HIDDEN_DEFAULTS = {"tfidf": (100, 100), "avg-embed": (50, 25), "concat-avg-embed": (100, 50)}
-METRICS = ("f1", "iaa", "baselines")
 
 REQUIRED = object()  # the default of a key that a command must be given
 
@@ -40,14 +39,11 @@ class Setting(NamedTuple):
     rule: Rule | None = None
 
 
-def _metric_names(text: str) -> list[str]:
-    return [m.strip() for m in text.split(",") if m.strip()]
-
-
 # config key -> Setting, the one place a key is typed, defaulted and checked; a key
 # outside it is a misspelling. A training key is a TrainConfig field's name and takes
-# its type, default and rule (the hidden widths default by featurizer); other rules
-# are their owners'. noise None leaves each dataset kind its own noise.
+# its type, default and rule (the hidden widths default by featurizer, from
+# featurize.HIDDEN_DEFAULTS); other rules are their owners'. noise None leaves each
+# dataset kind its own noise; embeddings None is an error only to an embedding featurizer.
 SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default,
                             model.TRAIN_RULES[f.name])
             for f in fields(model.TrainConfig)} | {
@@ -58,10 +54,8 @@ SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default
     "labels": Setting(str, REQUIRED), "instances": Setting(str, REQUIRED),
     "instances_format": Setting(str, "dense-csv", data.INSTANCE_FORMAT),
     "annotations": Setting(str, REQUIRED), "gold": Setting(str, None),
-    "featurizer": Setting(str, "none", one_of(["none", *HIDDEN_DEFAULTS])),
-    "embeddings": Setting(str, REQUIRED),
-    "metrics": Setting(str, "f1,iaa", (f"a comma list from {METRICS}",
-                                       lambda text: set(_metric_names(text)) <= set(METRICS))),
+    "featurizer": Setting(str, "none", featurize.FEATURIZER), "embeddings": Setting(str, None),
+    "metrics": Setting(str, "f1,iaa", evaluate.METRIC_LIST),
     "report_reliability": Setting(int, 0, evaluate.REPORT_K),
     "denoise": Setting(str, "off", one_of(model.PRETRAIN_SOURCES + ("off",))),
 }
@@ -169,30 +163,8 @@ def _load_dataset(cfg: Config, out_dir: Path):
     return instances, annotations, gold, label_set
 
 
-def _features(cfg: Config, instances: list[data.Instance]) -> tuple[np.ndarray, str]:
-    kind = _get(cfg, "featurizer")
-    if kind == "none":
-        return data.feature_matrix(instances), kind
-    dense = next((inst.id for inst in instances if inst.text is None), None)
-    if dense is not None:
-        raise DataError(f"featurizer {kind!r} needs text instances, but instance {dense!r} "
-                        "has dense features (set instances_format = text-jsonl)")
-    texts = [inst.text for inst in instances]
-    if kind == "tfidf":
-        try:
-            vocab = featurize.fit_tfidf(texts)
-        except DataError as exc:  # a corpus without a token
-            raise DataError(f"featurizer 'tfidf': {exc}") from None
-        return np.stack([featurize.transform_tfidf(vocab, t) for t in texts]), kind
-    table = featurize.load_embeddings(_get(cfg, "embeddings"))
-    if kind == "avg-embed":
-        return np.stack([featurize.average_embed(table, t) for t in texts]), kind
-    return np.stack([featurize.concat_average_embed(table, inst.text, inst.text2 or "")
-                     for inst in instances]), kind
-
-
-def _train_config(cfg: Config, featurizer: str) -> model.TrainConfig:
-    hidden = HIDDEN_DEFAULTS.get(featurizer, ())
+def _train_config(cfg: Config) -> model.TrainConfig:
+    hidden = featurize.HIDDEN_DEFAULTS.get(_get(cfg, "featurizer"), ())
     settings = dict(zip(("classifier_hidden", "estimator_hidden"), hidden))
     settings.update((key, cfg[key][1]) for key in model.TRAIN_RULES if key in cfg)
     return model.TrainConfig(**settings)
@@ -263,8 +235,8 @@ def cmd_train(cfg: Config) -> None:
     """Pre-train and fit the reliability model; write checkpoint, trace and predictions."""
     out = _resolve_out_dir(cfg)
     instances, annotations, gold, label_set = _load_dataset(cfg, out)
-    features, featurizer = _features(cfg, instances)
-    train_cfg = _train_config(cfg, featurizer)
+    features = featurize.features(_get(cfg, "featurizer"), instances, _get(cfg, "embeddings"))
+    train_cfg = _train_config(cfg)
     result = model.train(features, annotations, train_cfg, gold=gold)
 
     model.save_model(out / "model.json", result.state, label_set, train_cfg)
@@ -283,7 +255,7 @@ def cmd_train(cfg: Config) -> None:
 
 
 @_command("eval", "metrics", "report_reliability", "denoise",
-          metrics="comma list from: " + ", ".join(METRICS),
+          metrics="comma list from: " + ", ".join(evaluate.METRICS),
           report_reliability="emit top/bottom-k reliability tables (0, the default, is off)",
           denoise=" | ".join(model.PRETRAIN_SOURCES + ("off",)))
 def cmd_eval(cfg: Config) -> None:
@@ -296,22 +268,8 @@ def cmd_eval(cfg: Config) -> None:
         raise DataError("predictions.csv does not cover every instance")
     scores = data.load_scores(out / "reliability.csv", annotations)
 
-    rows: list[tuple[str, str]] = []
-    for metric in _metric_names(_get(cfg, "metrics")):
-        if metric == "f1":
-            s = evaluate.f1(pred, gold)
-            rows += [("f1_micro", repr(s.micro)), ("f1_macro", repr(s.macro))]
-        elif metric == "iaa":
-            counts = annotations.counts_per_instance()
-            if counts.min() >= 2 and counts.min() == counts.max():
-                rows.append(("fleiss_kappa", repr(evaluate.fleiss_kappa(annotations))))
-            else:
-                rows.append(("krippendorff_alpha",
-                             repr(evaluate.krippendorff_alpha(annotations))))
-        else:  # "baselines", the last of METRICS
-            mv = evaluate.f1(baselines.majority_vote(annotations), gold)
-            ds = evaluate.f1(baselines.dawid_skene(annotations).hard_labels, gold)
-            rows += [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))]
+    rows = [row for metric in evaluate.metric_names(_get(cfg, "metrics"))
+            for row in evaluate.metric_rows(metric, pred, gold, annotations)]
 
     files = ["metrics.csv"]
     k = _get(cfg, "report_reliability")

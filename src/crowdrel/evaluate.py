@@ -11,8 +11,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import baselines
 from .baselines import vote_counts
-from .data import NON_NEGATIVE, AnnotationSet, DataError, check, label_indices, one_per
+from .data import NON_NEGATIVE, AnnotationSet, DataError, check, label_indices, one_of, one_per
+
+METRICS = ("f1", "iaa", "baselines")
+METRIC_LIST = (f"a comma list from {METRICS}",  # the rule for a list of metrics
+               lambda text: set(metric_names(text)) <= set(METRICS))
+
+
+def metric_names(text: str) -> list[str]:
+    return [m.strip() for m in text.split(",") if m.strip()]
 
 
 @dataclass(frozen=True)
@@ -45,16 +54,20 @@ def f1(pred: np.ndarray, gold: np.ndarray) -> F1Scores:
     return F1Scores(micro=micro, macro=float(np.mean(macros)))
 
 
+def _complete(per_instance: np.ndarray) -> bool:
+    """Whether every instance has the same number of annotations, at least 2."""
+    return len(per_instance) > 0 and 2 <= per_instance.min() == per_instance.max()
+
+
 def fleiss_kappa(annotations: AnnotationSet) -> float:
     """Chance-corrected agreement for complete panels (equal ratings per instance)."""
     counts = vote_counts(annotations)
-    per_instance = counts.sum(axis=1)
-    n_raters = per_instance[0] if len(per_instance) else 0
-    if n_raters < 2 or not np.all(per_instance == n_raters):
+    if not _complete(annotations.counts_per_instance()):
         raise DataError(
             "fleiss_kappa needs the same number of annotations on every instance "
             "(>= 2); use krippendorff_alpha for incomplete panels"
         )
+    n_raters = counts[0].sum()
     p_i = ((counts * counts).sum(axis=1) - n_raters) / (n_raters * (n_raters - 1))
     p_bar = float(p_i.mean())
     p_j = counts.sum(axis=0) / counts.sum()
@@ -84,6 +97,22 @@ def krippendorff_alpha(annotations: AnnotationSet) -> float:
     if expected_disagreement < 1e-12:
         return 1.0
     return float(1.0 - observed_disagreement / expected_disagreement)
+
+
+def metric_rows(metric: str, pred: np.ndarray, gold: np.ndarray,
+                annotations: AnnotationSet) -> list[tuple[str, str]]:
+    """The (name, value) rows of one of ``METRICS``: the F1 of ``pred``, the agreement
+    (Fleiss' kappa on a complete panel, else Krippendorff's alpha), or the MV and DS F1."""
+    if check("metric", metric, one_of(METRICS)) == "f1":
+        s = f1(pred, gold)
+        return [("f1_micro", repr(s.micro)), ("f1_macro", repr(s.macro))]
+    if metric == "iaa":
+        if _complete(annotations.counts_per_instance()):
+            return [("fleiss_kappa", repr(fleiss_kappa(annotations)))]
+        return [("krippendorff_alpha", repr(krippendorff_alpha(annotations)))]
+    mv = f1(baselines.majority_vote(annotations), gold)  # "baselines", the last of METRICS
+    ds = f1(baselines.dawid_skene(annotations).hard_labels, gold)
+    return [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))]
 
 
 def _rank_within(groups: np.ndarray, key: np.ndarray, tiebreak: np.ndarray) -> np.ndarray:

@@ -14,7 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataError
+from . import data
+from .data import DataError, Instance, check, one_of
+
+# (classifier_hidden, estimator_hidden) defaults per text featurizer; "none" keeps TrainConfig's
+HIDDEN_DEFAULTS = {"tfidf": (100, 100), "avg-embed": (50, 25), "concat-avg-embed": (100, 50)}
+FEATURIZER = one_of(["none", *HIDDEN_DEFAULTS])  # the rule for the featurizer's name
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -135,3 +140,28 @@ def average_embed(table: EmbeddingTable, text: str) -> np.ndarray:
 def concat_average_embed(table: EmbeddingTable, text: str, text2: str) -> np.ndarray:
     """Concatenated average embeddings for pair-structured instances."""
     return np.concatenate([average_embed(table, text), average_embed(table, text2)])
+
+
+def features(kind: str, instances: list[Instance], embeddings: str | Path | None) -> np.ndarray:
+    """The (N, D) features of ``instances`` under featurizer ``kind``: the text featurizers
+    need text instances, and the embedding ones the ``embeddings`` file."""
+    if check("featurizer", kind, FEATURIZER) == "none":
+        return data.feature_matrix(instances)
+    dense = next((inst.id for inst in instances if inst.text is None), None)
+    if dense is not None:
+        raise DataError(f"featurizer {kind!r} needs text instances, but instance {dense!r} "
+                        "has dense features (set instances_format = text-jsonl)")
+    texts = [inst.text for inst in instances]
+    if kind == "tfidf":
+        try:
+            vocab = fit_tfidf(texts)
+        except DataError as exc:  # a corpus without a token
+            raise DataError(f"featurizer 'tfidf': {exc}") from None
+        return np.stack([transform_tfidf(vocab, t) for t in texts])
+    if embeddings is None:
+        raise DataError("missing config key 'embeddings'")
+    table = load_embeddings(embeddings)
+    if kind == "avg-embed":
+        return np.stack([average_embed(table, t) for t in texts])
+    return np.stack([concat_average_embed(table, inst.text, inst.text2 or "")
+                     for inst in instances])

@@ -8,6 +8,7 @@ reshuffles the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -34,6 +35,7 @@ ANNOTATOR_KINDS = {
     "graded": ("G", "error_prob", float, PROBABILITY),  # wrong with probability error_prob
 }
 ANNOTATOR_KIND = one_of(ANNOTATOR_KINDS)
+_NUMBERS = {int: Integral, float: Real}  # an argument's type -> the values it admits, but bools
 PANEL_HELP = '"default", "graded" or a comma list of ' + " | ".join(
     name + (f":<{field}>" if field else "") for name, (_, field, _, _) in ANNOTATOR_KINDS.items())
 
@@ -47,13 +49,15 @@ class AnnotatorProfile:
     error_prob: float | None = None
 
     def __post_init__(self) -> None:
-        _, own, _, rule = ANNOTATOR_KINDS[check("annotator kind", self.kind, ANNOTATOR_KIND)]
+        _, own, cast, rule = ANNOTATOR_KINDS[check("annotator kind", self.kind, ANNOTATOR_KIND)]
         for f in fields(self)[1:]:  # the kind's own field is set, and no other
             value = getattr(self, f.name)
             if (f.name == own) != (value is not None):
                 verb = "needs" if value is None else "takes no"
                 raise DataError(f"{self.kind} {verb} {f.name}")
-            if value is not None:
+            if value is not None:  # its type before its rule, as in TrainConfig
+                if isinstance(value, bool) or not isinstance(value, _NUMBERS[cast]):
+                    raise DataError(f"{f.name} must be of type {cast.__name__}, got {value!r}")
                 check(f.name, value, rule)
 
     def short_name(self) -> str:
@@ -87,10 +91,17 @@ def parse_panel(spec: str, n_labels: int) -> list[AnnotatorProfile]:
                 args = {field: cast(text)} if field else {}
             except ValueError:
                 raise DataError(f"cannot parse {text!r} as {cast.__name__}") from None
-            profiles.append(AnnotatorProfile(name, **args))
+            profiles.append(_in_labels(AnnotatorProfile(name, **args), n_labels))
         except DataError as exc:
             raise DataError(f"panel entry {entry!r}: {exc}") from None
     return profiles
+
+
+def _in_labels(profile: AnnotatorProfile, n_labels: int) -> AnnotatorProfile:
+    """``profile``, if its domain, when it has one, is one of ``n_labels`` labels."""
+    if profile.domain is not None and profile.domain >= n_labels:
+        raise DataError(f"domain {profile.domain} is not one of the {n_labels} labels")
+    return profile
 
 
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
@@ -181,9 +192,10 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
     if not profiles:
         raise DataError("need at least one annotator profile")
     for j, profile in enumerate(profiles):
-        if profile.kind == "narrow" and profile.domain >= n_labels:
-            raise DataError(f"annotator {j} ({profile.short_name()}): domain {profile.domain} "
-                            f"is not one of the {n_labels} labels")
+        try:
+            _in_labels(profile, n_labels)
+        except DataError as exc:
+            raise DataError(f"annotator {j} ({profile.short_name()}): {exc}") from None
     check("keep_prob", keep_prob, PROBABILITY)
     truth = label_indices(gold, np.size(gold), n_labels)
     if np.any(truth < 0):

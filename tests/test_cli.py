@@ -89,7 +89,8 @@ class TestSimulateCommand:
         ("panel", "graded:x", "panel entry 'graded:x': cannot parse 'x' as float"),
         ("panel", "graded,broad", "panel entry 'graded': cannot parse '' as float"),
         ("panel", "graded:1.5", "panel entry 'graded:1.5'"),
-        ("panel", "narrow:0,narrow:7", "annotator 1 (N7): domain 7"),
+        ("panel", "narrow:0,narrow:7",
+         "panel entry 'narrow:7': domain 7 is not one of the 2 labels"),
         ("keep_prob", "-1", "keep_prob must be in [0, 1]"),
         ("keep_prob", "1.5", "keep_prob must be in [0, 1]"),
         ("panel", "broad:3,random", "panel entry 'broad:3': broad takes no argument"),
@@ -269,6 +270,34 @@ class TestFilesValidation:
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 1, result.output
         assert "featurizer 'tfidf': corpus contains no tokens" in result.output
+
+    @pytest.mark.parametrize("featurizer, width, hidden", [
+        ("tfidf", 3, (100, 100)), ("avg-embed", 2, (50, 25)), ("concat-avg-embed", 4, (100, 50)),
+    ])
+    def test_text_featurizer_trains_at_its_hidden_widths(self, runner, tmp_path, featurizer,
+                                                         width, hidden):
+        (tmp_path / "emb.txt").write_text("words 0.1 0.2\nabout 0.3 0.4\n")
+        cfg = self.text_config(tmp_path, featurizer=featurizer, embeddings=tmp_path / "emb.txt")
+        (tmp_path / "docs.jsonl").write_text(
+            '{"id": "a", "text": "words about", "text2": "words"}\n'
+            '{"id": "b", "text": "about about it"}\n')
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 0, result.output
+        checkpoint = json.loads((tmp_path / "out" / "model.json").read_text())
+        config = checkpoint["config"]
+        assert (config["classifier_hidden"], config["estimator_hidden"]) == hidden
+        # the classifier's first layer reads the featurizer's width: the tf-idf vocabulary
+        # (words, about, it), one embedding, or the concatenated embeddings of text and text2
+        assert len(checkpoint["classifier"]["layers"][0]["weights"]) == width * hidden[0]
+
+    @pytest.mark.parametrize("featurizer", ["avg-embed", "concat-avg-embed"])
+    def test_embedding_featurizer_without_embeddings_exits_one(self, runner, tmp_path,
+                                                               featurizer):
+        cfg = self.text_config(tmp_path, featurizer=featurizer)
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert "missing config key 'embeddings'" in result.output
+        assert not (tmp_path / "out" / "model.json").exists()
 
     def test_unknown_featurizer_is_named_before_embeddings_are_read(self, runner, tmp_path):
         cfg = self.text_config(tmp_path, featurizer="glove", embeddings=tmp_path / "absent.txt")

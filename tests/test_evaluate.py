@@ -10,9 +10,10 @@ from helpers import (
     make_annotations,
     reliability_report_oracle,
 )
-from crowdrel.baselines import majority_vote
+from crowdrel.baselines import dawid_skene, majority_vote
 from crowdrel.data import DataError
 from crowdrel.evaluate import (
+    METRICS,
     REPORT_CSV_HEADER,
     DenoiseResult,
     F1Scores,
@@ -21,6 +22,7 @@ from crowdrel.evaluate import (
     f1,
     fleiss_kappa,
     krippendorff_alpha,
+    metric_rows,
     reliability_report,
     report_to_rows,
     report_to_text,
@@ -115,6 +117,30 @@ class TestKrippendorffAlpha:
         perm = [2, 0, 3, 1]
         moved = make_annotations([(i, perm[j], l) for i, j, l in triples], 10, 4, 3)
         assert krippendorff_alpha(moved) == pytest.approx(krippendorff_alpha(ann), abs=1e-12)
+
+
+class TestMetricRows:
+    @pytest.mark.parametrize("keep_prob, iaa", [
+        (1.0, fleiss_kappa), (0.5, krippendorff_alpha)], ids=["complete", "ragged"])
+    def test_rows_equal_the_direct_calls(self, keep_prob, iaa):
+        _, gold = gen_2d("three-class", 90, seed=3)
+        ann = simulate_annotations(gold, 3, default_panel(3), seed=3, keep_prob=keep_prob)
+        counts = ann.counts_per_instance()
+        assert (counts.min() == counts.max()) == (keep_prob == 1.0)
+        pred = np.random.default_rng(3).integers(0, 3, size=90)
+        rows = {metric: metric_rows(metric, pred, gold, ann) for metric in METRICS}
+        scores = f1(pred, gold)
+        mv, ds = f1(majority_vote(ann), gold), f1(dawid_skene(ann).hard_labels, gold)
+        assert rows == {
+            "f1": [("f1_micro", repr(scores.micro)), ("f1_macro", repr(scores.macro))],
+            "iaa": [(iaa.__name__, repr(iaa(ann)))],
+            "baselines": [("mv_f1_micro", repr(mv.micro)), ("ds_f1_micro", repr(ds.micro))],
+        }
+
+    def test_unknown_metric_is_named(self):
+        with pytest.raises(DataError, match=r"^metric must be one of \('f1', 'iaa', "
+                                            r"'baselines'\), got 'auc'$"):
+            metric_rows("auc", np.array([0, 1]), np.array([0, 1]), FOUR_PAIRS)
 
 
 class TestReliabilityReport:

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crowdrel.data import DataError
+from crowdrel.data import DataError, Instance
 from crowdrel.featurize import (
     EmbeddingTable,
     average_embed,
     concat_average_embed,
+    features,
     fit_tfidf,
     load_embeddings,
     tokenize,
@@ -135,3 +136,9 @@ class TestEmbeddings:
                                         "dog": np.array([-1.0, 0.5])}, dim=2)
         base = average_embed(table, "cat dog cat bird")
         np.testing.assert_allclose(average_embed(table, " ".join(tokens)), base, atol=1e-12)
+
+
+def test_unknown_featurizer_is_named():
+    with pytest.raises(DataError, match=r"^featurizer must be one of \('none', 'tfidf', "
+                                        r"'avg-embed', 'concat-avg-embed'\), got 'glove'$"):
+        features("glove", [Instance("a", text="words")], None)

@@ -98,6 +98,23 @@ class TestAnnotatorProfiles:
         with pytest.raises(DataError, match="^graded takes no domain$"):
             AnnotatorProfile("graded", error_prob=0.3, domain=1)
 
+    @pytest.mark.parametrize("kind, kwargs, message", [
+        ("narrow", dict(domain=1.5), "domain must be of type int, got 1.5"),
+        ("narrow", dict(domain=True), "domain must be of type int, got True"),
+        ("narrow", dict(domain="1"), "domain must be of type int, got '1'"),
+        ("graded", dict(error_prob="0.3"), "error_prob must be of type float, got '0.3'"),
+        ("graded", dict(error_prob=False), "error_prob must be of type float, got False"),
+    ])
+    def test_argument_of_another_type_is_named(self, kind, kwargs, message):
+        with pytest.raises(DataError) as err:
+            AnnotatorProfile(kind, **kwargs)
+        assert str(err.value) == message
+
+    def test_integral_and_real_numbers_are_accepted(self):
+        assert AnnotatorProfile("narrow", domain=np.int64(1)).short_name() == "N1"
+        assert AnnotatorProfile("graded", error_prob=0).short_name() == "G0"
+        assert AnnotatorProfile("graded", error_prob=np.float64(0.5)).short_name() == "G0.5"
+
 
 class TestParsePanel:
     @pytest.mark.parametrize("spec, expected", [
@@ -130,6 +147,7 @@ class TestParsePanel:
         ("narrow:", "panel entry 'narrow:': cannot parse '' as int"),
         ("narrow:x", "panel entry 'narrow:x': cannot parse 'x' as int"),
         ("narrow:-1", "panel entry 'narrow:-1': domain must be >= 0, got -1"),
+        ("narrow:0,narrow:7", "panel entry 'narrow:7': domain 7 is not one of the 2 labels"),
         ("graded,broad", "panel entry 'graded': cannot parse '' as float"),
         ("graded:x", "panel entry 'graded:x': cannot parse 'x' as float"),
         ("graded:1.5", "panel entry 'graded:1.5': error_prob must be in [0, 1], got 1.5"),
@@ -198,6 +216,12 @@ class TestSimulateAnnotations:
         with pytest.raises(DataError, match="instance_ids must hold 6 distinct ids, got 2"):
             simulate_annotations(np.zeros(6, dtype=np.int64), 2, default_panel(2), seed=0,
                                  instance_ids=["a", "b"])
+
+    def test_domain_outside_the_labels_names_the_annotator(self):
+        profiles = [AnnotatorProfile("narrow", domain=0), AnnotatorProfile("narrow", domain=7)]
+        with pytest.raises(DataError) as err:
+            simulate_annotations(np.array([0, 1]), 2, profiles, seed=0)
+        assert str(err.value) == "annotator 1 (N7): domain 7 is not one of the 2 labels"
 
     def test_requires_profiles(self):
         with pytest.raises(DataError):
