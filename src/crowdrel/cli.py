@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import astuple, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -60,15 +60,15 @@ SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default
     "denoise": Setting(str, "off", one_of(model.PRETRAIN_SOURCES + ("off",))),
 }
 
-Config = dict[str, tuple[str, object]]  # key -> (text as given, value of the key's type)
+Config = dict[str, object]  # key -> value, of the key's type
 
 
-def _setting(key: str, text: str, where: str) -> tuple[str, object]:
-    """``text`` and its value, of ``key``'s type and rule; else a DataError led by ``where``."""
+def _setting(key: str, text: str, where: str) -> object:
+    """``text``'s value, of ``key``'s type and rule; else a DataError led by ``where``."""
     cast, _, rule = SETTINGS[key]
     try:
         value = cast(text)
-        return text, data.check(key, value, rule) if rule else value
+        return data.check(key, value, rule) if rule else value
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
     except ValueError:
@@ -95,16 +95,36 @@ def parse_config(path: str | Path) -> Config:
     return cfg
 
 
+INPUT_FILES = ("instances", "annotations", "gold", "embeddings")  # hashed by their contents
+
+
+def _file_sha256(path: str) -> str:
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            sha.update(block)
+    return sha.hexdigest()
+
+
 def config_hash(cfg: Config) -> str:
-    """Hash of every value's text but ``out_dir``'s: where a run writes does not change
-    what it writes."""
-    canonical = "\n".join(f"{k}={cfg[k][0]}" for k in sorted(cfg) if k != "out_dir")
+    """Hash of the effective config: every key's value as the commands see it, given or
+    default, but ``out_dir``'s, since where a run writes does not change what it writes.
+    An input file key that names a file counts by the file's contents, not its path."""
+    values = {key: None if default is REQUIRED else default
+              for key, (_, default, _) in SETTINGS.items()}
+    values.update(cfg)
+    values.update(asdict(_train_config(cfg)))  # the hidden widths' defaults by featurizer
+    del values["out_dir"]
+    for key in INPUT_FILES:
+        if values[key] is not None and Path(values[key]).is_file():
+            values[key] = _file_sha256(values[key])
+    canonical = json.dumps(values, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 def _get(cfg: Config, key: str):
     if key in cfg:
-        return cfg[key][1]
+        return cfg[key]
     default = SETTINGS[key].default
     if default is REQUIRED:
         raise DataError(f"missing config key {key!r}")
@@ -166,7 +186,7 @@ def _load_dataset(cfg: Config, out_dir: Path):
 def _train_config(cfg: Config) -> model.TrainConfig:
     hidden = featurize.HIDDEN_DEFAULTS.get(_get(cfg, "featurizer"), ())
     settings = dict(zip(("classifier_hidden", "estimator_hidden"), hidden))
-    settings.update((key, cfg[key][1]) for key in model.TRAIN_RULES if key in cfg)
+    settings.update((key, cfg[key]) for key in model.TRAIN_RULES if key in cfg)
     return model.TrainConfig(**settings)
 
 

@@ -77,18 +77,19 @@ class TrainConfig:
     at most ``max_outer`` outer iterations in every mode, each of
     ``inner_iters`` full-batch optimizer steps. The config key of its name
     sets each field, which must pass its rule in ``TRAIN_RULES``; Adam's
-    moment decay rates are constants of ``neural``.
+    moment decay rates are constants of ``neural``. README.md's "Key
+    defaults" paragraph says how the default schedule was chosen.
     """
 
     mode: str = "ce-jt"
-    inner_iters: int = 50
+    inner_iters: int = 20
     max_outer: int = 500
     early_stop_tol: float = 1e-3
     pretrain: str = "ds"
-    pretrain_epochs: int = 200
+    pretrain_epochs: int = 50
     classifier_hidden: int = 5
     estimator_hidden: int = 5
-    learning_rate: float = 0.001
+    learning_rate: float = 0.003
     weight_decay: float = 0.001
     clip_norm: float = 5.0
     seed: int = 0

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import crowdrel
-from crowdrel import cli, model, simulate
+from crowdrel import cli, featurize, model, simulate
 from crowdrel.data import LabelSet, feature_matrix, load_annotations, load_instances
 from crowdrel.model import TrainConfig, load_model, pretrain
 
@@ -753,6 +753,36 @@ class TestConfigHandling:
         assert result.exit_code == 0
         instances = load_instances(tmp_path / "out" / "instances.csv", "dense-csv")
         assert len(instances) == 120
+
+    def test_config_hash_is_of_the_effective_values(self, tmp_path):
+        def config_hash(**items):
+            return cli.config_hash(cli.parse_config(write_config(tmp_path / "run.cfg", **items)))
+
+        base = {"dataset": "moon", "panel": "default"}
+        rate = cli.SETTINGS["learning_rate"].default
+        omitted = config_hash(**base)
+        assert config_hash(**base, learning_rate=rate) == omitted
+        assert config_hash(**base, learning_rate=f"{rate:e}") == omitted
+        assert config_hash(**base, learning_rate=2 * rate) != omitted
+        # a hidden width's default is the featurizer's
+        width = featurize.HIDDEN_DEFAULTS["tfidf"][0]
+        tfidf = config_hash(**base, featurizer="tfidf")
+        assert config_hash(**base, featurizer="tfidf", classifier_hidden=width) == tfidf
+        assert config_hash(**base, featurizer="tfidf", classifier_hidden=width + 1) != tfidf
+        # an input key that names no file, as a command that reads none may see it
+        assert config_hash(**base, instances=tmp_path / "absent.csv") != omitted
+
+    def test_config_hash_reads_input_files_by_their_contents(self, runner, tmp_path):
+        rows = TestFilesValidation.ANNOTATIONS
+        hashes = []
+        for sub, annotations in (("a", rows), ("b", rows), ("c", rows.replace("b,w2,1", "b,w2,0"))):
+            (tmp_path / sub).mkdir()
+            cfg = dense_files_config(tmp_path / sub, "id,x0\na,0.1\nb,0.3\n", annotations)
+            result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((tmp_path / sub / "out" / "manifest_train.json").read_text())
+            hashes.append(manifest["config_hash"])
+        assert hashes[0] == hashes[1] != hashes[2]
 
     def test_training_artifacts_are_reproducible(self, runner, tmp_path):
         small = {**BASE, "n": 150, "max_outer": 2, "pretrain_epochs": 50}

@@ -40,7 +40,7 @@ from crowdrel.model import (
     train,
 )
 from crowdrel.neural import AdamState, backward, forward, init_fnn, soft_ce_loss
-from crowdrel.simulate import default_panel, gen_2d, simulate_annotations
+from crowdrel.simulate import DATASET_KINDS, default_panel, gen_2d, simulate_annotations
 
 
 class TestEmissionProb:
@@ -520,13 +520,15 @@ class TestTrain:
     def test_modes_differ_only_by_normalizers(self):
         # Without weight decay and clipping, Adam is invariant to a constant
         # scale of each network's gradient (up to its epsilon), so EM's N + P
-        # and ce-jt's N and P normalizers give one trajectory.
+        # and ce-jt's N and P normalizers give one trajectory. The schedule is
+        # pinned at one under which both stop by tolerance within 20 iterations.
         instances, gold = gen_2d("moon", 1000, seed=0)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=0,
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
         em, ce = (train(x, ann, TrainConfig(mode=mode, max_outer=20, weight_decay=0.0,
-                                            clip_norm=0.0, seed=0))
+                                            clip_norm=0.0, learning_rate=1e-3, inner_iters=50,
+                                            pretrain_epochs=200, seed=0))
                   for mode in ("em", "ce-jt"))
         assert em.stopped == ce.stopped == "tol" and len(em.trace) == len(ce.trace)
         scores = [f1(r.posterior.label_posterior.argmax(axis=1), gold).micro for r in (em, ce)]
@@ -545,12 +547,22 @@ class TestTrain:
         assert [TrainConfig(mode=mode).max_outer for mode in MODES] == [500] * len(MODES)
 
     def test_default_cap_lets_ce_jt_stop_by_tolerance(self):
-        # a cap of 20 cut this run off at iteration 20; it stops by tolerance at 22
+        # a cap of 20 cut this run off at iteration 20; it stops by tolerance at 23
         instances, gold = gen_2d("moon", 1000, seed=1)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
                                    instance_ids=[inst.id for inst in instances])
         result = train(feature_matrix(instances), ann, TrainConfig(mode="ce-jt", seed=1))
         assert result.stopped == "tol" and len(result.trace) > 20
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", ["moon", "circle", "three-class"])
+    def test_default_ce_jt_stops_by_tolerance_well_inside_the_cap(self, kind, seed):
+        k = DATASET_KINDS[kind][0]
+        instances, gold = gen_2d(kind, 1000, seed=seed)
+        ann = simulate_annotations(gold, k, default_panel(k), seed=seed,
+                                   instance_ids=[inst.id for inst in instances])
+        result = train(feature_matrix(instances), ann, TrainConfig(seed=seed))
+        assert result.stopped == "tol" and len(result.trace) < 40
 
     def test_features_that_do_not_fit_the_annotations_are_a_data_error(self, moon_setup):
         x, ann, _ = moon_setup
