@@ -1,8 +1,8 @@
 """Command-line pipelines: simulate -> train -> eval.
 
 A run is driven by a declarative key=value config file; command-line
-flags override file values, and ``SETTINGS`` converts both and checks each
-value that has a rule, each written by the module that takes the value.
+flags override file values, and ``data.parse`` reads both by the key's
+rule in ``SETTINGS``, each written by the module that takes the value.
 The modules do the work (``featurize.features`` builds the features and
 ``evaluate.metric_rows`` the metrics); this one reads config and files and
 writes artifacts. Every command writes a manifest carrying the hash of the
@@ -20,7 +20,7 @@ import json
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import click
 import numpy as np
@@ -32,47 +32,41 @@ REQUIRED = object()  # the default of a key that a command must be given
 
 
 class Setting(NamedTuple):
-    """A config key's type and default, and the rule its value must pass, if any."""
+    """A config key's default and the rule its value must pass; the rule's type is the key's."""
 
-    type: type
     default: object
-    rule: Rule | None = None
+    rule: Rule
 
 
-# config key -> Setting, the one place a key is typed, defaulted and checked; a key
-# outside it is a misspelling. A training key is a TrainConfig field's name and takes
-# its type, default and rule (the hidden widths default by featurizer, from
-# featurize.HIDDEN_DEFAULTS); other rules are their owners'. noise None leaves each
+# config key -> Setting, the one place a key is typed, defaulted and checked; a key outside
+# it is a misspelling. A training key is a TrainConfig field's name and takes its default
+# and rule (the hidden widths default by featurizer, from featurize.HIDDEN_DEFAULTS); other
+# rules are their owners', and a free-text key's is data.TEXT. noise None leaves each
 # dataset kind its own noise; embeddings None is an error only to an embedding featurizer.
-SETTINGS = {f.name: Setting(get_type_hints(model.TrainConfig)[f.name], f.default,
-                            model.TRAIN_RULES[f.name])
+SETTINGS = {f.name: Setting(f.default, model.TRAIN_RULES[f.name])
             for f in fields(model.TrainConfig)} | {
-    "out_dir": Setting(str, "crowdrel_out"),
-    "dataset": Setting(str, "moon", one_of([*simulate.DATASET_KINDS, "files"])),
-    "n": Setting(int, 1000), "noise": Setting(float, None, simulate.NOISE),
-    "panel": Setting(str, REQUIRED), "keep_prob": Setting(float, 1.0, data.PROBABILITY),
-    "labels": Setting(str, REQUIRED), "instances": Setting(str, REQUIRED),
-    "instances_format": Setting(str, "dense-csv", data.INSTANCE_FORMAT),
-    "annotations": Setting(str, REQUIRED), "gold": Setting(str, None),
-    "featurizer": Setting(str, "none", featurize.FEATURIZER), "embeddings": Setting(str, None),
-    "metrics": Setting(str, "f1,iaa", evaluate.METRIC_LIST),
-    "report_reliability": Setting(int, 0, evaluate.REPORT_K),
-    "denoise": Setting(str, "off", one_of(model.PRETRAIN_SOURCES + ("off",))),
+    "out_dir": Setting("crowdrel_out", data.TEXT),
+    "dataset": Setting("moon", one_of([*simulate.DATASET_KINDS, "files"])),
+    "n": Setting(1000, data.AT_LEAST_1), "noise": Setting(None, simulate.NOISE),
+    "panel": Setting(REQUIRED, data.TEXT), "keep_prob": Setting(1.0, data.PROBABILITY),
+    "labels": Setting(REQUIRED, data.TEXT), "instances": Setting(REQUIRED, data.TEXT),
+    "instances_format": Setting("dense-csv", data.INSTANCE_FORMAT),
+    "annotations": Setting(REQUIRED, data.TEXT), "gold": Setting(None, data.TEXT),
+    "featurizer": Setting("none", featurize.FEATURIZER), "embeddings": Setting(None, data.TEXT),
+    "metrics": Setting("f1,iaa", evaluate.METRIC_LIST),
+    "report_reliability": Setting(0, evaluate.REPORT_K),
+    "denoise": Setting("off", one_of(model.PRETRAIN_SOURCES + ("off",))),
 }
 
 Config = dict[str, object]  # key -> value, of the key's type
 
 
 def _setting(key: str, text: str, where: str) -> object:
-    """``text``'s value, of ``key``'s type and rule; else a DataError led by ``where``."""
-    cast, _, rule = SETTINGS[key]
+    """``text``'s value under ``key``'s rule; else a DataError led by ``where``."""
     try:
-        value = cast(text)
-        return data.check(key, value, rule) if rule else value
+        return data.parse(key, text, SETTINGS[key].rule)
     except DataError as exc:
         raise DataError(f"{where}: {exc}") from None
-    except ValueError:
-        raise DataError(f"{where}: cannot parse {text!r} as {cast.__name__}") from None
 
 
 def parse_config(path: str | Path) -> Config:
@@ -111,7 +105,7 @@ def config_hash(cfg: Config) -> str:
     default, but ``out_dir``'s, since where a run writes does not change what it writes.
     An input file key that names a file counts by the file's contents, not its path."""
     values = {key: None if default is REQUIRED else default
-              for key, (_, default, _) in SETTINGS.items()}
+              for key, (default, _) in SETTINGS.items()}
     values.update(cfg)
     values.update(asdict(_train_config(cfg)))  # the hidden widths' defaults by featurizer
     del values["out_dir"]
@@ -215,7 +209,7 @@ def _command(name: str, *keys: str, **helps: str):
 
         for key, flag in reversed(flags.items()):
             short = ["-o"] if key == "out_dir" else []
-            metavar = {str: "TEXT", int: "INTEGER", float: "FLOAT"}[SETTINGS[key].type]
+            metavar = {str: "TEXT", int: "INTEGER", float: "FLOAT"}[SETTINGS[key].rule.type]
             callback = click.option(*short, flag, key, metavar=metavar,
                                     help=helps.get(key))(callback)
         callback = click.option("-c", "--config", "config_path",

@@ -3,7 +3,8 @@
 Every CSV table, input or artifact, is read by ``_table`` and written by
 ``write_table``; a bad row is a DataError that names its ``path:line``.
 Every artifact is written through ``whole_file``, so it appears whole or
-not at all. ``check`` tests a setting's value against its ``Rule``.
+not at all. ``check`` tests a setting's value against its ``Rule``, type
+first, and ``parse`` reads a setting's text as the rule's type.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices assigned at load time. Gold labels and
@@ -19,8 +20,9 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -33,22 +35,44 @@ class DataError(ValueError):
     """
 
 
-# a setting's rule: what its value must be, in words, and the test that it is
-Rule = tuple[str, Callable[[Any], bool]]
-NON_NEGATIVE = (">= 0", lambda value: value >= 0)
-PROBABILITY = ("in [0, 1]", lambda p: 0.0 <= p <= 1.0)  # NaN fails it
+class Rule(NamedTuple):
+    """A setting's rule: its value's type, what else it must be, in words, and the test."""
+
+    type: type
+    text: str
+    test: Callable[[Any], bool]
+
+
+NON_NEGATIVE = Rule(int, ">= 0", lambda value: value >= 0)
+AT_LEAST_1 = Rule(int, ">= 1", lambda value: value >= 1)
+PROBABILITY = Rule(float, "in [0, 1]", lambda p: 0.0 <= p <= 1.0)  # NaN fails it
+TEXT = Rule(str, "non-empty", bool)
+
+# a rule's type -> the values it admits: numpy scalars too, but a bool is no number
+_ADMITS = {int: Integral, float: Real, str: str}
 
 
 def one_of(choices) -> Rule:
-    return f"one of {tuple(choices)}", tuple(choices).__contains__
+    return Rule(str, f"one of {tuple(choices)}", tuple(choices).__contains__)
 
 
 def check(name: str, value, rule: Rule):
-    """``value`` if it passes ``rule``; else a DataError: "<name> must be <rule>, got <value>"."""
-    text, test = rule
-    if not test(value):
-        raise DataError(f"{name} must be {text}, got {value!r}")
+    """``value`` if it is of ``rule``'s type and passes its test; else a DataError:
+    "<name> must be of type <type>, got <value>" or "<name> must be <text>, got <value>"."""
+    if isinstance(value, bool) or not isinstance(value, _ADMITS[rule.type]):
+        raise DataError(f"{name} must be of type {rule.type.__name__}, got {value!r}")
+    if not rule.test(value):
+        raise DataError(f"{name} must be {rule.text}, got {value!r}")
     return value
+
+
+def parse(name: str, text: str, rule: Rule):
+    """``text`` read as ``rule``'s type, if that passes ``check``; else a DataError."""
+    try:
+        value = rule.type(text)
+    except ValueError:
+        raise DataError(f"cannot parse {text!r} as {rule.type.__name__}") from None
+    return check(name, value, rule)
 
 
 @dataclass(frozen=True)
@@ -458,11 +482,7 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
                 raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
             if scores[p] is not None:
                 raise DataError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
-            try:
-                score = float(row[2])
-            except ValueError:
-                raise DataError(f"cannot parse score {row[2]!r}") from None
-            scores[p] = check("score", score, PROBABILITY)
+            scores[p] = parse("score", row[2], PROBABILITY)
         except DataError as exc:
             raise _at(path, line, exc) from None
     if None in scores:

@@ -13,11 +13,12 @@ import numpy as np
 
 from . import baselines
 from .baselines import vote_counts
-from .data import NON_NEGATIVE, AnnotationSet, DataError, check, label_indices, one_of, one_per
+from .data import (NON_NEGATIVE, AnnotationSet, DataError, Rule, check, label_indices, one_of,
+                   one_per)
 
 METRICS = ("f1", "iaa", "baselines")
-METRIC_LIST = (f"a comma list from {METRICS}",  # the rule for a list of metrics
-               lambda text: set(metric_names(text)) <= set(METRICS))
+METRIC_LIST = Rule(str, f"a non-empty comma list from {METRICS}",
+                   lambda text: bool(metric_names(text)) and set(metric_names(text)) <= set(METRICS))
 
 
 def metric_names(text: str) -> list[str]:

@@ -33,14 +33,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from .baselines import dawid_skene, majority_vote, vote_counts
-from .data import (NON_NEGATIVE, AnnotationSet, DataError, LabelSet, check, label_indices, one_of,
-                   whole_file)
+from .data import (AT_LEAST_1, NON_NEGATIVE, AnnotationSet, DataError, LabelSet, Rule, check,
+                   label_indices, one_of, whole_file)
 from .evaluate import f1
 from .neural import (
     PROB_FLOOR,
@@ -58,14 +57,13 @@ MODES = ("em", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
 CHECKPOINT_VERSION = 4
 
-_AT_LEAST_1 = (">= 1", lambda value: value >= 1)
-_OFF_OR_FINITE = ("finite and >= 0 (0 is off)", lambda value: 0 <= value < np.inf)
-# TrainConfig field -> the rule its value must pass, in field order
-TRAIN_RULES = {"mode": one_of(MODES), "inner_iters": _AT_LEAST_1, "max_outer": NON_NEGATIVE,
-               "early_stop_tol": ("positive", lambda value: value > 0),
+_OFF_OR_FINITE = Rule(float, "finite and >= 0 (0 is off)", lambda value: 0 <= value < np.inf)
+# TrainConfig field -> the rule its value must pass, type included, in field order
+TRAIN_RULES = {"mode": one_of(MODES), "inner_iters": AT_LEAST_1, "max_outer": NON_NEGATIVE,
+               "early_stop_tol": Rule(float, "positive", lambda value: value > 0),
                "pretrain": one_of(PRETRAIN_SOURCES), "pretrain_epochs": NON_NEGATIVE,
-               "classifier_hidden": _AT_LEAST_1, "estimator_hidden": _AT_LEAST_1,
-               "learning_rate": ("finite and positive", lambda value: 0 < value < np.inf),
+               "classifier_hidden": AT_LEAST_1, "estimator_hidden": AT_LEAST_1,
+               "learning_rate": Rule(float, "finite and positive", lambda value: 0 < value < np.inf),
                "weight_decay": _OFF_OR_FINITE, "clip_norm": _OFF_OR_FINITE, "seed": NON_NEGATIVE}
 
 
@@ -76,9 +74,10 @@ class TrainConfig:
     ``mode`` picks only the two normalizers (see ``train``). Training runs
     at most ``max_outer`` outer iterations in every mode, each of
     ``inner_iters`` full-batch optimizer steps. The config key of its name
-    sets each field, which must pass its rule in ``TRAIN_RULES``; Adam's
-    moment decay rates are constants of ``neural``. README.md's "Key
-    defaults" paragraph says how the default schedule was chosen.
+    sets each field, which must pass its rule in ``TRAIN_RULES``; the rule's
+    type is the field's annotation. Adam's moment decay rates are constants
+    of ``neural``. README.md's "Key defaults" paragraph says how the default
+    schedule was chosen.
     """
 
     mode: str = "ce-jt"
@@ -95,11 +94,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        kinds = {"str": str, "int": Integral, "float": Real}
-        for f in fields(self):  # types before ranges; annotations are strings, e.g. "int"
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, kinds[f.type]):
-                raise DataError(f"{f.name} must be of type {f.type}, got {value!r}")
         for name, rule in TRAIN_RULES.items():
             check(name, getattr(self, name), rule)
 
@@ -219,12 +213,11 @@ def _fit(groups: list[tuple[FnnParams, np.ndarray | PairInput, np.ndarray, float
 
     Each group is (network, inputs, targets, normalizer). A step joins the
     groups' gradients in list order and updates all their arrays at once,
-    so the groups share one clip norm. Each ``PairInput`` group keeps one
-    workspace for every step, so its pass allocates no (width, P) array
-    after the first; a dense group's pass makes fresh arrays.
+    so the groups share one clip norm. Each group keeps one workspace for
+    every step, so its pass allocates no (width, P) array after the first.
     """
     arrays = [a for params, *_ in groups for a in params.arrays()]
-    works = [{} if isinstance(inputs, PairInput) else None for _, inputs, _, _ in groups]
+    works = [{} for _ in groups]
     for _ in range(steps):
         adam_step(arrays, [g for (params, inputs, targets, normalizer), work in zip(groups, works)
                            for g in backward(params, inputs, targets, normalizer, work)], opt)

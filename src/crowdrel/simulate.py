@@ -8,16 +8,15 @@ reshuffles the others.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
-from .data import (NON_NEGATIVE, PROBABILITY, AnnotationSet, DataError, Instance, check,
-                   label_indices, one_of)
+from .data import (NON_NEGATIVE, PROBABILITY, AnnotationSet, DataError, Instance, Rule, check,
+                   label_indices, one_of, parse)
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
-NOISE = ("finite and >= 0", lambda sigma: 0.0 <= sigma < np.inf)
+NOISE = Rule(float, "finite and >= 0", lambda sigma: 0.0 <= sigma < np.inf)
 
 BROAD_ERROR = 0.05
 GRADED_ERRORS = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -25,19 +24,18 @@ NARROW_OFF_DOMAIN_CORRECT = 0.65
 ADVERSARIAL_ERROR = 0.8
 
 
-# annotator kind -> (id letter, then the profile field its argument sets with that field's
-# type and rule, or three Nones): the one place a kind is named. _annotate_one does its labeling.
+# annotator kind -> (id letter, then the profile field its argument sets and that field's
+# rule, or two Nones): the one place a kind is named. _annotate_one does its labeling.
 ANNOTATOR_KINDS = {
-    "narrow": ("N", "domain", int, NON_NEGATIVE),  # always right on its domain class
-    "broad": ("B", None, None, None),  # wrong with probability BROAD_ERROR
-    "random": ("R", None, None, None),  # uniform over all labels
-    "adversarial": ("A", None, None, None),  # wrong with probability ADVERSARIAL_ERROR
-    "graded": ("G", "error_prob", float, PROBABILITY),  # wrong with probability error_prob
+    "narrow": ("N", "domain", NON_NEGATIVE),  # always right on its domain class
+    "broad": ("B", None, None),  # wrong with probability BROAD_ERROR
+    "random": ("R", None, None),  # uniform over all labels
+    "adversarial": ("A", None, None),  # wrong with probability ADVERSARIAL_ERROR
+    "graded": ("G", "error_prob", PROBABILITY),  # wrong with probability error_prob
 }
 ANNOTATOR_KIND = one_of(ANNOTATOR_KINDS)
-_NUMBERS = {int: Integral, float: Real}  # an argument's type -> the values it admits, but bools
 PANEL_HELP = '"default", "graded" or a comma list of ' + " | ".join(
-    name + (f":<{field}>" if field else "") for name, (_, field, _, _) in ANNOTATOR_KINDS.items())
+    name + (f":<{field}>" if field else "") for name, (_, field, _) in ANNOTATOR_KINDS.items())
 
 
 @dataclass(frozen=True)
@@ -49,19 +47,17 @@ class AnnotatorProfile:
     error_prob: float | None = None
 
     def __post_init__(self) -> None:
-        _, own, cast, rule = ANNOTATOR_KINDS[check("annotator kind", self.kind, ANNOTATOR_KIND)]
+        _, own, rule = ANNOTATOR_KINDS[check("annotator kind", self.kind, ANNOTATOR_KIND)]
         for f in fields(self)[1:]:  # the kind's own field is set, and no other
             value = getattr(self, f.name)
             if (f.name == own) != (value is not None):
                 verb = "needs" if value is None else "takes no"
                 raise DataError(f"{self.kind} {verb} {f.name}")
-            if value is not None:  # its type before its rule, as in TrainConfig
-                if isinstance(value, bool) or not isinstance(value, _NUMBERS[cast]):
-                    raise DataError(f"{f.name} must be of type {cast.__name__}, got {value!r}")
+            if value is not None:
                 check(f.name, value, rule)
 
     def short_name(self) -> str:
-        letter, field, _, _ = ANNOTATOR_KINDS[self.kind]
+        letter, field, _ = ANNOTATOR_KINDS[self.kind]
         return letter + ("" if field is None else str(getattr(self, field)))
 
 
@@ -84,13 +80,10 @@ def parse_panel(spec: str, n_labels: int) -> list[AnnotatorProfile]:
     for entry in map(str.strip, spec.split(",")):
         name, sep, text = entry.partition(":")
         try:
-            _, field, cast, _ = ANNOTATOR_KINDS[check("annotator kind", name, ANNOTATOR_KIND)]
+            _, field, rule = ANNOTATOR_KINDS[check("annotator kind", name, ANNOTATOR_KIND)]
             if sep and field is None:
                 raise DataError(f"{name} takes no argument")
-            try:
-                args = {field: cast(text)} if field else {}
-            except ValueError:
-                raise DataError(f"cannot parse {text!r} as {cast.__name__}") from None
+            args = {field: parse(field, text, rule)} if field else {}
             profiles.append(_in_labels(AnnotatorProfile(name, **args), n_labels))
         except DataError as exc:
             raise DataError(f"panel entry {entry!r}: {exc}") from None
@@ -126,8 +119,7 @@ def gen_2d(kind: str, n: int = 1000, noise: float | None = None,
     Returns the instances and their (N,) gold label indices.
     """
     k, default_noise = DATASET_KINDS[check("dataset kind", kind, one_of(DATASET_KINDS))]
-    if n < k:
-        raise DataError(f"n must be at least {k} for {kind}, got {n}")
+    check("n", n, Rule(int, f"at least {k} for {kind}", lambda value: value >= k))
     sigma = default_noise if noise is None else check("noise", noise, NOISE)
     rng = np.random.default_rng(_seed_sequence(seed))
     counts = _class_counts(n, k)
@@ -236,8 +228,8 @@ def gen_text_fixture(n: int = 500, n_labels: int = 3,
     classes cleanly separable. Returns the documents and their (N,) gold
     label indices.
     """
-    if n < n_labels:
-        raise DataError("need at least one document per class")
+    check("n", n, Rule(int, f"at least {n_labels}, one document per class",
+                       lambda value: value >= n_labels))
     rng = np.random.default_rng(_seed_sequence(seed))
     keywords = [[f"topic{c}word{t}" for t in range(8)] for c in range(n_labels)]
     fillers = [f"the{t}" for t in range(15)]

@@ -519,7 +519,7 @@ class TestFilesDataset:
     @pytest.mark.parametrize("bad_row, message", [
         ("bogus,a0,0.5", "unknown instance id 'bogus'"),
         ("i0,bogus,0.5", "unknown annotator id 'bogus'"),
-        ("i0,a0,high", "cannot parse score 'high'"),
+        ("i0,a0,high", "cannot parse 'high' as float"),
         ("i1,a0,0.7", "duplicate score for instance 'i1' by 'a0'"),
         ("i0,a1,0.9", "no annotation for instance 'i0' by 'a1'"),
         ("i0,a0,nan", "score must be in [0, 1], got nan"),
@@ -586,8 +586,8 @@ class TestFilesDataset:
         _, cfg = pipeline_dir
         result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "f1,auc"])
         assert result.exit_code == 1
-        assert ("flag --metrics: metrics must be a comma list from ('f1', 'iaa', 'baselines'), "
-                "got 'f1,auc'" in result.output)
+        assert ("flag --metrics: metrics must be a non-empty comma list from ('f1', 'iaa', "
+                "'baselines'), got 'f1,auc'" in result.output)
 
 
 class TestConfigHandling:
@@ -634,11 +634,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize("field", dataclasses.fields(TrainConfig), ids=lambda f: f.name)
     def test_train_config_field_is_the_key_of_its_name(self, field):
         # a TrainConfig field that no config key sets is a setting no run can change; the
-        # key takes the field's type, default and the very rule the field is checked by
-        hints = get_type_hints(TrainConfig)
-        assert cli.SETTINGS[field.name] == (hints[field.name], field.default,
-                                            model.TRAIN_RULES[field.name])
+        # key takes the field's default and the very rule the field is checked by, and the
+        # field's annotation is that rule's type
+        assert cli.SETTINGS[field.name] == (field.default, model.TRAIN_RULES[field.name])
         assert cli.SETTINGS[field.name].rule is model.TRAIN_RULES[field.name]
+        assert get_type_hints(TrainConfig)[field.name] is model.TRAIN_RULES[field.name].type
 
     def test_threads_option_is_gone(self, runner, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir=tmp_path / "out")
@@ -707,6 +707,7 @@ class TestConfigHandling:
         ("classifier_hidden", "0"), ("estimator_hidden", "0"), ("seed", "-1"),
         ("early_stop_tol", "0"), ("learning_rate", "nan"), ("weight_decay", "inf"),
         ("clip_norm", "-1"), ("keep_prob", "1.5"), ("noise", "-0.5"), ("metrics", "f1,auc"),
+        ("n", "0"), ("metrics", ""), ("panel", ""), ("gold", ""), ("labels", ""),
     ])
     def test_value_outside_its_range_names_file_line_and_key(self, runner, tmp_path, command,
                                                               key, value):
@@ -716,10 +717,23 @@ class TestConfigHandling:
         line = 2 + list(items).index(key)  # line 1 is the comment
         result = runner.invoke(cli.main, [command, "-c", str(cfg)])
         assert result.exit_code == 1, result.output
-        got = cli.SETTINGS[key].type(value)
+        got = cli.SETTINGS[key].rule.type(value)
         assert f"run.cfg:{line}: config key {key!r}: {key} must be " in result.output
         assert result.output.rstrip().endswith(f"got {got!r}")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_empty_out_dir_exits_one_and_writes_nothing(self, runner, tmp_path, monkeypatch,
+                                                        command):
+        # an empty out_dir would be the current directory
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path / "run.cfg", **BASE, out_dir="")
+        line = 2 + len(BASE)  # line 1 is the comment
+        result = runner.invoke(cli.main, [command, "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert (f"run.cfg:{line}: config key 'out_dir': out_dir must be non-empty, got ''"
+                in result.output)
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("command, flag, value", [
         ("simulate", "--dataset", "moom"), ("train", "--mode", "sgd"),

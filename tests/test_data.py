@@ -7,15 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crowdrel.data import (
+    NON_NEGATIVE,
+    PROBABILITY,
+    TEXT,
     AnnotationSet,
     DataError,
     Instance,
     LabelSet,
+    check,
     feature_matrix,
     load_annotations,
     load_gold,
     load_instances,
     load_scores,
+    one_of,
+    parse,
     validate,
     write_annotations,
     write_gold,
@@ -487,6 +493,53 @@ def test_arrays_that_do_not_fit_are_data_errors(tmp_path, call, message):
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         call(tmp_path / "out.csv")
     assert not (tmp_path / "out.csv").exists()
+
+
+class TestCheck:
+    @pytest.mark.parametrize("value, rule", [
+        (3, NON_NEGATIVE), (np.int64(3), NON_NEGATIVE), (np.uint8(0), NON_NEGATIVE),
+        (1, PROBABILITY), (np.float32(0.5), PROBABILITY), (np.int64(0), PROBABILITY),
+        ("x", TEXT), ("ds", one_of(("mv", "ds"))),
+    ])
+    def test_value_of_the_rules_type_passes_unchanged(self, value, rule):
+        # any integer is an int and any real number a float, numpy scalars included
+        assert check("v", value, rule) is value
+
+    @pytest.mark.parametrize("value, rule, message", [
+        (True, NON_NEGATIVE, "v must be of type int, got True"),
+        (np.bool_(True), NON_NEGATIVE, f"v must be of type int, got {np.bool_(True)!r}"),
+        (2.0, NON_NEGATIVE, "v must be of type int, got 2.0"),
+        ("2", NON_NEGATIVE, "v must be of type int, got '2'"),
+        (False, PROBABILITY, "v must be of type float, got False"),
+        ("0.5", PROBABILITY, "v must be of type float, got '0.5'"),
+        (None, PROBABILITY, "v must be of type float, got None"),
+        (1, TEXT, "v must be of type str, got 1"),
+        (["ds"], one_of(("mv", "ds")), "v must be of type str, got ['ds']"),
+        (-1, NON_NEGATIVE, "v must be >= 0, got -1"),
+        (float("nan"), PROBABILITY, "v must be in [0, 1], got nan"),
+        ("", TEXT, "v must be non-empty, got ''"),
+    ])
+    def test_type_is_checked_before_the_test(self, value, rule, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            check("v", value, rule)
+
+    @pytest.mark.parametrize("text, rule, value", [
+        ("3", NON_NEGATIVE, 3), (" 0.25", PROBABILITY, 0.25), ("1", PROBABILITY, 1.0),
+        ("a b", TEXT, "a b"),
+    ])
+    def test_parse_reads_the_rules_type(self, text, rule, value):
+        got = parse("v", text, rule)
+        assert got == value and type(got) is rule.type
+
+    @pytest.mark.parametrize("text, rule, message", [
+        ("1.5", NON_NEGATIVE, "cannot parse '1.5' as int"),
+        ("", PROBABILITY, "cannot parse '' as float"),
+        ("-1", NON_NEGATIVE, "v must be >= 0, got -1"),
+        ("", TEXT, "v must be non-empty, got ''"),
+    ])
+    def test_parse_names_text_it_cannot_read_or_a_value_that_fails(self, text, rule, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            parse("v", text, rule)
 
 
 def test_feature_matrix_requires_dense():

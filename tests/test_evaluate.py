@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,12 @@ class TestReliabilityReport:
         ann, scores, gold = self._setup()
         with pytest.raises(DataError, match="k must be >= 0"):
             reliability_report(scores, ann, gold, k=-3)
+
+    @pytest.mark.parametrize("k", [2.5, True, "2"])
+    def test_k_of_another_type_is_an_error(self, k):
+        ann, scores, gold = self._setup()
+        with pytest.raises(DataError, match=rf"^k must be of type int, got {re.escape(repr(k))}$"):
+            reliability_report(scores, ann, gold, k=k)
 
     def test_gold_label_outside_the_label_set_is_an_error(self):
         # with K = 2, class 2 would otherwise land in the total column

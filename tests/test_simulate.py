@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -253,3 +255,36 @@ class TestTextFixture:
 def test_negative_seed_names_seed(generate):
     with pytest.raises(DataError, match="seed must be >= 0, got -1"):
         generate()
+
+
+TWO = np.array([0, 1])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gen_2d("moon", 10.5), "n must be of type int, got 10.5"),
+    (lambda: gen_2d("moon", True), "n must be of type int, got True"),
+    (lambda: gen_2d("three-class", 2), "n must be at least 3 for three-class, got 2"),
+    (lambda: gen_2d("moon", 10, noise="0.1"), "noise must be of type float, got '0.1'"),
+    (lambda: gen_2d("moon", 10, noise=-0.1), "noise must be finite and >= 0, got -0.1"),
+    (lambda: gen_2d("moon", 10, seed=1.5), "seed must be of type int, got 1.5"),
+    (lambda: gen_2d("moon", 10, seed=True), "seed must be of type int, got True"),
+    (lambda: gen_text_fixture(10.5, 3, 0), "n must be of type int, got 10.5"),
+    (lambda: gen_text_fixture(2, 3, 0), "n must be at least 3, one document per class, got 2"),
+    (lambda: gen_text_fixture(10, 3, "0"), "seed must be of type int, got '0'"),
+    (lambda: simulate_annotations(TWO, 2, default_panel(2), seed=0.5),
+     "seed must be of type int, got 0.5"),
+    (lambda: simulate_annotations(TWO, 2, default_panel(2), keep_prob="0.5"),
+     "keep_prob must be of type float, got '0.5'"),
+    (lambda: simulate_annotations(TWO, 2, default_panel(2), keep_prob=True),
+     "keep_prob must be of type float, got True"),
+    (lambda: simulate_annotations(TWO, 2, default_panel(2), keep_prob=1.5),
+     "keep_prob must be in [0, 1], got 1.5"),
+], ids=["gen_2d-n-float", "gen_2d-n-bool", "gen_2d-n-range", "gen_2d-noise-str",
+        "gen_2d-noise-range", "gen_2d-seed-float", "gen_2d-seed-bool", "text-n-float",
+        "text-n-range", "text-seed-str", "simulate-seed-float", "simulate-keep_prob-str",
+        "simulate-keep_prob-bool", "simulate-keep_prob-range"])
+def test_setting_of_another_type_or_out_of_range_is_named(call, message):
+    # the library entry points check each setting as the config does, type first
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        call()
+
