@@ -40,9 +40,7 @@ def vote_fractions(annotations: AnnotationSet) -> np.ndarray:
     totals = counts.sum(axis=1, keepdims=True)
     uncovered = np.flatnonzero(totals == 0)
     if uncovered.size:
-        i = int(uncovered[0])
-        name = repr(annotations.instance_ids[i]) if annotations.instance_ids else i
-        raise DataError(f"instance {name} has no annotations")
+        raise DataError(f"instance {annotations.instance_ids[uncovered[0]]!r} has no annotations")
     return counts / totals
 
 

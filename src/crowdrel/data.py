@@ -7,7 +7,10 @@ not at all. ``check`` tests a setting's value against its ``Rule``, type
 first, and ``parse`` reads a setting's text as the rule's type.
 
 External ids are arbitrary strings; everything downstream works on dense
-0-based integer indices assigned at load time. Gold labels and
+0-based integer indices, their positions in an id tuple. An
+``AnnotationSet``'s N and M are the lengths of its instance and annotator
+ids; the readers of annotations and gold labels take the instance ids they
+must match, those of the instances file. Gold labels and
 predictions in memory are (N,) arrays of label indices, -1 where an
 instance has none; ``write_gold`` writes either. All types are immutable
 after construction and safe to share across threads.
@@ -45,8 +48,10 @@ class Rule(NamedTuple):
 
 NON_NEGATIVE = Rule(int, ">= 0", lambda value: value >= 0)
 AT_LEAST_1 = Rule(int, ">= 1", lambda value: value >= 1)
+LABEL_COUNT = Rule(int, ">= 2", lambda value: value >= 2)  # as a LabelSet needs
 PROBABILITY = Rule(float, "in [0, 1]", lambda p: 0.0 <= p <= 1.0)  # NaN fails it
 TEXT = Rule(str, "non-empty", bool)
+ANY_FLOAT = Rule(float, "a float", lambda value: True)
 
 # a rule's type -> the values it admits: numpy scalars too, but a bool is no number
 _ADMITS = {int: Integral, float: Real, str: str}
@@ -123,24 +128,28 @@ class Instance:
 class AnnotationSet:
     """Sparse annotation triples (instance, annotator, label) as index arrays.
 
-    The one source of its sizes N, M and K: construction raises DataError
-    unless each index array is 1-D and of an integer type (or empty), every
-    index lies in [0, n_instances), [0, n_annotators) or [0, n_labels),
-    each (instance, annotator) pair occurs at most once and a non-empty
-    ``instance_ids`` or ``annotator_ids`` holds exactly N or M distinct ids.
+    The one source of its sizes: N and M are the lengths of ``instance_ids``
+    and ``annotator_ids``, K is ``n_labels``. Construction raises DataError
+    unless each id tuple holds distinct ids, each index array is 1-D and of
+    an integer type (or empty), every index lies in [0, N), [0, M) or
+    [0, K) and each (instance, annotator) pair occurs at most once.
     Indices refer to positions in ``instance_ids`` / ``annotator_ids`` / the label set.
     """
 
-    n_instances: int
-    n_annotators: int
+    instance_ids: tuple[str, ...]
+    annotator_ids: tuple[str, ...]
     n_labels: int
     instance_idx: np.ndarray
     annotator_idx: np.ndarray
     label_idx: np.ndarray
-    instance_ids: tuple[str, ...] = ()
-    annotator_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        for name in ("instance_ids", "annotator_ids"):
+            ids = tuple(getattr(self, name))
+            object.__setattr__(self, name, ids)
+            if len(set(ids)) != len(ids):
+                repeated = next(v for k, v in enumerate(ids) if v in ids[:k])
+                raise DataError(f"{name} repeats id {repeated!r}")
         for name, size in (("instance_idx", self.n_instances),
                            ("annotator_idx", self.n_annotators), ("label_idx", self.n_labels)):
             raw = np.asarray(getattr(self, name))
@@ -160,11 +169,14 @@ class AnnotationSet:
         keys = np.sort(self.instance_idx * self.n_annotators + self.annotator_idx)
         if np.any(keys[1:] == keys[:-1]):
             raise DataError("duplicate (instance, annotator) pair")
-        for name, ids, size in (("instance_ids", self.instance_ids, self.n_instances),
-                                ("annotator_ids", self.annotator_ids, self.n_annotators)):
-            if ids and (len(ids) != size or len(set(ids)) != size):
-                raise DataError(f"{name} must hold {size} distinct ids, got {len(ids)} "
-                                f"of which {len(set(ids))} distinct")
+
+    @property
+    def n_instances(self) -> int:
+        return len(self.instance_ids)
+
+    @property
+    def n_annotators(self) -> int:
+        return len(self.annotator_ids)
 
     @property
     def n_pairs(self) -> int:
@@ -231,6 +243,21 @@ def label_indices(values, n: int, k: int | None, per: str = "instance", name: st
 def _at(path: str | Path, line: int, exc: ValueError) -> DataError:
     """A DataError with ``exc``'s message, led by the ``path:line`` of the row that raised it."""
     return DataError(f"{path}:{line}: {exc}")
+
+
+def parse_floats(texts: Sequence[str], path: str | Path, line: int) -> np.ndarray:
+    """``texts`` read as a float64 array; else the DataError of ``parse`` for the first
+    that is no float, led by ``path:line``. Only a row that fails goes through the slower
+    ``parse``. A non-finite value is read, for the caller to name."""
+    try:
+        return np.array([float(v) for v in texts], dtype=np.float64)
+    except ValueError:
+        try:
+            for text in texts:
+                parse("value", text, ANY_FLOAT)
+        except DataError as exc:
+            raise _at(path, line, exc) from None
+        raise
 
 
 def _table(path: str | Path, header: Sequence[str],
@@ -306,10 +333,7 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
     if format == "dense-csv":
         instances = []
         for line, row in _table(path, ("id",), more=True):
-            try:
-                vec = np.array([float(v) for v in row[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise _at(path, line, exc) from None
+            vec = parse_floats(row[1:], path, line)
             if not np.all(np.isfinite(vec)):
                 raise _at(path, line, DataError(f"non-finite feature value in instance {row[0]!r}"))
             instances.append(Instance(id=new_id(row[0], line), features=vec))
@@ -361,7 +385,7 @@ def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> No
             fh.write(json.dumps(obj) + "\n")
 
 
-def _index_of(seen: dict[str, int], key: str, grow: bool, what: str) -> int:
+def _index_of(seen: dict[str, int], key: str, what: str, grow: bool = False) -> int:
     """Index of id ``key``; a new id gets the next index when ``grow``, else is an error."""
     idx = seen.get(key)
     if idx is None:
@@ -376,27 +400,24 @@ GOLD_HEADER = ("instance_id", "label")
 SCORES_HEADER = ("instance_id", "annotator_id", "score")
 
 
-def load_annotations(
-    path: str | Path,
-    label_set: LabelSet,
-    instance_ids: Sequence[str] | None = None,
-    annotator_ids: Sequence[str] | None = None,
-) -> AnnotationSet:
+def load_annotations(path: str | Path, label_set: LabelSet, instance_ids: Sequence[str],
+                     annotator_ids: Sequence[str] | None = None) -> AnnotationSet:
     """Load annotation triples from CSV with header instance_id,annotator_id,label.
 
-    Ids are mapped to dense 0-based indices in first-occurrence order unless
-    an explicit id order is supplied (as when annotations must align with a
-    previously loaded instance file). Duplicate (instance, annotator) pairs
-    and labels outside ``label_set`` are rejected, naming the file and line.
+    Instance ids are mapped to their positions in ``instance_ids``, the
+    instances the annotations must match; annotator ids to theirs in
+    ``annotator_ids`` when it is given, else to dense 0-based indices in
+    first-occurrence order. Unknown ids, duplicate (instance, annotator)
+    pairs and labels outside ``label_set`` are rejected, naming the file and line.
     """
-    inst_seen = {v: i for i, v in enumerate(() if instance_ids is None else instance_ids)}
-    ann_seen = {v: i for i, v in enumerate(() if annotator_ids is None else annotator_ids)}
+    inst_pos = {v: i for i, v in enumerate(instance_ids)}
+    ann_seen = {v: j for j, v in enumerate(() if annotator_ids is None else annotator_ids)}
     ii, jj, ll = [], [], []
     pairs: set[tuple[int, int]] = set()
     for line, row in _table(path, ANNOTATIONS_HEADER):
         try:
-            i = _index_of(inst_seen, row[0], instance_ids is None, "instance")
-            j = _index_of(ann_seen, row[1], annotator_ids is None, "annotator")
+            i = _index_of(inst_pos, row[0], "instance")
+            j = _index_of(ann_seen, row[1], "annotator", grow=annotator_ids is None)
             if (i, j) in pairs:
                 raise DataError(f"duplicate annotation for instance {row[0]!r} by {row[1]!r}")
             ll.append(label_set.index(row[2]))
@@ -405,18 +426,8 @@ def load_annotations(
         pairs.add((i, j))
         ii.append(i)
         jj.append(j)
-    inst_ids = tuple(inst_seen if instance_ids is None else instance_ids)
-    ann_ids = tuple(ann_seen if annotator_ids is None else annotator_ids)
-    return AnnotationSet(
-        n_instances=len(inst_ids),
-        n_annotators=len(ann_ids),
-        n_labels=len(label_set),
-        instance_idx=np.array(ii, dtype=np.int64),
-        annotator_idx=np.array(jj, dtype=np.int64),
-        label_idx=np.array(ll, dtype=np.int64),
-        instance_ids=inst_ids,
-        annotator_ids=ann_ids,
-    )
+    return AnnotationSet(instance_ids, ann_seen if annotator_ids is None else annotator_ids,
+                         len(label_set), *(np.array(v, dtype=np.int64) for v in (ii, jj, ll)))
 
 
 def _pair_ids(annotations: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
@@ -430,17 +441,14 @@ def write_annotations(path: str | Path, annotations: AnnotationSet, label_set: L
     write_table(path, ANNOTATIONS_HEADER, zip(*_pair_ids(annotations), labels))
 
 
-def load_gold(
-    path: str | Path,
-    label_set: LabelSet,
-    instance_ids: Sequence[str] | None = None,
-) -> GoldLabels:
-    """Load gold labels from CSV with header instance_id,label (one row per instance)."""
-    seen = {v: i for i, v in enumerate(() if instance_ids is None else instance_ids)}
+def load_gold(path: str | Path, label_set: LabelSet, instance_ids: Sequence[str]) -> GoldLabels:
+    """Load gold labels from CSV with header instance_id,label (at most one row per
+    instance), each instance id one of ``instance_ids``."""
+    seen = {v: i for i, v in enumerate(instance_ids)}
     by_index: dict[int, int] = {}
     for line, row in _table(path, GOLD_HEADER):
         try:
-            i = _index_of(seen, row[0], instance_ids is None, "instance")
+            i = _index_of(seen, row[0], "instance")
             if i in by_index:
                 raise DataError(f"duplicate gold label for instance {row[0]!r}")
             by_index[i] = label_set.index(row[1])
@@ -476,8 +484,8 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
     scores: list[float | None] = [None] * annotations.n_pairs
     for line, row in _table(path, SCORES_HEADER):
         try:
-            p = pair_pos.get(_index_of(inst_pos, row[0], False, "instance") * m
-                             + _index_of(ann_pos, row[1], False, "annotator"))
+            p = pair_pos.get(_index_of(inst_pos, row[0], "instance") * m
+                             + _index_of(ann_pos, row[1], "annotator"))
             if p is None:
                 raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
             if scores[p] is not None:

@@ -171,9 +171,8 @@ def reliability_report(scores: np.ndarray, annotations: AnnotationSet,
     correct = pair_gold[pair] == annotations.label_idx[pair]  # a missing gold (-1) never matches
     n, n_correct, total = (np.bincount(cell, w, m * 2 * width).reshape(m, 2, width)
                            for w in (None, correct, scores[pair]))
-    return ReliabilityReport(
-        k, annotations.annotator_ids or tuple(str(j) for j in range(m)), n,
-        n_correct.astype(np.int64), np.divide(total, n, out=np.full(n.shape, np.nan), where=n > 0))
+    return ReliabilityReport(k, annotations.annotator_ids, n, n_correct.astype(np.int64),
+                             np.divide(total, n, out=np.full(n.shape, np.nan), where=n > 0))
 
 
 @dataclass(frozen=True)
@@ -201,16 +200,9 @@ def drop_least_reliable(annotations: AnnotationSet, scores: np.ndarray) -> tuple
     lowest = _rank_within(annotations.instance_idx, scores, annotations.annotator_idx) == 0
     drop = lowest & (per_instance[annotations.instance_idx] >= 2)
     keep = ~drop
-    reduced = AnnotationSet(
-        n_instances=annotations.n_instances,
-        n_annotators=annotations.n_annotators,
-        n_labels=annotations.n_labels,
-        instance_idx=annotations.instance_idx[keep],
-        annotator_idx=annotations.annotator_idx[keep],
-        label_idx=annotations.label_idx[keep],
-        instance_ids=annotations.instance_ids,
-        annotator_ids=annotations.annotator_ids,
-    )
+    reduced = AnnotationSet(annotations.instance_ids, annotations.annotator_ids,
+                            annotations.n_labels, annotations.instance_idx[keep],
+                            annotations.annotator_idx[keep], annotations.label_idx[keep])
     return reduced, int(drop.sum()), int((per_instance == 1).sum())
 
 

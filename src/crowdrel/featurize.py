@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data
-from .data import DataError, Instance, check, one_of
+from .data import DataError, Instance, check, one_of, parse_floats
 
 # (classifier_hidden, estimator_hidden) defaults per text featurizer; "none" keeps TrainConfig's
 HIDDEN_DEFAULTS = {"tfidf": (100, 100), "avg-embed": (50, 25), "concat-avg-embed": (100, 50)}
@@ -115,10 +115,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             elif len(values) != dim:
                 raise DataError(
                     f"{path}:{lineno}: expected {dim} components, got {len(values)}")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
+            vec = parse_floats(values, path, lineno)
             if not np.all(np.isfinite(vec)):
                 raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if tok in vectors:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import (NON_NEGATIVE, PROBABILITY, AnnotationSet, DataError, Instance, Rule, check,
-                   label_indices, one_of, parse)
+from .data import (LABEL_COUNT, NON_NEGATIVE, PROBABILITY, AnnotationSet, DataError, Instance,
+                   Rule, check, label_indices, one_of, one_per, parse)
 
 # generated dataset kind -> (label count, default noise)
 DATASET_KINDS = {"moon": (2, 0.1), "circle": (2, 0.08), "three-class": (3, 0.5)}
@@ -63,6 +63,7 @@ class AnnotatorProfile:
 
 def default_panel(n_labels: int) -> list[AnnotatorProfile]:
     """One narrow expert per class, one broad, one random, one adversarial."""
+    check("n_labels", n_labels, LABEL_COUNT)
     panel = [AnnotatorProfile("narrow", domain=c) for c in range(n_labels)]
     panel += [AnnotatorProfile("broad"), AnnotatorProfile("random"), AnnotatorProfile("adversarial")]
     return panel
@@ -181,6 +182,7 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
     ``keep_prob`` < 1 uniformly subsamples annotations afterwards while
     guaranteeing each instance keeps at least one.
     """
+    check("n_labels", n_labels, LABEL_COUNT)
     if not profiles:
         raise DataError("need at least one annotator profile")
     for j, profile in enumerate(profiles):
@@ -193,6 +195,8 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
     if np.any(truth < 0):
         raise DataError("simulation needs a gold label for every instance")
     n, m = len(truth), len(profiles)
+    ids = _instance_ids(n) if instance_ids is None else one_per(
+        instance_ids, n, "instance ids", "gold label", object)
 
     streams = _seed_sequence(seed).spawn(m + 1)
     columns = [
@@ -210,13 +214,8 @@ def simulate_annotations(gold: np.ndarray, n_labels: int,
         keep[np.arange(n) * m + forced] = True
         ii, jj, ll = ii[keep], jj[keep], ll[keep]
 
-    ids = _instance_ids(n) if instance_ids is None else list(instance_ids)
-    return AnnotationSet(
-        n_instances=n, n_annotators=m, n_labels=n_labels,
-        instance_idx=ii, annotator_idx=jj, label_idx=ll,
-        instance_ids=tuple(ids),
-        annotator_ids=tuple(f"a{j}_{profiles[j].short_name()}" for j in range(m)),
-    )
+    annotator_ids = [f"a{j}_{profile.short_name()}" for j, profile in enumerate(profiles)]
+    return AnnotationSet(ids, annotator_ids, n_labels, ii, jj, ll)
 
 
 def gen_text_fixture(n: int = 500, n_labels: int = 3,
@@ -228,6 +227,7 @@ def gen_text_fixture(n: int = 500, n_labels: int = 3,
     classes cleanly separable. Returns the documents and their (N,) gold
     label indices.
     """
+    check("n_labels", n_labels, LABEL_COUNT)
     check("n", n, Rule(int, f"at least {n_labels}, one document per class",
                        lambda value: value >= n_labels))
     rng = np.random.default_rng(_seed_sequence(seed))

@@ -27,15 +27,17 @@ from crowdrel.neural import (
 )
 
 
+def ids(prefix: str, n: int) -> tuple[str, ...]:
+    """``n`` distinct ids: ``prefix`` followed by 0, 1, ..."""
+    return tuple(f"{prefix}{k}" for k in range(n))
+
+
 def make_annotations(triples: list[tuple[int, int, int]], n_instances: int,
                      n_annotators: int, n_labels: int) -> AnnotationSet:
-    ii, jj, ll = (np.array(col, dtype=np.int64) for col in zip(*triples))
-    return AnnotationSet(
-        n_instances=n_instances, n_annotators=n_annotators, n_labels=n_labels,
-        instance_idx=ii, annotator_idx=jj, label_idx=ll,
-        instance_ids=tuple(f"i{i}" for i in range(n_instances)),
-        annotator_ids=tuple(f"a{j}" for j in range(n_annotators)),
-    )
+    """The set of ``triples`` (instance, annotator, label) over instances i0, i1, ... and
+    annotators a0, a1, ..."""
+    ii, jj, ll = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    return AnnotationSet(ids("i", n_instances), ids("a", n_annotators), n_labels, ii, jj, ll)
 
 
 def random_annotation_setup(rng: np.random.Generator, max_n: int = 20, max_m: int = 5,

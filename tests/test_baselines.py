@@ -26,9 +26,7 @@ class TestMajorityVote:
         assert majority_vote(ann).tolist() == [i % 3 for i in range(6)]
 
     def test_uncovered_instance_errors(self):
-        ann = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
-                            instance_idx=np.array([0]), annotator_idx=np.array([0]),
-                            label_idx=np.array([1]))
+        ann = make_annotations([(0, 0, 1)], 2, 1, 2)
         with pytest.raises(ValueError, match="no annotations"):
             majority_vote(ann)
 
@@ -125,14 +123,13 @@ def test_vote_fractions_rows_sum_to_one():
 
 
 @pytest.mark.parametrize("aggregate", [
+    vote_fractions,
     majority_vote,
     dawid_skene,
     lambda ann: train(np.zeros((3, 2)), ann, TrainConfig(max_outer=1, pretrain_epochs=1)),
-], ids=["majority_vote", "dawid_skene", "train"])
-@pytest.mark.parametrize("instance_ids, name", [(("a", "b", "c"), "'b'"), ((), "1")],
-                         ids=["by-id", "by-index"])
-def test_instance_without_annotations_is_a_data_error(aggregate, instance_ids, name):
-    ann = AnnotationSet(n_instances=3, n_annotators=2, n_labels=2, instance_idx=[0, 0, 2],
-                        annotator_idx=[0, 1, 0], label_idx=[0, 1, 1], instance_ids=instance_ids)
-    with pytest.raises(DataError, match=f"^instance {name} has no annotations$"):
+], ids=["vote_fractions", "majority_vote", "dawid_skene", "train"])
+def test_instance_without_annotations_is_named_by_its_id(aggregate):
+    ann = AnnotationSet(("a", "b", "c"), ("u", "v"), 2, instance_idx=[0, 0, 2],
+                        annotator_idx=[0, 1, 0], label_idx=[0, 1, 1])
+    with pytest.raises(DataError, match="^instance 'b' has no annotations$"):
         aggregate(ann)

@@ -51,7 +51,8 @@ class TestSimulateCommand:
         assert names == {"instances.csv", "gold.csv", "annotations.csv", "manifest_simulate.json"}
         instances = load_instances(tmp_path / "out" / "instances.csv", "dense-csv")
         assert len(instances) == 400
-        ann = load_annotations(tmp_path / "out" / "annotations.csv", LabelSet(("0", "1")))
+        ann = load_annotations(tmp_path / "out" / "annotations.csv", LabelSet(("0", "1")),
+                               [inst.id for inst in instances])
         assert ann.n_annotators == 5
 
     def test_same_seed_gives_byte_identical_files(self, runner, tmp_path):
@@ -242,7 +243,7 @@ class TestFilesValidation:
                                   instances_format="text-jsonl", **items)
 
     @pytest.mark.parametrize("content, message", [
-        ("words 0.1 0.2\nabout 0.3 zz\n", "emb.txt:2: could not convert string to float"),
+        ("words 0.1 0.2\nabout 0.3 zz\n", "emb.txt:2: cannot parse 'zz' as float"),
         ("words 0.1 0.2\nabout 0.3\n", "emb.txt:2: expected 2 components, got 1"),
         ("words 0.1 0.2\nabout nan 0.3\n", "emb.txt:2: non-finite embedding value"),
         ("words\n", "emb.txt:1: no vector components"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import ids, make_annotations
 from crowdrel.data import (
     NON_NEGATIVE,
     PROBABILITY,
@@ -88,6 +89,17 @@ class TestLoadInstances:
         with pytest.raises(DataError, match=":3"):
             load_instances(path, "dense-csv")
 
+    @pytest.mark.parametrize("row, text", [
+        ("a,abc,0.5", "abc"), ("a,1.0,abc", "abc"), ("a,inf,abc", "abc"), ("a,abc,nan", "abc"),
+        ("a,,1.0", ""),
+    ])
+    def test_value_that_is_no_float_is_worded_as_parse_does(self, tmp_path, row, text):
+        path = tmp_path / "x.csv"
+        path.write_text(f"id,x0,x1\n{row}\n")
+        message = f"{path}:2: cannot parse {text!r} as float"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_instances(path, "dense-csv")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
     def test_non_finite_feature_reports_line(self, tmp_path, value):
         path = tmp_path / "x.csv"
@@ -131,20 +143,20 @@ class TestLoadAnnotations:
     def test_counts(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"
         path.write_text("instance_id,annotator_id,label\nq,u1,0\nq,u2,0\nq,u3,1\n")
-        ann = load_annotations(path, binary_labels)
+        ann = load_annotations(path, binary_labels, ["q"])
         assert (ann.n_instances, ann.n_annotators, ann.n_pairs) == (1, 3, 3)
 
     def test_unknown_label(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"
         path.write_text("instance_id,annotator_id,label\nq,u1,maybe\n")
         with pytest.raises(DataError, match="unknown label"):
-            load_annotations(path, binary_labels)
+            load_annotations(path, binary_labels, ["q"])
 
     def test_duplicate_pair(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"
         path.write_text("instance_id,annotator_id,label\nq,u1,0\nq,u1,1\n")
         with pytest.raises(DataError, match=r"a\.csv:3: duplicate annotation"):
-            load_annotations(path, binary_labels)
+            load_annotations(path, binary_labels, ["q"])
 
     def test_sparse_panel_loads(self, tmp_path, binary_labels):
         # 80 instances, each labelled by exactly 10 of 164 annotators
@@ -154,7 +166,7 @@ class TestLoadAnnotations:
                 rows.append(f"q{i},w{(i * 10 + q) % 164},{(i + q) % 2}")
         path = tmp_path / "a.csv"
         path.write_text("\n".join(rows) + "\n")
-        ann = load_annotations(path, binary_labels)
+        ann = load_annotations(path, binary_labels, ids("q", 80))
         assert ann.n_instances == 80
         assert ann.n_annotators == 164
         assert np.all(ann.counts_per_instance() == 10)
@@ -168,13 +180,34 @@ class TestLoadAnnotations:
         with pytest.raises(DataError, match="unknown instance"):
             load_annotations(path, binary_labels, instance_ids=["a"])
 
+    def test_explicit_annotator_order(self, tmp_path, binary_labels):
+        path = tmp_path / "a.csv"
+        path.write_text("instance_id,annotator_id,label\nb,u9,0\na,u1,1\nb,u1,1\n")
+        given = load_annotations(path, binary_labels, ["a", "b"], annotator_ids=["u1", "u0", "u9"])
+        assert given.annotator_ids == ("u1", "u0", "u9")
+        assert given.triples() == [(1, 2, 0), (0, 0, 1), (1, 0, 1)]
+        with pytest.raises(DataError, match=r"a\.csv:2: unknown annotator id 'u9'"):
+            load_annotations(path, binary_labels, ["a", "b"], annotator_ids=["u1"])
+
+
+@pytest.mark.parametrize("load, text", [
+    (load_annotations, "instance_id,annotator_id,label\nq,u1,0\nr,u1,1\n"),
+    (load_gold, "instance_id,label\nq,0\nr,1\n"),
+], ids=["annotations", "gold"])
+def test_instance_id_outside_the_given_ids_names_file_and_line(tmp_path, binary_labels,
+                                                                load, text):
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: unknown instance id 'r'$"):
+        load(path, binary_labels, ["q"])
+
 
 class TestLoadGold:
     def test_balanced_two_class_file(self, tmp_path, binary_labels):
         rows = ["instance_id,label"] + [f"q{i},{i % 2}" for i in range(800)]
         path = tmp_path / "g.csv"
         path.write_text("\n".join(rows) + "\n")
-        gold = load_gold(path, binary_labels)
+        gold = load_gold(path, binary_labels, ids("q", 800))
         values = list(gold.by_index.values())
         assert len(gold) == 800
         assert values.count(0) == 400 and values.count(1) == 400
@@ -182,13 +215,13 @@ class TestLoadGold:
     def test_empty_file(self, tmp_path, binary_labels):
         path = tmp_path / "g.csv"
         path.write_text("")
-        assert len(load_gold(path, binary_labels)) == 0
+        assert len(load_gold(path, binary_labels, [])) == 0
 
     def test_duplicate_instance(self, tmp_path, binary_labels):
         path = tmp_path / "g.csv"
         path.write_text("instance_id,label\nq,0\nq,1\n")
         with pytest.raises(DataError, match=r"g\.csv:3: duplicate gold label"):
-            load_gold(path, binary_labels)
+            load_gold(path, binary_labels, ["q"])
 
 
 class TestAnnotationSet:
@@ -199,53 +232,49 @@ class TestAnnotationSet:
         triples = {"instance_idx": [0, 1, 2], "annotator_idx": [0, 1, 2], "label_idx": [0, 1, 2]}
         triples[column] = [0, value, 2]
         with pytest.raises(DataError, match=rf"{column}\[1\] = {value} is outside \[0, 3\)"):
-            AnnotationSet(n_instances=3, n_annotators=3, n_labels=3, **triples)
+            AnnotationSet(ids("i", 3), ids("a", 3), 3, **triples)
 
     @pytest.mark.parametrize("column", ["instance_idx", "annotator_idx", "label_idx"])
     def test_rejects_fractional_index(self, column):
         triples = {"instance_idx": [0, 1], "annotator_idx": [0, 1], "label_idx": [0, 1]}
         triples[column] = [0.9, 1.5]
         with pytest.raises(DataError, match=f"{column} must hold integers"):
-            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2, **triples)
+            AnnotationSet(ids("i", 2), ids("a", 2), 2, **triples)
 
     @pytest.mark.parametrize("column", ["instance_idx", "annotator_idx", "label_idx"])
     def test_rejects_index_array_that_is_not_1d(self, column):
         triples = {"instance_idx": [0, 1], "annotator_idx": [0, 1], "label_idx": [0, 1]}
         triples[column] = [[0], [1]]
         with pytest.raises(DataError, match=rf"{column} must be 1-D, got shape \(2, 1\)"):
-            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2, **triples)
+            AnnotationSet(ids("i", 2), ids("a", 2), 2, **triples)
 
     def test_accepts_empty_set(self):
-        ann = AnnotationSet(n_instances=0, n_annotators=0, n_labels=2,
-                            instance_idx=[], annotator_idx=[], label_idx=[])
+        ann = AnnotationSet((), (), 2, instance_idx=[], annotator_idx=[], label_idx=[])
         assert ann.n_pairs == 0 and ann.instance_idx.dtype == np.int64
 
     def test_rejects_duplicate_pair(self):
         with pytest.raises(DataError, match=r"duplicate \(instance, annotator\) pair"):
-            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
+            AnnotationSet(ids("i", 2), ids("a", 2), 2,
                           instance_idx=[0, 1, 0], annotator_idx=[1, 0, 1], label_idx=[0, 0, 1])
 
-    @pytest.mark.parametrize("ids, message", [
-        ({"instance_ids": ("a",)}, "instance_ids must hold 2 distinct ids, got 1 of which 1"),
-        ({"instance_ids": ("a", "a")}, "instance_ids must hold 2 distinct ids, got 2 of which 1"),
-        ({"annotator_ids": ("u", "v", "w")},
-         "annotator_ids must hold 2 distinct ids, got 3 of which 3"),
-    ], ids=["too-few", "repeated", "too-many"])
-    def test_rejects_ids_that_do_not_fit_its_sizes(self, ids, message):
-        with pytest.raises(DataError, match=f"^{message} distinct$"):
-            AnnotationSet(n_instances=2, n_annotators=2, n_labels=2,
-                          instance_idx=[0, 1], annotator_idx=[1, 0], label_idx=[0, 0], **ids)
+    @pytest.mark.parametrize("field", ["instance_ids", "annotator_ids"])
+    def test_rejects_a_repeated_id_naming_the_field(self, field):
+        id_tuples = {"instance_ids": ("a", "b"), "annotator_ids": ("u", "v")}
+        id_tuples[field] = ("x", "y", "x", "y")
+        with pytest.raises(DataError, match=f"^{field} repeats id 'x'$"):
+            AnnotationSet(n_labels=2, instance_idx=[0, 1], annotator_idx=[1, 0], label_idx=[0, 0],
+                          **id_tuples)
+
+    def test_sizes_are_the_lengths_of_the_ids(self):
+        ann = AnnotationSet(("x", "y", "z"), ("u",), 2, [2], [0], [1])
+        assert (ann.n_instances, ann.n_annotators, ann.n_pairs) == (3, 1, 1)
+        assert ann.counts_per_instance().tolist() == [0, 0, 1]
 
 
 class TestValidate:
     def _fixture(self):
         instances = [Instance(id=f"i{k}", features=np.array([0.0, float(k)])) for k in range(10)]
-        ann = AnnotationSet(
-            n_instances=10, n_annotators=2, n_labels=2,
-            instance_idx=np.repeat(np.arange(10), 2),
-            annotator_idx=np.tile([0, 1], 10),
-            label_idx=np.zeros(20, dtype=np.int64),
-        )
+        ann = make_annotations([(i, j, 0) for i in range(10) for j in range(2)], 10, 2, 2)
         return instances, ann
 
     def test_consistent_fixture(self):
@@ -256,7 +285,7 @@ class TestValidate:
         # caught when the set is built, before validate could see it
         with pytest.raises(DataError, match="999"):
             AnnotationSet(
-                n_instances=10, n_annotators=1, n_labels=2,
+                ids("i", 10), ("a0",), 2,
                 instance_idx=np.array([999] + list(range(10))),
                 annotator_idx=np.zeros(11, dtype=np.int64),
                 label_idx=np.zeros(11, dtype=np.int64),
@@ -269,8 +298,7 @@ class TestValidate:
         assert len(problems) == 1 and "non-finite" in problems[0]
 
     def test_empty_dataset(self):
-        empty = AnnotationSet(n_instances=0, n_annotators=0, n_labels=2,
-                              instance_idx=[], annotator_idx=[], label_idx=[])
+        empty = make_annotations([], 0, 0, 2)
         assert validate([], empty) == ["dataset has no instances"]
 
 
@@ -299,11 +327,10 @@ class TestRoundTrip:
         chosen = data.draw(st.lists(st.sampled_from(possible), min_size=1,
                                     max_size=len(possible), unique=True))
         ann = AnnotationSet(
-            n_instances=len(inst_ids), n_annotators=len(ann_ids), n_labels=2,
+            inst_ids, ann_ids, 2,
             instance_idx=np.array([c[0] for c in chosen]),
             annotator_idx=np.array([c[1] for c in chosen]),
             label_idx=np.array([data.draw(st.integers(0, 1)) for _ in chosen]),
-            instance_ids=tuple(inst_ids), annotator_ids=tuple(ann_ids),
         )
         path = tmp_path_factory.mktemp("rt") / "ann.csv"
         write_annotations(path, ann, labels)
@@ -388,11 +415,10 @@ class TestRoundTrip:
                                     max_size=len(possible), unique=True))
         label = st.integers(0, len(labels) - 1)
         ann = AnnotationSet(
-            n_instances=len(inst_ids), n_annotators=len(ann_ids), n_labels=len(labels),
+            inst_ids, ann_ids, len(labels),
             instance_idx=np.array([c[0] for c in chosen]),
             annotator_idx=np.array([c[1] for c in chosen]),
             label_idx=np.array([data.draw(label) for _ in chosen]),
-            instance_ids=tuple(inst_ids), annotator_ids=tuple(ann_ids),
         )
         # -1 marks an instance without a gold label
         gold = np.array([data.draw(st.integers(-1, len(labels) - 1)) for _ in inst_ids])
@@ -423,10 +449,8 @@ class TestRoundTrip:
             assert (base / f"{name}2.csv").read_bytes() == (base / f"{name}.csv").read_bytes()
 
     def test_writers_give_one_row_per_pair_in_pair_order(self, tmp_path):
-        ann = AnnotationSet(n_instances=3, n_annotators=2, n_labels=2,
-                            instance_idx=[2, 0, 1, 2], annotator_idx=[1, 1, 0, 0],
-                            label_idx=[0, 1, 1, 0], instance_ids=("x", "y", "z"),
-                            annotator_ids=("a,1", "b"))
+        ann = AnnotationSet(("x", "y", "z"), ("a,1", "b"), 2, instance_idx=[2, 0, 1, 2],
+                            annotator_idx=[1, 1, 0, 0], label_idx=[0, 1, 1, 0])
         labels = LabelSet(("no", "yes"))
         scores = np.array([0.25, 1.0, 0.0, 1 / 3])
         write_annotations(tmp_path / "ann.csv", ann, labels)
@@ -444,14 +468,25 @@ class TestRoundTrip:
     def test_index_assignment_deterministic(self, tmp_path, binary_labels):
         path = tmp_path / "a.csv"
         path.write_text("instance_id,annotator_id,label\nz,u9,0\na,u1,1\nz,u1,1\n")
-        first = load_annotations(path, binary_labels)
-        second = load_annotations(path, binary_labels)
-        assert first.instance_ids == second.instance_ids == ("z", "a")
-        assert first.triples() == second.triples()
+        first = load_annotations(path, binary_labels, ["a", "z"])
+        second = load_annotations(path, binary_labels, ["a", "z"])
+        assert first.annotator_ids == second.annotator_ids == ("u9", "u1")
+        assert first.triples() == second.triples() == [(1, 0, 0), (0, 1, 1), (1, 1, 1)]
+
+    def test_set_built_in_python_round_trips(self, tmp_path):
+        # instance i1 has no annotation: the set keeps it, as the writers and readers do
+        ann = make_annotations([(2, 1, 1), (0, 0, 0), (2, 0, 1)], 3, 2, 2)
+        labels, scores = LabelSet(("no", "yes")), np.array([0.5, 1.0, 0.25])
+        write_annotations(tmp_path / "ann.csv", ann, labels)
+        write_scores(tmp_path / "rel.csv", ann, scores)
+        loaded = load_annotations(tmp_path / "ann.csv", labels, ann.instance_ids,
+                                  ann.annotator_ids)
+        assert (loaded.instance_ids, loaded.annotator_ids) == (ann.instance_ids, ann.annotator_ids)
+        assert loaded.triples() == ann.triples()
+        np.testing.assert_array_equal(load_scores(tmp_path / "rel.csv", loaded), scores)
 
 
-TWO_PAIRS = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
-                          instance_idx=[0, 1], annotator_idx=[0, 0], label_idx=[0, 1])
+TWO_PAIRS = make_annotations([(0, 0, 0), (1, 0, 1)], 2, 1, 2)
 
 
 @pytest.mark.parametrize("call", [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 0.0\ndog 0.5\n")
         with pytest.raises(ValueError, match="expected 2 components"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("row, fault", [
+        ("tok 1.0 abc", "cannot parse 'abc' as float"),
+        ("tok inf abc", "cannot parse 'abc' as float"),
+        ("tok 1.0 inf", "non-finite embedding value"),
+        ("tok nan 1.0", "non-finite embedding value"),
+    ], ids=["no-float", "no-float-after-inf", "inf", "nan"])
+    def test_bad_value_names_file_and_line(self, tmp_path, row, fault):
+        path = tmp_path / "e.txt"
+        path.write_text(row + "\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:1: {fault}$"):
             load_embeddings(path)
 
     def test_duplicate_token_last_wins_with_warning(self, tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from helpers import (
 )
 from crowdrel import model
 from crowdrel.baselines import dawid_skene
-from crowdrel.data import AnnotationSet, DataError, LabelSet, feature_matrix
+from crowdrel.data import DataError, LabelSet, feature_matrix
 from crowdrel.evaluate import f1
 from crowdrel.model import (
     MODES,
@@ -642,9 +643,7 @@ class TestPredict:
             for b in net.biases:
                 b[:] = 0.0
         # instance 1 has no annotation: posterior is the exactly-uniform prior
-        ann = AnnotationSet(n_instances=2, n_annotators=1, n_labels=2,
-                            instance_idx=np.array([0]), annotator_idx=np.array([0]),
-                            label_idx=np.array([0]))
+        ann = make_annotations([(0, 0, 0)], 2, 1, 2)
         x = np.zeros((2, 2))
         posterior = e_step(state, x, ann).label_posterior
         pred = posterior.argmax(axis=1)
@@ -672,10 +671,7 @@ class TestAnnotatorPermutation:
         for j in range(m):
             permuted_est.weights[0][rep_dim + perm[j]] = state.estimator.weights[0][rep_dim + j]
         permuted_state = ModelState(classifier=state.classifier, estimator=permuted_est)
-        permuted_ann = AnnotationSet(
-            n_instances=ann.n_instances, n_annotators=m, n_labels=ann.n_labels,
-            instance_idx=ann.instance_idx, annotator_idx=perm[ann.annotator_idx],
-            label_idx=ann.label_idx)
+        permuted_ann = dataclasses.replace(ann, annotator_idx=perm[ann.annotator_idx])
 
         base = e_step(state, x, ann)
         moved = e_step(permuted_state, x, permuted_ann)

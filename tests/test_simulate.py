@@ -215,7 +215,7 @@ class TestSimulateAnnotations:
                 simulate_annotations(np.array([0, label]), 2, default_panel(2), 0)
 
     def test_instance_ids_must_fit_the_gold(self):
-        with pytest.raises(DataError, match="instance_ids must hold 6 distinct ids, got 2"):
+        with pytest.raises(DataError, match=r"^need 6 instance ids, one per gold label; got 2$"):
             simulate_annotations(np.zeros(6, dtype=np.int64), 2, default_panel(2), seed=0,
                                  instance_ids=["a", "b"])
 
@@ -279,10 +279,22 @@ TWO = np.array([0, 1])
      "keep_prob must be of type float, got True"),
     (lambda: simulate_annotations(TWO, 2, default_panel(2), keep_prob=1.5),
      "keep_prob must be in [0, 1], got 1.5"),
+    (lambda: gen_text_fixture(10, 0), "n_labels must be >= 2, got 0"),
+    (lambda: gen_text_fixture(10, 1), "n_labels must be >= 2, got 1"),
+    (lambda: gen_text_fixture(10, 1.5), "n_labels must be of type int, got 1.5"),
+    (lambda: default_panel(0), "n_labels must be >= 2, got 0"),
+    (lambda: default_panel(2.5), "n_labels must be of type int, got 2.5"),
+    (lambda: simulate_annotations(TWO, 1, graded_panel()), "n_labels must be >= 2, got 1"),
+    (lambda: simulate_annotations(TWO, 2.0, default_panel(2)),
+     "n_labels must be of type int, got 2.0"),
+    (lambda: simulate_annotations(TWO, True, graded_panel()),
+     "n_labels must be of type int, got True"),
 ], ids=["gen_2d-n-float", "gen_2d-n-bool", "gen_2d-n-range", "gen_2d-noise-str",
         "gen_2d-noise-range", "gen_2d-seed-float", "gen_2d-seed-bool", "text-n-float",
         "text-n-range", "text-seed-str", "simulate-seed-float", "simulate-keep_prob-str",
-        "simulate-keep_prob-bool", "simulate-keep_prob-range"])
+        "simulate-keep_prob-bool", "simulate-keep_prob-range", "text-n_labels-0",
+        "text-n_labels-1", "text-n_labels-float", "panel-n_labels-0", "panel-n_labels-float",
+        "simulate-n_labels-1", "simulate-n_labels-float", "simulate-n_labels-bool"])
 def test_setting_of_another_type_or_out_of_range_is_named(call, message):
     # the library entry points check each setting as the config does, type first
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
