@@ -278,8 +278,10 @@ def cmd_eval(cfg: Config) -> None:
     instances, annotations, gold, label_set = _load_dataset(cfg, out)
     pred = data.load_gold(out / "predictions.csv", label_set,
                           instance_ids=annotations.instance_ids).to_array(len(instances))
-    if np.any(pred < 0):
-        raise DataError("predictions.csv does not cover every instance")
+    missing = np.flatnonzero(pred < 0)
+    if missing.size:
+        raise DataError(f"{out / 'predictions.csv'}: no prediction for instance "
+                        f"{annotations.instance_ids[missing[0]]!r}")
     scores = data.load_scores(out / "reliability.csv", annotations)
 
     rows = [row for metric in evaluate.metric_names(_get(cfg, "metrics"))

@@ -1,10 +1,14 @@
 """Dataset types and file IO for instances, annotations, gold labels and scores.
 
-Every CSV table, input or artifact, is read by ``_table`` and written by
-``write_table``; a bad row is a DataError that names its ``path:line``.
-Every artifact is written through ``whole_file``, so it appears whole or
-not at all. ``check`` tests a setting's value against its ``Rule``, type
-first, and ``parse`` reads a setting's text as the rule's type.
+Each input fact is checked in one place; a bad row is a DataError led by
+its ``path:line``. ``_table`` reads every CSV table, checking its header
+and row widths; ``_keyed_rows``, the one row loop of the id-keyed tables,
+maps ids to indices and rejects an unknown id, a repeated key or a bad
+value. ``Instance`` checks that features are 1-D, ``feature_matrix`` that
+dense instances stack, ``AnnotationSet`` its ids and indices, and
+``validate`` that the parts join by instance id. ``check`` tests a
+setting's value against its ``Rule`` and ``parse`` reads its text. Every
+artifact is written through ``whole_file``, so it appears whole or not at all.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices, their positions in an id tuple. An
@@ -25,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Any, Callable, Container, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -122,6 +126,9 @@ class Instance:
     def __post_init__(self) -> None:
         if (self.features is None) == (self.text is None):
             raise DataError(f"instance {self.id!r}: exactly one of features/text required")
+        if self.features is not None and np.ndim(self.features) != 1:
+            raise DataError(f"instance {self.id!r}: features must be 1-D, "
+                            f"got shape {np.shape(self.features)}")
 
 
 @dataclass(frozen=True)
@@ -358,20 +365,11 @@ def load_instances(path: str | Path, format: str) -> list[Instance]:
 
 
 def write_instances(path: str | Path, instances: Sequence[Instance]) -> None:
-    """Write dense-feature instances as CSV (inverse of dense-csv loading).
-
-    The instances must share one width of at least one feature, as the
-    reader requires; else DataError, before the file is opened.
-    """
-    for inst in instances:
-        if inst.features is None:
-            raise DataError(f"instance {inst.id!r} has no dense features")
-    widths = sorted({len(inst.features) for inst in instances})  # type: ignore[arg-type]
-    if len(widths) != 1 or widths[0] == 0:
-        raise DataError(f"dense instances need one width of at least 1 feature, got {widths}")
-    write_table(path, ["id"] + [f"x{k}" for k in range(widths[0])],
-                ([inst.id] + [repr(float(v)) for v in inst.features]  # type: ignore[union-attr]
-                 for inst in instances))
+    """Write dense-feature instances as CSV (inverse of dense-csv loading): the rows of
+    ``feature_matrix``, so instances it refuses are a DataError before the file is opened."""
+    x = feature_matrix(instances)
+    write_table(path, ["id"] + [f"x{k}" for k in range(x.shape[1])],
+                ([inst.id] + list(map(repr, row)) for inst, row in zip(instances, x.tolist())))
 
 
 def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> None:
@@ -385,14 +383,42 @@ def write_instances_jsonl(path: str | Path, instances: Sequence[Instance]) -> No
             fh.write(json.dumps(obj) + "\n")
 
 
-def _index_of(seen: dict[str, int], key: str, what: str, grow: bool = False) -> int:
-    """Index of id ``key``; a new id gets the next index when ``grow``, else is an error."""
-    idx = seen.get(key)
-    if idx is None:
-        if not grow:
-            raise DataError(f"unknown {what} id {key!r}")
-        seen[key] = idx = len(seen)
-    return idx
+def _positions(ids: Iterable[str]) -> dict[str, int]:
+    return {v: i for i, v in enumerate(ids)}
+
+
+class _Numbering(dict):
+    """Id -> index map that gives an id it lacks the next index."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = len(self)
+        return self[key]
+
+
+def _keyed_rows(path: str | Path, header: Sequence[str], positions: Sequence[dict[str, int]],
+                what: str, value: Callable[[str], Any],
+                only: Container[tuple[int, ...]] | None = None) -> dict[tuple[int, ...], Any]:
+    """An id-keyed table's rows as {key: value}, in file order. ``header`` names the id
+    columns, then the value column; a key holds each id's index in its column's map in
+    ``positions`` (a ``_Numbering`` grows). ``value`` reads the value column. An unknown id,
+    a key outside ``only`` (when given: the annotated pairs), a repeated key and a value
+    ``value`` rejects are DataErrors led by ``path:line``."""
+    found: dict[tuple[int, ...], Any] = {}
+    for line, row in _table(path, header):
+        try:
+            try:
+                key = tuple(map(dict.__getitem__, positions, row))  # each id's index
+            except KeyError:
+                c = next(c for c, seen in enumerate(positions) if row[c] not in seen)
+                raise DataError(f"unknown {header[c].removesuffix('_id')} id {row[c]!r}") from None
+            if only is not None and key not in only:
+                raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
+            if key in found:
+                raise DataError(f"duplicate {what} for instance {' by '.join(map(repr, row[:-1]))}")
+            found[key] = value(row[-1])
+        except DataError as exc:
+            raise _at(path, line, exc) from None
+    return found
 
 
 ANNOTATIONS_HEADER = ("instance_id", "annotator_id", "label")
@@ -402,32 +428,17 @@ SCORES_HEADER = ("instance_id", "annotator_id", "score")
 
 def load_annotations(path: str | Path, label_set: LabelSet, instance_ids: Sequence[str],
                      annotator_ids: Sequence[str] | None = None) -> AnnotationSet:
-    """Load annotation triples from CSV with header instance_id,annotator_id,label.
-
-    Instance ids are mapped to their positions in ``instance_ids``, the
-    instances the annotations must match; annotator ids to theirs in
-    ``annotator_ids`` when it is given, else to dense 0-based indices in
-    first-occurrence order. Unknown ids, duplicate (instance, annotator)
-    pairs and labels outside ``label_set`` are rejected, naming the file and line.
-    """
-    inst_pos = {v: i for i, v in enumerate(instance_ids)}
-    ann_seen = {v: j for j, v in enumerate(() if annotator_ids is None else annotator_ids)}
-    ii, jj, ll = [], [], []
-    pairs: set[tuple[int, int]] = set()
-    for line, row in _table(path, ANNOTATIONS_HEADER):
-        try:
-            i = _index_of(inst_pos, row[0], "instance")
-            j = _index_of(ann_seen, row[1], "annotator", grow=annotator_ids is None)
-            if (i, j) in pairs:
-                raise DataError(f"duplicate annotation for instance {row[0]!r} by {row[1]!r}")
-            ll.append(label_set.index(row[2]))
-        except DataError as exc:
-            raise _at(path, line, exc) from None
-        pairs.add((i, j))
-        ii.append(i)
-        jj.append(j)
-    return AnnotationSet(instance_ids, ann_seen if annotator_ids is None else annotator_ids,
-                         len(label_set), *(np.array(v, dtype=np.int64) for v in (ii, jj, ll)))
+    """Load annotation triples from CSV with header instance_id,annotator_id,label. Ids
+    index into ``instance_ids`` and, when it is given, ``annotator_ids``, else annotators
+    number in first-occurrence order. An unknown id, a repeated (instance, annotator) pair
+    and a label outside ``label_set`` are DataErrors naming the file and line."""
+    ann_pos = _Numbering() if annotator_ids is None else _positions(annotator_ids)
+    found = _keyed_rows(path, ANNOTATIONS_HEADER, (_positions(instance_ids), ann_pos),
+                        "annotation", label_set.index)
+    pairs = np.array(list(found), dtype=np.int64).reshape(-1, 2)
+    return AnnotationSet(instance_ids, ann_pos if annotator_ids is None else annotator_ids,
+                         len(label_set), pairs[:, 0], pairs[:, 1],
+                         np.array(list(found.values()), dtype=np.int64))
 
 
 def _pair_ids(annotations: AnnotationSet) -> tuple[np.ndarray, np.ndarray]:
@@ -444,17 +455,9 @@ def write_annotations(path: str | Path, annotations: AnnotationSet, label_set: L
 def load_gold(path: str | Path, label_set: LabelSet, instance_ids: Sequence[str]) -> GoldLabels:
     """Load gold labels from CSV with header instance_id,label (at most one row per
     instance), each instance id one of ``instance_ids``."""
-    seen = {v: i for i, v in enumerate(instance_ids)}
-    by_index: dict[int, int] = {}
-    for line, row in _table(path, GOLD_HEADER):
-        try:
-            i = _index_of(seen, row[0], "instance")
-            if i in by_index:
-                raise DataError(f"duplicate gold label for instance {row[0]!r}")
-            by_index[i] = label_set.index(row[1])
-        except DataError as exc:
-            raise _at(path, line, exc) from None
-    return GoldLabels(by_index=by_index)
+    found = _keyed_rows(path, GOLD_HEADER, (_positions(instance_ids),), "gold label",
+                        label_set.index)
+    return GoldLabels(by_index={i: t for (i,), t in found.items()})
 
 
 def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
@@ -468,37 +471,18 @@ def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
 
 
 def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
-    """Load one score per annotation from CSV with header instance_id,annotator_id,score.
-
-    Returns the scores in the pair order of ``annotations``. Ids outside
-    ``annotations``, a pair that ``annotations`` does not hold, repeated
-    pairs and scores that do not parse to a probability in [0, 1] are
-    rejected, naming the file and line; so is a pair of ``annotations``
-    with no row.
-    """
-    inst_pos = {v: i for i, v in enumerate(annotations.instance_ids)}
-    ann_pos = {v: j for j, v in enumerate(annotations.annotator_ids)}
-    m = annotations.n_annotators  # pair (i, j) has the key i * m + j
-    pair_pos = dict(zip((annotations.instance_idx * m + annotations.annotator_idx).tolist(),
-                        range(annotations.n_pairs)))
-    scores: list[float | None] = [None] * annotations.n_pairs
-    for line, row in _table(path, SCORES_HEADER):
-        try:
-            p = pair_pos.get(_index_of(inst_pos, row[0], "instance") * m
-                             + _index_of(ann_pos, row[1], "annotator"))
-            if p is None:
-                raise DataError(f"no annotation for instance {row[0]!r} by {row[1]!r}")
-            if scores[p] is not None:
-                raise DataError(f"duplicate score for instance {row[0]!r} by {row[1]!r}")
-            scores[p] = parse("score", row[2], PROBABILITY)
-        except DataError as exc:
-            raise _at(path, line, exc) from None
-    if None in scores:
-        p = scores.index(None)
-        i, j = annotations.instance_idx[p], annotations.annotator_idx[p]
+    """Load one score per annotation from CSV with header instance_id,annotator_id,score,
+    in the pair order of ``annotations``. A row naming a pair ``annotations`` does not hold
+    and a score that is no probability are DataErrors, as is a pair with no row."""
+    pairs = list(zip(annotations.instance_idx.tolist(), annotations.annotator_idx.tolist()))
+    found = _keyed_rows(path, SCORES_HEADER, (_positions(annotations.instance_ids),
+                                              _positions(annotations.annotator_ids)),
+                        "score", lambda text: parse("score", text, PROBABILITY), only=set(pairs))
+    if len(found) < len(pairs):  # found holds no key outside pairs
+        i, j = next(pair for pair in pairs if pair not in found)
         raise DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "
                         f"{annotations.annotator_ids[j]})")
-    return np.array(scores, dtype=np.float64)
+    return np.array([found[pair] for pair in pairs], dtype=np.float64)
 
 
 def write_scores(path: str | Path, annotations: AnnotationSet, scores: np.ndarray) -> None:
@@ -512,24 +496,34 @@ def validate(
     annotations: AnnotationSet,
     gold: GoldLabels | None = None,
 ) -> list[str]:
-    """Cross-check a dataset; returns a list of violations (empty means valid)."""
+    """Cross-check a dataset; returns a list of violations (empty means valid): one payload
+    kind, dense features that stack and are finite, annotations on the instances' ids in
+    their order, each instance annotated, and gold labels in range."""
     problems: list[str] = []
     n = len(instances)
     if n == 0:
         problems.append("dataset has no instances")
-    kinds = {(inst.features is not None) for inst in instances}
-    if len(kinds) > 1:
+    dense = [inst for inst in instances if inst.features is not None]
+    if 0 < len(dense) < n:
         problems.append("mixed payload kinds: some instances have features, some have text")
-    widths = {len(inst.features) for inst in instances if inst.features is not None}
-    if len(widths) > 1:
-        problems.append(f"inconsistent feature widths: {sorted(widths)}")
-    for inst in instances:
-        if inst.features is not None and not np.all(np.isfinite(inst.features)):
-            problems.append(f"non-finite feature value in instance {inst.id!r}")
+    if dense:
+        try:
+            x = feature_matrix(dense)
+        except DataError as exc:
+            problems.append(str(exc))
+        else:
+            for k in np.flatnonzero(~np.isfinite(x).all(axis=1)):
+                problems.append(f"non-finite feature value in instance {dense[k].id!r}")
+    ids = tuple(inst.id for inst in instances)
     if annotations.n_instances != n:
         problems.append(f"annotation set covers {annotations.n_instances} instances, dataset has {n}")
-    for i in np.flatnonzero(np.bincount(annotations.instance_idx, minlength=n)[:n] == 0):
-        problems.append(f"instance {instances[i].id!r} has no annotations")
+    elif annotations.instance_ids != ids:
+        k = next(k for k, (a, b) in enumerate(zip(annotations.instance_ids, ids)) if a != b)
+        problems.append(f"annotation set's instance {k} is {annotations.instance_ids[k]!r}, "
+                        f"the dataset's is {ids[k]!r}")
+    else:
+        for i in np.flatnonzero(annotations.counts_per_instance() == 0):
+            problems.append(f"instance {ids[i]!r} has no annotations")
     if gold is not None:
         for i, t in gold.by_index.items():
             if not 0 <= i < n:
@@ -540,10 +534,14 @@ def validate(
 
 
 def feature_matrix(instances: Iterable[Instance]) -> np.ndarray:
-    """Stack dense instance features into an (N, d) float64 matrix."""
-    rows = []
-    for inst in instances:
-        if inst.features is None:
-            raise DataError(f"instance {inst.id!r} has no dense features; featurize text first")
-        rows.append(inst.features)
-    return np.asarray(rows, dtype=np.float64)
+    """Stack dense instance features into an (N, d) float64 matrix: the one check that
+    instances stack. Each must have features, all of one width d >= 1, so N >= 1; else
+    DataError."""
+    instances = list(instances)
+    bare = next((inst.id for inst in instances if inst.features is None), None)
+    if bare is not None:
+        raise DataError(f"instance {bare!r} has no dense features; featurize text first")
+    widths = sorted({len(inst.features) for inst in instances})  # type: ignore[arg-type]
+    if len(widths) != 1 or widths[0] == 0:
+        raise DataError(f"dense instances need one width of at least 1 feature, got {widths}")
+    return np.array([inst.features for inst in instances], dtype=np.float64)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +33,14 @@ class Vocabulary:
     index: dict[str, int]
     doc_freq: np.ndarray
     n_documents: int
+    idf: np.ndarray = field(init=False, repr=False, compare=False)  # computed once, here
+
+    def __post_init__(self) -> None:
+        idf = np.log((1.0 + self.n_documents) / (1.0 + self.doc_freq)) + 1.0
+        object.__setattr__(self, "idf", idf)
 
     def __len__(self) -> int:
         return len(self.index)
-
-    @property
-    def idf(self) -> np.ndarray:
-        return np.log((1.0 + self.n_documents) / (1.0 + self.doc_freq)) + 1.0
 
 
 def fit_tfidf(corpus: list[str]) -> Vocabulary:
@@ -141,7 +142,8 @@ def concat_average_embed(table: EmbeddingTable, text: str, text2: str) -> np.nda
 
 def features(kind: str, instances: list[Instance], embeddings: str | Path | None) -> np.ndarray:
     """The (N, D) features of ``instances`` under featurizer ``kind``: the text featurizers
-    need text instances, and the embedding ones the ``embeddings`` file."""
+    need text instances, the embedding ones the ``embeddings`` file, and
+    ``concat-avg-embed`` a ``text2`` on every instance."""
     if check("featurizer", kind, FEATURIZER) == "none":
         return data.feature_matrix(instances)
     dense = next((inst.id for inst in instances if inst.text is None), None)
@@ -157,8 +159,12 @@ def features(kind: str, instances: list[Instance], embeddings: str | Path | None
         return np.stack([transform_tfidf(vocab, t) for t in texts])
     if embeddings is None:
         raise DataError("missing config key 'embeddings'")
+    if kind == "concat-avg-embed":
+        lone = next((inst.id for inst in instances if inst.text2 is None), None)
+        if lone is not None:
+            raise DataError(f"featurizer 'concat-avg-embed' needs text pairs, but instance "
+                            f"{lone!r} has no text2")
     table = load_embeddings(embeddings)
     if kind == "avg-embed":
         return np.stack([average_embed(table, t) for t in texts])
-    return np.stack([concat_average_embed(table, inst.text, inst.text2 or "")
-                     for inst in instances])
+    return np.stack([concat_average_embed(table, inst.text, inst.text2) for inst in instances])

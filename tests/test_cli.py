@@ -281,7 +281,7 @@ class TestFilesValidation:
         cfg = self.text_config(tmp_path, featurizer=featurizer, embeddings=tmp_path / "emb.txt")
         (tmp_path / "docs.jsonl").write_text(
             '{"id": "a", "text": "words about", "text2": "words"}\n'
-            '{"id": "b", "text": "about about it"}\n')
+            '{"id": "b", "text": "about about it", "text2": "about"}\n')
         result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
         assert result.exit_code == 0, result.output
         checkpoint = json.loads((tmp_path / "out" / "model.json").read_text())
@@ -290,6 +290,16 @@ class TestFilesValidation:
         # the classifier's first layer reads the featurizer's width: the tf-idf vocabulary
         # (words, about, it), one embedding, or the concatenated embeddings of text and text2
         assert len(checkpoint["classifier"]["layers"][0]["weights"]) == width * hidden[0]
+
+    def test_concat_featurizer_without_text2_exits_one(self, runner, tmp_path):
+        (tmp_path / "emb.txt").write_text("words 0.1 0.2\n")
+        cfg = self.text_config(tmp_path, featurizer="concat-avg-embed",
+                               embeddings=tmp_path / "emb.txt")
+        result = runner.invoke(cli.main, ["train", "-c", str(cfg)])
+        assert result.exit_code == 1, result.output
+        assert ("featurizer 'concat-avg-embed' needs text pairs, but instance 'a' has no text2"
+                in result.output)
+        assert not (tmp_path / "out" / "model.json").exists()
 
     @pytest.mark.parametrize("featurizer", ["avg-embed", "concat-avg-embed"])
     def test_embedding_featurizer_without_embeddings_exits_one(self, runner, tmp_path,
@@ -553,6 +563,14 @@ class TestFilesDataset:
         (out / "reliability.csv").write_text("instance_id,annotator_id,score\n" + "".join(
             row.rsplit(",", 1)[0] + ",0.5\n" for row in annotations.splitlines()))
         return cfg
+
+    def test_instance_without_a_prediction_is_named(self, runner, tmp_path):
+        cfg = self.eval_config(tmp_path, "i0,a0,0\ni0,a1,0\ni1,a0,1\ni1,a1,0\n", "i0,0\ni1,1\n")
+        (tmp_path / "out" / "predictions.csv").write_text("instance_id,label\ni1,1\n")
+        result = runner.invoke(cli.main, ["eval", "-c", str(cfg), "--metrics", "iaa"])
+        assert result.exit_code == 1, result.output
+        assert "predictions.csv: no prediction for instance 'i0'" in result.output
+        assert not (tmp_path / "out" / "metrics.csv").exists()
 
     def test_default_metrics_with_no_instance_annotated_twice_exits_one(self, runner, tmp_path):
         cfg = self.eval_config(tmp_path, "i0,a0,0\ni1,a1,1\n", "i0,0\ni1,1\n")

@@ -301,6 +301,19 @@ class TestValidate:
         empty = make_annotations([], 0, 0, 2)
         assert validate([], empty) == ["dataset has no instances"]
 
+    def test_same_instance_ids_in_another_order(self):
+        # a count check passes them, and each annotation would meet another instance's features
+        instances, ann = self._fixture()
+        instances[0], instances[1] = instances[1], instances[0]
+        assert validate(instances, ann) == ["annotation set's instance 0 is 'i0', "
+                                            "the dataset's is 'i1'"]
+
+    def test_widths_that_do_not_stack(self):
+        instances, ann = self._fixture()
+        instances[3] = Instance(id="i3", features=np.array([0.0]))
+        assert validate(instances, ann) == [
+            "dense instances need one width of at least 1 feature, got [1, 2]"]
+
 
 ids_st = st.lists(st.text(st.characters(categories=("L", "Nd"), include_characters=",\" "),
                           min_size=1, max_size=8),
@@ -580,3 +593,18 @@ class TestCheck:
 def test_feature_matrix_requires_dense():
     with pytest.raises(DataError):
         feature_matrix([Instance(id="t", text="hello")])
+
+
+def test_feature_matrix_refuses_widths_that_do_not_stack():
+    instances = [Instance(id="a", features=np.zeros(2)), Instance(id="b", features=np.ones(1))]
+    with pytest.raises(DataError, match=r"^dense instances need one width of at least 1 "
+                                        r"feature, got \[1, 2\]$"):
+        feature_matrix(instances)
+
+
+@pytest.mark.parametrize("features, shape", [(np.zeros((1, 2)), "(1, 2)"),
+                                             (np.float64(0.5), "()")])
+def test_instance_features_must_be_1d(features, shape):
+    with pytest.raises(DataError, match=f"^instance 'a': features must be 1-D, "
+                                        f"got shape {re.escape(shape)}$"):
+        Instance(id="a", features=features)

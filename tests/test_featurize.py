@@ -30,6 +30,11 @@ class TestFitTfidf:
         vocab = fit_tfidf(["a b", "b c"])
         assert vocab.idf[vocab.index["b"]] == pytest.approx(1.0)
 
+    def test_idf_is_computed_once_per_vocabulary(self):
+        vocab = fit_tfidf(["a b", "b c"])
+        assert vocab.idf is vocab.idf  # not recomputed on each transform
+        np.testing.assert_array_equal(vocab.idf, np.log(3.0 / (1.0 + vocab.doc_freq)) + 1.0)
+
     def test_single_document_idfs(self):
         vocab = fit_tfidf(["x y z"])
         np.testing.assert_allclose(vocab.idf, 1.0)
@@ -149,6 +154,14 @@ class TestEmbeddings:
                                         "dog": np.array([-1.0, 0.5])}, dim=2)
         base = average_embed(table, "cat dog cat bird")
         np.testing.assert_allclose(average_embed(table, " ".join(tokens)), base, atol=1e-12)
+
+
+def test_concat_featurizer_needs_text2(tmp_path):
+    (tmp_path / "emb.txt").write_text("cat 1.0 2.0\n")
+    docs = [Instance("a", text="cat", text2="cat"), Instance("b", text="cat")]
+    with pytest.raises(DataError, match=r"^featurizer 'concat-avg-embed' needs text pairs, "
+                                        r"but instance 'b' has no text2$"):
+        features("concat-avg-embed", docs, tmp_path / "emb.txt")
 
 
 def test_unknown_featurizer_is_named():
