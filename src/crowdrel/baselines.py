@@ -54,11 +54,15 @@ class DsModel:
 
 @dataclass
 class DsResult:
+    """The fit, its labels and likelihood trace, and which exit ended it (``stopped``):
+    ``"tol"`` (soft labels settled), ``"plateau"`` (likelihood stopped rising) or ``"cap"``."""
+
     model: DsModel
     soft_labels: np.ndarray
     hard_labels: np.ndarray
     log_likelihood: list[float]
     n_iterations: int
+    stopped: str
 
 
 def _ds_m_step(annotations: AnnotationSet, cells: np.ndarray, soft: np.ndarray) -> DsModel:
@@ -101,15 +105,18 @@ def dawid_skene(annotations: AnnotationSet) -> DsResult:
     soft = vote_fractions(annotations)
     trace: list[float] = []
     model = _ds_m_step(annotations, cells, soft)
+    stopped = "cap"
     for iterations in range(1, DS_MAX_ITERS + 1):
         new_soft, log_lik = _ds_e_step(annotations, cells, model)
         if trace and log_lik <= trace[-1]:
-            break  # plateau: the smoothing penalty now dominates the updates
+            stopped = "plateau"  # the smoothing penalty now dominates the updates
+            break
         trace.append(log_lik)
         delta = float(np.abs(new_soft - soft).max())
         soft = new_soft
         model = _ds_m_step(annotations, cells, soft)
         if delta < DS_TOL:
+            stopped = "tol"
             break
     return DsResult(model=model, soft_labels=soft, hard_labels=soft.argmax(axis=1),
-                    log_likelihood=trace, n_iterations=iterations)
+                    log_likelihood=trace, n_iterations=iterations, stopped=stopped)

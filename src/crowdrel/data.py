@@ -4,11 +4,12 @@ Each input fact is checked in one place; a bad row is a DataError led by
 its ``path:line``. ``_table`` reads every CSV table, checking its header
 and row widths; ``_keyed_rows``, the one row loop of the id-keyed tables,
 maps ids to indices and rejects an unknown id, a repeated key or a bad
-value. ``Instance`` checks that features are 1-D, ``feature_matrix`` that
-dense instances stack, ``AnnotationSet`` its ids and indices, and
-``validate`` that the parts join by instance id. ``check`` tests a
-setting's value against its ``Rule`` and ``parse`` reads its text. Every
-artifact is written through ``whole_file``, so it appears whole or not at all.
+value. ``Instance`` checks that features are a 1-D array of numbers and
+texts are strings, ``feature_matrix`` that dense instances stack,
+``AnnotationSet`` its ids and indices, and ``validate`` that the parts
+join by instance id. ``check`` tests a setting's value against its
+``Rule`` and ``parse`` reads its text. Every artifact is written through
+``whole_file``, so it appears whole or not at all.
 
 External ids are arbitrary strings; everything downstream works on dense
 0-based integer indices, their positions in an id tuple. An
@@ -126,9 +127,18 @@ class Instance:
     def __post_init__(self) -> None:
         if (self.features is None) == (self.text is None):
             raise DataError(f"instance {self.id!r}: exactly one of features/text required")
-        if self.features is not None and np.ndim(self.features) != 1:
-            raise DataError(f"instance {self.id!r}: features must be 1-D, "
-                            f"got shape {np.shape(self.features)}")
+        if self.features is not None:
+            features = np.asarray(self.features)
+            if features.ndim != 1:
+                raise DataError(f"instance {self.id!r}: features must be 1-D, "
+                                f"got shape {features.shape}")
+            if features.dtype.kind not in "iuf":
+                raise DataError(f"instance {self.id!r}: features must be numbers, "
+                                f"got dtype {features.dtype}")
+        for name in ("text", "text2"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise DataError(f"instance {self.id!r}: {name} must be a str, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -470,6 +480,18 @@ def write_gold(path: str | Path, gold: np.ndarray, label_set: LabelSet,
                                     for i, t in enumerate(gold.tolist()) if t >= 0))
 
 
+def _score(text: str) -> float:
+    """``text`` read with ``float``, if that gives a probability; else the DataError of the
+    slower ``parse``, which only a value that fails goes through."""
+    try:
+        value = float(text)
+        if 0.0 <= value <= 1.0:
+            return value
+    except ValueError:
+        pass
+    return parse("score", text, PROBABILITY)
+
+
 def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
     """Load one score per annotation from CSV with header instance_id,annotator_id,score,
     in the pair order of ``annotations``. A row naming a pair ``annotations`` does not hold
@@ -477,7 +499,7 @@ def load_scores(path: str | Path, annotations: AnnotationSet) -> np.ndarray:
     pairs = list(zip(annotations.instance_idx.tolist(), annotations.annotator_idx.tolist()))
     found = _keyed_rows(path, SCORES_HEADER, (_positions(annotations.instance_ids),
                                               _positions(annotations.annotator_ids)),
-                        "score", lambda text: parse("score", text, PROBABILITY), only=set(pairs))
+                        "score", _score, only=set(pairs))
     if len(found) < len(pairs):  # found holds no key outside pairs
         i, j = next(pair for pair in pairs if pair not in found)
         raise DataError(f"{path}: missing score for pair ({annotations.instance_ids[i]}, "

@@ -3,8 +3,9 @@
 A classifier network provides a prior over each instance's label and a
 reliability-estimator network provides, per (instance, annotator) pair,
 the prior probability that the annotation is correct; it reads the
-classifier's last hidden layer for the instance and a one-hot code of
-the annotator (``estimator_pair_inputs``). A reliable
+instance's features and a one-hot code of the annotator
+(``estimator_pair_inputs``), so neither network's input depends on the
+other's parameters. A reliable
 annotator emits the true label; an unreliable one emits a label drawn
 uniformly over all categories. Exact per-pair posteriors over
 (label, reliable) follow in closed form: given the label, an
@@ -55,7 +56,7 @@ from .neural import (
 
 MODES = ("em", "ce-jt")
 PRETRAIN_SOURCES = ("mv", "ds")
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 _OFF_OR_FINITE = Rule(float, "finite and >= 0 (0 is off)", lambda value: 0 <= value < np.inf)
 # TrainConfig field -> the rule its value must pass, type included, in field order
@@ -100,7 +101,7 @@ class TrainConfig:
 
 @dataclass
 class ModelState:
-    """Trained (or pre-trained) networks; the estimator reads the classifier's last hidden layer."""
+    """Trained (or pre-trained) networks; the estimator reads the features, not the classifier."""
 
     classifier: FnnParams
     estimator: FnnParams
@@ -161,18 +162,15 @@ def posterior_from_priors(label_prior: np.ndarray, reliability_prior: np.ndarray
                           log_likelihood=float((shift + np.log(total)).sum() + log_r0.sum()))
 
 
-def estimator_pair_inputs(representation: np.ndarray, annotations: AnnotationSet) -> PairInput:
-    """Each observed pair's instance representation and annotator, as the estimator sees them."""
-    return PairInput(representation, annotations.instance_idx, annotations.annotator_idx,
+def estimator_pair_inputs(features: np.ndarray, annotations: AnnotationSet) -> PairInput:
+    """Each observed pair's instance features and annotator, as the estimator sees them."""
+    return PairInput(features, annotations.instance_idx, annotations.annotator_idx,
                      annotations.n_annotators)
 
 
-def _priors(state: ModelState, features: np.ndarray, annotations: AnnotationSet):
-    """One forward pass of each network: label prior (N, K), pair inputs, reliability prior (P,)."""
-    label_prior, hidden = forward(state.classifier, features)
-    pair_x = estimator_pair_inputs(hidden, annotations)
-    reliability_prior, _ = forward(state.estimator, pair_x)
-    return label_prior, pair_x, reliability_prior
+def _priors(state: ModelState, features: np.ndarray, pair_x: PairInput):
+    """One forward pass of each network: label prior (N, K) and reliability prior (P,)."""
+    return forward(state.classifier, features)[0], forward(state.estimator, pair_x)[0]
 
 
 def _feature_rows(features: np.ndarray, annotations: AnnotationSet) -> np.ndarray:
@@ -195,11 +193,12 @@ def e_step(state: ModelState, features: np.ndarray,
     clf, est = state.classifier.weights, state.estimator.weights
     for what, got, want in (("feature width", features.shape[1], len(clf[0])),
                             ("label count", annotations.n_labels, clf[-1].shape[1]),
-                            ("estimator input width (representation + annotators)",
-                             clf[1].shape[1] + annotations.n_annotators, len(est[0]))):
+                            ("estimator input width (features + annotators)",
+                             features.shape[1] + annotations.n_annotators, len(est[0]))):
         if got != want:
             raise DataError(f"the data's {what} is {got}, but the model's is {want}")
-    label_prior, _, reliability_prior = _priors(state, features, annotations)
+    label_prior, reliability_prior = _priors(state, features,
+                                             estimator_pair_inputs(features, annotations))
     return posterior_from_priors(label_prior, reliability_prior, annotations)
 
 
@@ -233,8 +232,8 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     """Initialize both networks from an aggregation baseline.
 
     The classifier fits hard cross entropy against majority-vote or
-    Dawid-Skene labels; the estimator then fits binary agreement targets
-    (1 where the annotation matches the baseline label).
+    Dawid-Skene labels and the estimator binary agreement targets (1 where
+    the annotation matches the baseline label); neither fit reads the other.
     """
     features = _feature_rows(features, annotations)
     k = annotations.n_labels
@@ -247,7 +246,7 @@ def pretrain(features: np.ndarray, annotations: AnnotationSet,
     _fit([(classifier, features, np.eye(k)[labels], float(len(features)))],
          config.pretrain_epochs, _adam_from_config(config))
 
-    pair_x = estimator_pair_inputs(forward(classifier, features)[1], annotations)
+    pair_x = estimator_pair_inputs(features, annotations)
     estimator = init_fnn(pair_x.shape[1], config.estimator_hidden,
                          config.estimator_hidden, 1, "sigmoid",
                          np.random.default_rng(est_seed))
@@ -296,28 +295,29 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
           gold: np.ndarray | None = None) -> TrainResult:
     """Pre-train, then repeat inference and a joint refit of both networks.
 
-    Each outer iteration freezes the posteriors under the current
-    parameters and the estimator's input (the classifier's hidden
-    layer), then runs ``inner_iters`` steps of ``_fit`` on both
-    networks under one Adam state. ``mode`` chooses only the normalizers,
-    which act only through coupled weight decay and the global clip.
-    Training stops at the iteration cap ``max_outer`` or,
-    from the second outer iteration on, when the marginal log likelihood
-    gains less than ``early_stop_tol`` per instance and annotation, so the
-    rule does not depend on dataset size; the trace holds Q in every mode.
-    The priors are computed once per parameter update: the pass after an
-    update gives the end Q's classifier term, the trace F1, the log
-    likelihood and the next iteration's posteriors. ``gold`` (label index
-    per instance, -1 for missing) only feeds the diagnostic F1 column of
-    the trace, which stays empty when no instance has a gold label. The
-    features and ``gold`` are checked against ``annotations`` before
-    pretraining.
+    The estimator's pair input is built from the features once, after
+    pretraining, and no step moves it. Each outer iteration freezes the
+    posteriors under the current parameters, then runs ``inner_iters``
+    steps of ``_fit`` on both networks under one Adam state. ``mode``
+    chooses only the normalizers, which act only through coupled weight
+    decay and the global clip. Training stops at the iteration cap
+    ``max_outer`` or, from the second outer iteration on, when the
+    marginal log likelihood gains less than ``early_stop_tol`` per
+    instance and annotation, so the rule does not depend on dataset size;
+    the trace holds Q in every mode. The priors are computed once per
+    parameter update: the pass after an update gives the end Q, the trace
+    F1, the log likelihood and the next iteration's posteriors. ``gold``
+    (label index per instance, -1 for missing) only feeds the diagnostic
+    F1 column of the trace, which stays empty when no instance has a gold
+    label. The features and ``gold`` are checked against ``annotations``
+    before pretraining.
     """
     features = _feature_rows(features, annotations)
     if gold is not None:
         gold = label_indices(gold, annotations.n_instances, annotations.n_labels)
     state = pretrain(features, annotations, config)
-    label_prior, pair_x, rel_prior = _priors(state, features, annotations)
+    pair_x = estimator_pair_inputs(features, annotations)
+    label_prior, rel_prior = _priors(state, features, pair_x)
     post = posterior_from_priors(label_prior, rel_prior, annotations)
     trace: list[TraceRow] = []
     has_gold = gold is not None and bool(np.any(gold >= 0))
@@ -332,16 +332,11 @@ def train(features: np.ndarray, annotations: AnnotationSet, config: TrainConfig,
     stopped = "cap"
     for outer in range(1, config.max_outer + 1):
         start = q_objective(label_prior, rel_prior, post)
-        groups = [(state.classifier, features, post.label_posterior, norm_t),
-                  (state.estimator, pair_x, post.reliability_posterior, norm_r)]
-        _fit(groups, config.inner_iters, opt)
-
-        # the end Q scores the estimator on the frozen inputs; they and the
-        # groups holding them are dropped before the next pass rebuilds them
-        est_probs = forward(state.estimator, pair_x)[0]
-        del pair_x, groups
-        label_prior, pair_x, rel_prior = _priors(state, features, annotations)
-        end = q_objective(label_prior, est_probs, post)
+        _fit([(state.classifier, features, post.label_posterior, norm_t),
+              (state.estimator, pair_x, post.reliability_posterior, norm_r)],
+             config.inner_iters, opt)
+        label_prior, rel_prior = _priors(state, features, pair_x)
+        end = q_objective(label_prior, rel_prior, post)
         post = posterior_from_priors(label_prior, rel_prior, annotations)
 
         score = f1(post.label_posterior.argmax(axis=1), gold).micro if has_gold else None

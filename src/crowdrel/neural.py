@@ -14,14 +14,14 @@ and return batch-major arrays; the outputs are transposed views.
 
 A ``PairInput`` is the estimator's input for (instance, annotator) pairs,
 a read-only value whose gathers and scatters read the two pair index
-arrays directly, so memory is O(N * h + width * P). The training loop
-owns the buffers of its pass: ``backward`` given a workspace dict takes
-both hidden layers' (width, P) float buffers and their (width, P) bool
-ReLU mask from it, making each on its first request, so a loop that keeps
-one workspace per input allocates no (width, P) array after its first
-step. ``forward``, and ``backward`` without a workspace, make fresh
-arrays, so nothing they return is overwritten later. Threads may share a
-``PairInput`` but not a workspace.
+arrays directly, so memory is O(N * d + width * P) for d-wide instance
+rows. The training loop owns the buffers of its pass: ``backward`` given
+a workspace dict takes both hidden layers' (width, P) float buffers and
+their (width, P) bool ReLU mask from it, making each on its first
+request, so a loop that keeps one workspace per input allocates no
+(width, P) array after its first step. ``forward``, and ``backward``
+without a workspace, make fresh arrays, so nothing they return is
+overwritten later. Threads may share a ``PairInput`` but not a workspace.
 """
 
 from __future__ import annotations
@@ -95,11 +95,12 @@ class PairInput:
 
     Pair p stands for the row ``rep[instance_idx[p]]`` joined to the
     one-hot of ``annotator_idx[p]`` over ``n_annotators`` columns, so its
-    width is ``rep.shape[1] + n_annotators``. ``rep`` is the (N, h)
-    per-instance representation. The first layer multiplies ``rep`` once
-    per instance, then gathers the product per pair and adds the
-    annotator's row of the weights. Its outputs are feature-major,
-    (width, P), like every activation in this module.
+    width is ``rep.shape[1] + n_annotators``. ``rep`` holds one (N, d) row
+    per instance; the model passes its feature matrix, so it is built once
+    per run. The first layer multiplies ``rep`` once per instance, then
+    gathers the product per pair and adds the annotator's row of the
+    weights. Its outputs are feature-major, (width, P), like every
+    activation in this module.
 
     It holds nothing but the three arrays and ``n_annotators``, and no
     pass writes to it: ``first_layer`` writes into the buffers it is

@@ -5,6 +5,8 @@ textbook formulas, deliberately avoiding the code paths under test. The
 one exception, ``posterior_table``, spreads ``posterior_from_priors``'s
 two marginals into the full (pair, label, reliable) joint, so that both
 can be held against the enumerated joint and fed to the loop oracles.
+``regional_panel`` builds test data, a panel of instance-dependent
+reliability with its truth, rather than an expected value.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from crowdrel.baselines import DS_MAX_ITERS, DS_SMOOTHING, DS_TOL
-from crowdrel.data import AnnotationSet
+from crowdrel.data import AnnotationSet, feature_matrix
 from crowdrel.model import posterior_from_priors
 from crowdrel.neural import (
     ADAM_BETA1,
@@ -25,6 +27,7 @@ from crowdrel.neural import (
     forward,
     soft_ce_loss,
 )
+from crowdrel.simulate import DATASET_KINDS, gen_2d
 
 
 def ids(prefix: str, n: int) -> tuple[str, ...]:
@@ -38,6 +41,39 @@ def make_annotations(triples: list[tuple[int, int, int]], n_instances: int,
     annotators a0, a1, ..."""
     ii, jj, ll = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     return AnnotationSet(ids("i", n_instances), ids("a", n_annotators), n_labels, ii, jj, ll)
+
+
+def regional_panel(kind: str, seed: int, n: int = 1000):
+    """A panel whose reliability depends on the instance, not on its class.
+
+    The instances are ``gen_2d(kind, n, seed=seed)``, cut into 5 quantile
+    bands of the first feature. Annotator j labels every instance: in band
+    j it gives the gold label with probability 0.97 and a uniform wrong
+    label otherwise, and outside band j a label uniform over all K. Returns
+    (features, annotations, gold, in_band), where ``in_band`` is each
+    pair's truth: whether its annotator was in its own band.
+    """
+    instances, gold = gen_2d(kind, n, seed=seed)
+    x, k, bands = feature_matrix(instances), DATASET_KINDS[kind][0], 5
+    band = np.digitize(x[:, 0], np.quantile(x[:, 0], [0.2, 0.4, 0.6, 0.8]))
+    rng = np.random.default_rng(1000 + seed)
+    u = rng.random((n, bands))
+    wrong = (gold[:, None] + rng.integers(1, k, (n, bands))) % k
+    uniform = rng.integers(0, k, (n, bands))
+    in_band = band[:, None] == np.arange(bands)
+    labels = np.where(in_band, np.where(u < 0.97, gold[:, None], wrong), uniform)
+    ii, jj = np.indices((n, bands)).reshape(2, -1)
+    ann = AnnotationSet(tuple(inst.id for inst in instances), ids("a", bands), k, ii, jj,
+                        labels.ravel())
+    return x, ann, gold, in_band.ravel()
+
+
+def auc_oracle(scores: np.ndarray, positive: np.ndarray) -> float:
+    """How often a positive outscores a negative, ties counted half, by a loop over positives."""
+    negatives = scores[~positive]
+    wins = sum(float((negatives < s).sum() + 0.5 * (negatives == s).sum())
+               for s in scores[positive])
+    return wins / (positive.sum() * len(negatives))
 
 
 def random_annotation_setup(rng: np.random.Generator, max_n: int = 20, max_m: int = 5,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import dawid_skene_oracle, make_annotations
+from crowdrel import baselines
 from crowdrel.baselines import dawid_skene, majority_vote, vote_fractions
 from crowdrel.data import AnnotationSet, DataError
 from crowdrel.evaluate import f1
@@ -107,6 +108,31 @@ class TestDawidSkene:
         np.testing.assert_allclose(result.soft_labels, soft, rtol=0, atol=1e-10)
         np.testing.assert_allclose(result.model.confusion, confusion, rtol=0, atol=1e-10)
         np.testing.assert_allclose(result.log_likelihood, trace, rtol=0, atol=1e-10)
+
+    def test_settled_soft_labels_stop_by_tol(self):
+        result = dawid_skene(unanimous_fixture())
+        assert result.stopped == "tol" and len(result.log_likelihood) == result.n_iterations
+
+    def test_likelihood_that_stops_rising_stops_by_plateau(self):
+        # 30 instances x 4 annotators who give a uniform label 30% of the time; at
+        # this seed the smoothed likelihood falls before the soft labels settle
+        rng = np.random.default_rng(4)
+        truth = rng.integers(0, 3, size=30)
+        noisy, other = rng.random((30, 4)) < 0.3, rng.integers(0, 3, size=(30, 4))
+        labels = np.where(noisy, other, truth[:, None])
+        ann = make_annotations([(i, j, int(labels[i, j])) for i in range(30) for j in range(4)],
+                               30, 4, 3)
+        result = dawid_skene(ann)
+        # the iteration whose likelihood fell is counted but not traced
+        assert result.stopped == "plateau" and len(result.log_likelihood) == result.n_iterations - 1
+
+    def test_iteration_cap_stops_by_cap(self, monkeypatch):
+        instances, gold = gen_2d("moon", 1000, seed=0)
+        ann = simulate_annotations(gold, 2, default_panel(2), seed=0,
+                                   instance_ids=[inst.id for inst in instances])
+        monkeypatch.setattr(baselines, "DS_MAX_ITERS", 3)  # this panel settles after 17
+        result = dawid_skene(ann)
+        assert result.stopped == "cap" and result.n_iterations == len(result.log_likelihood) == 3
 
     def test_priors_and_confusions_are_distributions(self):
         ann = unanimous_fixture()

@@ -608,3 +608,29 @@ def test_instance_features_must_be_1d(features, shape):
     with pytest.raises(DataError, match=f"^instance 'a': features must be 1-D, "
                                         f"got shape {re.escape(shape)}$"):
         Instance(id="a", features=features)
+
+
+@pytest.mark.parametrize("payload, fault", [
+    ({"features": np.array(["x", "y"])}, "features must be numbers, got dtype <U1"),
+    ({"features": np.array([True, False])}, "features must be numbers, got dtype bool"),
+    ({"text": 5}, "text must be a str, got 5"),
+    ({"text": "a", "text2": 5}, "text2 must be a str, got 5"),
+], ids=["strings", "bools", "text", "text2"])
+def test_instance_payload_of_another_type_is_named(payload, fault):
+    with pytest.raises(DataError, match=f"^instance 'a': {re.escape(fault)}$"):
+        Instance(id="a", **payload)
+
+
+@pytest.mark.parametrize("value, fault", [
+    ("abc", "cannot parse 'abc' as float"),
+    ("nan", "score must be in [0, 1], got nan"),
+    ("1.5", "score must be in [0, 1], got 1.5"),
+])
+def test_score_that_is_no_probability_names_file_and_line(tmp_path, value, fault):
+    ann = make_annotations([(0, 0, 0), (1, 0, 1)], 2, 1, 2)
+    path = tmp_path / "rel.csv"
+    path.write_text(f"instance_id,annotator_id,score\ni0,a0,0.25\ni1,a0,{value}\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}:3: {fault}')}$"):
+        load_scores(path, ann)
+    path.write_text("instance_id,annotator_id,score\ni0,a0,0.25\ni1,a0,1\n")
+    np.testing.assert_array_equal(load_scores(path, ann), [0.25, 1.0])

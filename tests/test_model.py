@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    auc_oracle,
     brute_force_posteriors,
     dense_pair_input,
     emission_prob,
@@ -21,6 +22,7 @@ from helpers import (
     reference_adam_step,
     reference_backward,
     reference_forward,
+    regional_panel,
 )
 from crowdrel import model
 from crowdrel.baselines import dawid_skene
@@ -167,9 +169,9 @@ class TestPosteriorFromPriors:
 
 
 def small_state(rng, n_labels=3, n_annotators=4, input_dim=2):
-    """Both networks 3 wide; the estimator reads the classifier's 3-wide hidden layer."""
+    """Both networks 3 wide; the estimator reads the ``input_dim`` features and the annotator."""
     classifier = init_fnn(input_dim, 3, 3, n_labels, "softmax", rng)
-    estimator = init_fnn(3 + n_annotators, 3, 3, 1, "sigmoid", rng)
+    estimator = init_fnn(input_dim + n_annotators, 3, 3, 1, "sigmoid", rng)
     for net in (classifier, estimator):
         for b in net.biases:
             b[:] = rng.normal(0.0, 0.3, size=b.shape)  # keep ReLU kinks off the data
@@ -187,9 +189,9 @@ def random_model_setup(rng):
 
 
 def direct_priors(state, x, ann):
-    """Label and reliability priors, the estimator fed the classifier's hidden layer."""
-    label_prior, hidden = forward(state.classifier, x)
-    return label_prior, forward(state.estimator, estimator_pair_inputs(hidden, ann))[0]
+    """Label and reliability priors, the estimator fed the features."""
+    return (forward(state.classifier, x)[0],
+            forward(state.estimator, estimator_pair_inputs(x, ann))[0])
 
 
 class TestObjectives:
@@ -240,28 +242,27 @@ class TestObjectives:
         assert loss_t == pytest.approx(math.log(6.0), abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
-        # the estimator's input is built once from the unperturbed classifier and
-        # held fixed, as train freezes it, so the analytic per-network gradients
-        # are the full derivative
+        # the estimator reads the features, which no parameter moves, so the
+        # analytic per-network gradients are the full derivative
         rng = np.random.default_rng(9)
         state, x, ann = random_model_setup(rng)
         post = e_step(state, x, ann)
         n, p = float(len(x)), float(ann.n_pairs)
-        pair_x = estimator_pair_inputs(forward(state.classifier, x)[1], ann)
+        pair_x = estimator_pair_inputs(x, ann)
         grads_t = backward(state.classifier, x, post.label_posterior, n)
         grads_r = backward(state.estimator, pair_x, post.reliability_posterior, p)
         h = 1e-5
 
-        def frozen_priors():
+        def priors():
             return forward(state.classifier, x)[0], forward(state.estimator, pair_x)[0]
 
         def ce_total():
-            lp, rel = frozen_priors()
+            lp, rel = priors()
             return (soft_ce_loss(lp, post.label_posterior, n)
                     + soft_ce_loss(rel, post.reliability_posterior, p))
 
         def q_value():
-            return q_objective(*frozen_priors(), post)
+            return q_objective(*priors(), post)
 
         for arrays, grads, norm in ((state.classifier.arrays(), grads_t, n),
                                     (state.estimator.arrays(), grads_r, p)):
@@ -321,9 +322,8 @@ class TestEstimatorPairInputs:
         perm = rng.permutation(len(triples))
         ann = make_annotations(triples, n, m, k)
         shuffled = make_annotations([triples[p] for p in perm], n, m, k)
-        rep = forward(state.classifier, x)[1]
-        prior = forward(state.estimator, estimator_pair_inputs(rep, ann))[0]
-        prior_shuffled = forward(state.estimator, estimator_pair_inputs(rep, shuffled))[0]
+        prior = forward(state.estimator, estimator_pair_inputs(x, ann))[0]
+        prior_shuffled = forward(state.estimator, estimator_pair_inputs(x, shuffled))[0]
         np.testing.assert_allclose(prior_shuffled, prior[perm], rtol=0.0, atol=1e-12)
         post, post_shuffled = e_step(state, x, ann), e_step(state, x, shuffled)
         np.testing.assert_allclose(post_shuffled.reliability_posterior,
@@ -455,23 +455,22 @@ class TestTrain:
             assert len(once.trace) < 150 and once.stopped == four.stopped == "tol"
             assert len(four.trace) == len(once.trace)
 
-    # the estimator reads the classifier's hidden layer, as the ids say
-    @pytest.mark.parametrize("mode", MODES, ids=[f"{mode}-hidden" for mode in MODES])
+    # the estimator reads the features, as the ids say
+    @pytest.mark.parametrize("mode", MODES, ids=[f"{mode}-features" for mode in MODES])
     def test_every_mode_matches_hand_rolled_schedule(self, mode):
         # pretraining fits the classifier to one-hot DS labels, then the
-        # estimator to agreement with them, each under its own Adam state.
-        # Each outer iteration freezes the posteriors and the estimator's
-        # input, then steps both networks under one Adam state over the
-        # classifier's and then the estimator's arrays. That state lives
-        # across outer iterations.
+        # estimator on the features to agreement with them, each under its own
+        # Adam state. Each outer iteration freezes the posteriors, then steps
+        # both networks under one Adam state over the classifier's and then the
+        # estimator's arrays. That state lives across outer iterations.
         instances, gold = gen_2d("moon", 60, seed=2)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=2,
                                    instance_ids=[inst.id for inst in instances])
         x = feature_matrix(instances)
         # the classifier's hidden layer is as wide as the features, so an
-        # estimator fed the wrong one differs in its values, not in its shape;
-        # clipping fires on every step, so a joint step under two Adam states
-        # (two clip norms) differs from one under a single state
+        # estimator fed that layer in their place differs in its values, not in
+        # its shape; clipping fires on every step, so a joint step under two
+        # Adam states (two clip norms) differs from one under a single state
         cfg = TrainConfig(mode=mode, max_outer=2, inner_iters=2, pretrain_epochs=5,
                           classifier_hidden=2, clip_norm=0.01, seed=4)
         result = train(x, ann, cfg)
@@ -487,17 +486,13 @@ class TestTrain:
                          for g in reference_backward(net, inputs, targets, norm)]
                 reference_adam_step(arrays, grads, opt)
 
-        def pair_input(classifier):
-            hidden = reference_forward(classifier, x)[1]
-            return estimator_pair_inputs(hidden, ann)
-
         n, p = float(len(x)), float(ann.n_pairs)
         clf_seed, est_seed = np.random.SeedSequence(cfg.seed).spawn(2)
         classifier = init_fnn(2, cfg.classifier_hidden, cfg.classifier_hidden, 2, "softmax",
                               np.random.default_rng(clf_seed))
         ds_labels = dawid_skene(ann).hard_labels
         steps([(classifier, x, np.eye(2)[ds_labels], n)], cfg.pretrain_epochs, adam())
-        pair_x = pair_input(classifier)
+        pair_x = estimator_pair_inputs(x, ann)
         estimator = init_fnn(pair_x.shape[1], cfg.estimator_hidden, cfg.estimator_hidden, 1,
                              "sigmoid", np.random.default_rng(est_seed))
         agreement = (ann.label_idx == ds_labels[ann.instance_idx]).astype(np.float64)
@@ -506,7 +501,6 @@ class TestTrain:
         norm_t, norm_r = (n + p, n + p) if mode == "em" else (n, p)
         opt = adam()
         for _ in range(2):
-            pair_x = pair_input(classifier)
             post = posterior_from_priors(reference_forward(classifier, x)[0],
                                          reference_forward(estimator, pair_x)[0], ann)
             steps([(classifier, x, post.label_posterior, norm_t),
@@ -517,6 +511,22 @@ class TestTrain:
         for got, want in zip(result.state.classifier.arrays() + result.state.estimator.arrays(),
                              classifier.arrays() + estimator.arrays()):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_pair_input_is_built_once_for_pretraining_and_once_for_the_loop(self, moon_setup,
+                                                                           monkeypatch):
+        x, ann, _ = moon_setup
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return estimator_pair_inputs(*args)
+
+        monkeypatch.setattr(model, "estimator_pair_inputs", counted)
+        for max_outer in (1, 5):
+            calls.clear()
+            result = train(x, ann, TrainConfig(max_outer=max_outer, early_stop_tol=1e-12, seed=5))
+            assert len(result.trace) == max_outer and len(calls) == 2
+            assert all(args[0] is x for args in calls)
 
     def test_modes_differ_only_by_normalizers(self):
         # Without weight decay and clipping, Adam is invariant to a constant
@@ -548,7 +558,7 @@ class TestTrain:
         assert [TrainConfig(mode=mode).max_outer for mode in MODES] == [500] * len(MODES)
 
     def test_default_cap_lets_ce_jt_stop_by_tolerance(self):
-        # a cap of 20 cut this run off at iteration 20; it stops by tolerance at 23
+        # a cap of 20 cut this run off at iteration 20; it stops by tolerance at 28
         instances, gold = gen_2d("moon", 1000, seed=1)
         ann = simulate_annotations(gold, 2, default_panel(2), seed=1,
                                    instance_ids=[inst.id for inst in instances])
@@ -633,6 +643,18 @@ class TestTrain:
             TrainConfig(**{key: value})
 
 
+def test_estimator_ranks_pairs_by_their_instance_dependent_reliability():
+    # on the regional panel an annotator is reliable in one band of the first
+    # feature only; the estimator's prior must rank in-band pairs above the rest
+    aucs = []
+    for seed in range(5):
+        x, ann, _, in_band = regional_panel("moon", seed)
+        state = train(x, ann, TrainConfig()).state
+        aucs.append(auc_oracle(forward(state.estimator, estimator_pair_inputs(x, ann))[0], in_band))
+    print("regional moon prior AUC, data seeds 0-4:", " ".join(f"{auc:.4f}" for auc in aucs))
+    assert np.mean(aucs) >= 0.85
+
+
 class TestPredict:
     def test_argmax_and_tie_rule(self):
         rng = np.random.default_rng(1)
@@ -667,9 +689,9 @@ class TestAnnotatorPermutation:
         perm = np.random.default_rng(0).permutation(m)
 
         permuted_est = copy.deepcopy(state.estimator)
-        rep_dim = 3  # the classifier's hidden width
+        width = x.shape[1]  # the estimator's annotator rows follow the features'
         for j in range(m):
-            permuted_est.weights[0][rep_dim + perm[j]] = state.estimator.weights[0][rep_dim + j]
+            permuted_est.weights[0][width + perm[j]] = state.estimator.weights[0][width + j]
         permuted_state = ModelState(classifier=state.classifier, estimator=permuted_est)
         permuted_ann = dataclasses.replace(ann, annotator_idx=perm[ann.annotator_idx])
 
@@ -683,7 +705,8 @@ class TestAnnotatorPermutation:
 @pytest.fixture
 def checkpoint(tmp_path):
     """The path and parsed content of a valid checkpoint, for a test to break."""
-    state = small_state(np.random.default_rng(2), n_labels=3)  # hidden layers 3 wide
+    # hidden layers 3 wide; 3 features, so the estimator's first layer is (3 + 4) x 3
+    state = small_state(np.random.default_rng(2), n_labels=3, input_dim=3)
     cfg = TrainConfig(classifier_hidden=3, estimator_hidden=3)
     path = tmp_path / "model.json"
     save_model(path, state, LabelSet(("a", "b", "c")), cfg)
@@ -780,15 +803,15 @@ class TestCheckpoint:
     def test_unknown_checkpoint_version_is_a_data_error(self, tmp_path):
         # every older checkpoint is rejected by its version, whatever else it holds
         path = tmp_path / "model.json"
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             path.write_text(f'{{"format_version": {version}}}')
             with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: unsupported model "
-                                                f"checkpoint version {version}, expected 4"):
+                                                f"checkpoint version {version}, expected 5"):
                 load_model(path)
 
     @pytest.mark.parametrize("n_rows, n_features, n_annotators, n_labels, fault", [
-        (4, 2, 6, 2, r"the data's estimator input width \(representation \+ annotators\) is 9, "
-                     "but the model's is 8"),
+        (4, 2, 6, 2, r"the data's estimator input width \(features \+ annotators\) is 8, "
+                     "but the model's is 7"),
         (4, 4, 5, 2, "the data's feature width is 4, but the model's is 2"),
         (4, 2, 5, 3, "the data's label count is 3, but the model's is 2"),
         (3, 2, 5, 2, "the data has 3 feature rows, but 4 instances"),
@@ -797,7 +820,7 @@ class TestCheckpoint:
     def test_data_the_networks_do_not_fit_is_a_data_error(self, n_rows, n_features,
                                                           n_annotators, n_labels, fault):
         # networks for 2 features, 5 annotators and 2 labels, the estimator on
-        # the classifier's 3-wide hidden layer; the annotations cover 4 instances
+        # the features and the annotator; the annotations cover 4 instances
         rng = np.random.default_rng(11)
         state = small_state(rng, n_labels=2, n_annotators=5)
         ann = make_annotations([(i, j, (i + j) % n_labels) for i in range(4)
